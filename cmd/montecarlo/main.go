@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	curve, err := montecarlo.CurveContext(ctx, scheme, *window, *maxErrors, *trials, *seed)
+	curve, err := montecarlo.NewRunner().AppendCurve(ctx, nil, scheme, *window, *maxErrors, *trials, *seed, nil)
 	interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	if err != nil && !interrupted {
 		return err

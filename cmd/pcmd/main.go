@@ -95,7 +95,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	queue := fs.Int("queue", 64, "job queue depth")
 	cacheEntries := fs.Int("cache", 256, "result cache entries (negative disables)")
 	jobTimeout := fs.Duration("job-timeout", 15*time.Minute, "per-job execution deadline")
-	jobTTL := fs.Duration("job-ttl", time.Hour, "how long finished job handles stay pollable")
+	jobTTL := fs.Duration("job-ttl", time.Hour, "how long finished job and sweep handles stay pollable")
 	maxJobs := fs.Int("max-jobs", 4096, "job store bound (terminal jobs evicted beyond it)")
 	snapshot := fs.String("snapshot", "", "crash-safety snapshot file (empty disables persistence)")
 	snapshotInterval := fs.Duration("snapshot-interval", time.Minute, "periodic snapshot cadence")

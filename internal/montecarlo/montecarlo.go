@@ -64,19 +64,13 @@ func Survives(scheme ecc.Scheme, faults *ecc.FaultSet, windowBytes int) bool {
 
 // FailureProbability estimates P(line unusable) for the configuration.
 func FailureProbability(cfg Config) (float64, error) {
-	return FailureProbabilityContext(context.Background(), cfg)
+	return NewRunner().FailureProbability(context.Background(), cfg)
 }
 
 // ctxCheckEvery is how many Monte-Carlo trials pass between context polls:
 // rare enough to stay off the hot path, frequent enough that cancellation
 // lands within milliseconds.
 const ctxCheckEvery = 4096
-
-// FailureProbabilityContext is FailureProbability with cancellation, polled
-// every few thousand trials. On cancellation it returns 0 and ctx.Err().
-func FailureProbabilityContext(ctx context.Context, cfg Config) (float64, error) {
-	return NewRunner().FailureProbability(ctx, cfg)
-}
 
 // Runner owns the reusable scratch of the Monte-Carlo kernel: the
 // deterministic generator and its prefetching batch, the injected fault
@@ -108,6 +102,8 @@ func NewRunner() *Runner { return &Runner{} }
 // every call and the Batch serves draws in exactly the order rng.New(Seed)
 // would emit them, so estimates are bit-identical to the unbatched
 // trial-at-a-time path and independent of the Runner's previous calls.
+// The context is polled every ctxCheckEvery trials; on cancellation it
+// returns 0 and ctx.Err().
 func (ru *Runner) FailureProbability(ctx context.Context, cfg Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
@@ -199,36 +195,22 @@ func injectUniform(r *rng.Batch, faults *ecc.FaultSet, n int) {
 }
 
 // Curve sweeps the error count from 1 to maxErrors and returns the failure
-// probability at each point (index 0 holds 1 error).
+// probability at each point (index 0 holds 1 error). Callers that need
+// cancellation or progress use NewRunner().AppendCurve directly.
 func Curve(scheme ecc.Scheme, windowBytes, maxErrors, trials int, seed uint64) ([]float64, error) {
-	return CurveContext(context.Background(), scheme, windowBytes, maxErrors, trials, seed)
-}
-
-// CurveContext is Curve with cancellation. On cancellation it returns the
-// points computed so far (a prefix of the curve, possibly empty) together
-// with ctx.Err(), so callers can report partial progress.
-func CurveContext(ctx context.Context, scheme ecc.Scheme, windowBytes, maxErrors, trials int, seed uint64) ([]float64, error) {
-	return CurveContextProgress(ctx, scheme, windowBytes, maxErrors, trials, seed, nil)
-}
-
-// CurveContextProgress is CurveContext with a per-point progress callback:
-// onPoint(done, total) fires after each of the total=maxErrors curve points
-// completes, on the computing goroutine (keep it cheap — an atomic store).
-// On early context cancellation a final onPoint(total, total) fires before
-// the error returns, so progress meters driven by the callback always
-// close out. The estimates are identical to CurveContext's; the callback
-// only observes.
-func CurveContextProgress(ctx context.Context, scheme ecc.Scheme, windowBytes, maxErrors, trials int, seed uint64, onPoint func(done, total int)) ([]float64, error) {
-	return NewRunner().AppendCurve(ctx, make([]float64, 0, maxErrors), scheme, windowBytes, maxErrors, trials, seed, onPoint)
+	return NewRunner().AppendCurve(context.Background(), make([]float64, 0, maxErrors), scheme, windowBytes, maxErrors, trials, seed, nil)
 }
 
 // AppendCurve appends the failure-probability curve (1..maxErrors injected
 // errors, point e estimated from seed+e) to dst and returns the extended
 // slice, reusing the Runner's scratch: with a Runner kept across calls and
 // a dst with capacity maxErrors, a curve costs zero heap allocations. The
-// points are bit-identical to Curve's. On cancellation it returns the
-// points appended so far (a prefix of the curve, possibly empty) together
-// with ctx.Err(), after firing the final onPoint(total, total) tick.
+// points are bit-identical to Curve's. onPoint, when non-nil, fires
+// (done, total=maxErrors) after each point on the computing goroutine, so
+// keep it cheap (an atomic store). On cancellation it returns the points
+// appended so far (a prefix of the curve, possibly empty) together with
+// ctx.Err(), after firing a final onPoint(total, total) tick so progress
+// meters driven by the callback always close out.
 func (ru *Runner) AppendCurve(ctx context.Context, dst []float64, scheme ecc.Scheme, windowBytes, maxErrors, trials int, seed uint64, onPoint func(done, total int)) ([]float64, error) {
 	for e := 1; e <= maxErrors; e++ {
 		p, err := ru.FailureProbability(ctx, Config{

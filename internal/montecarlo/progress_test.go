@@ -44,7 +44,7 @@ func (p *progressLog) verify(t *testing.T, total int) {
 func TestCurveProgressMonotonic(t *testing.T) {
 	const maxErrors = 9
 	var log progressLog
-	curve, err := CurveContextProgress(context.Background(), ecp.New(6), 32, maxErrors, 50, 1, log.onPoint)
+	curve, err := NewRunner().AppendCurve(context.Background(), nil, ecp.New(6), 32, maxErrors, 50, 1, log.onPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCurveProgressFinalOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var log progressLog
-	curve, err := CurveContextProgress(ctx, ecp.New(6), 32, maxErrors, 50, 1,
+	curve, err := NewRunner().AppendCurve(ctx, nil, ecp.New(6), 32, maxErrors, 50, 1,
 		func(done, total int) {
 			log.onPoint(done, total)
 			if done == cancelAt {
@@ -92,7 +92,7 @@ func TestCurveProgressCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var log progressLog
-	curve, err := CurveContextProgress(ctx, ecp.New(6), 32, 8, 50, 1, log.onPoint)
+	curve, err := NewRunner().AppendCurve(ctx, nil, ecp.New(6), 32, 8, 50, 1, log.onPoint)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pcmcomp/internal/fleetobs"
+	"pcmcomp/internal/tenant"
 )
 
 // initFleet wires the fleet health plane: a self-scrape target reading
@@ -170,31 +171,21 @@ func writeFleetMetrics(w io.Writer, st fleetobs.Stats) {
 	fmt.Fprintf(w, "# TYPE pcmd_fleetobs_slo_breaching gauge\npcmd_fleetobs_slo_breaching %d\n", st.Breaching)
 }
 
-// logSampler rate-limits per-route access logging: one token bucket per
+// logSampler rate-limits per-route access logging: one tenant.Bucket per
 // route, refilled at qps, burst max(qps, 1). The middleware consults it
 // only for non-error responses — errors always log. A nil sampler allows
 // everything (the -log-sample 0 default).
 type logSampler struct {
 	mu      sync.Mutex
 	qps     float64
-	burst   float64
-	buckets map[string]*logBucket
-}
-
-type logBucket struct {
-	tokens float64
-	last   time.Time
+	buckets map[string]*tenant.Bucket
 }
 
 func newLogSampler(qps float64) *logSampler {
 	if qps <= 0 {
 		return nil
 	}
-	burst := qps
-	if burst < 1 {
-		burst = 1
-	}
-	return &logSampler{qps: qps, burst: burst, buckets: make(map[string]*logBucket)}
+	return &logSampler{qps: qps, buckets: make(map[string]*tenant.Bucket)}
 }
 
 // allow takes one token from the route's bucket, reporting whether the
@@ -204,22 +195,12 @@ func (ls *logSampler) allow(route string, now time.Time) bool {
 		return true
 	}
 	ls.mu.Lock()
-	defer ls.mu.Unlock()
 	b := ls.buckets[route]
 	if b == nil {
-		b = &logBucket{tokens: ls.burst, last: now}
+		b = tenant.NewBucket(ls.qps, max(ls.qps, 1))
 		ls.buckets[route] = b
 	}
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * ls.qps
-		if b.tokens > ls.burst {
-			b.tokens = ls.burst
-		}
-		b.last = now
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+	ls.mu.Unlock()
+	_, ok := b.Take(now, 1)
+	return ok
 }

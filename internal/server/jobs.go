@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,7 +10,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -263,9 +261,6 @@ type Job struct {
 	// cancel aborts the running job's context with errJobCanceled; set by
 	// claimRunning, nil outside the running state.
 	cancel context.CancelCauseFunc
-	// elem is the job's position in the store's terminal-order list once
-	// the job reaches a terminal state.
-	elem *list.Element
 	// parent is the submitter's span (zero when the submission carried no
 	// propagation headers); the execution span becomes its child.
 	parent obs.SpanContext
@@ -286,127 +281,49 @@ type Job struct {
 // job's context, so execute can tell a client cancel from a timeout.
 var errJobCanceled = errors.New("canceled by client")
 
-// store is the in-memory job registry, bounded two ways: terminal jobs
-// (done/failed/canceled) are evicted oldest-finished-first once the store
-// exceeds maxJobs, and sweep drops terminal jobs older than ttl. Queued
-// and running jobs are never evicted — their count is already bounded by
-// the pool's queue depth plus worker count — so sustained traffic cannot
-// grow the store without bound while evicted results stay reachable
-// through the content-addressed cache.
+// store is the job registry: a registry of *Job (see registry for the
+// eviction and expiry policy) plus the job transitions, each of which
+// mutates the job under the registry lock.
 type store struct {
-	mu       sync.Mutex
-	seq      uint64
-	maxJobs  int
-	ttl      time.Duration
-	jobs     map[string]*Job
-	terminal *list.List // front = oldest finished, the next to evict
-	evicted  uint64     // jobs dropped by either bound, for /metrics
+	*registry[*Job]
 }
 
 func newStore(maxJobs int, ttl time.Duration) *store {
-	return &store{
-		maxJobs:  maxJobs,
-		ttl:      ttl,
-		jobs:     make(map[string]*Job),
-		terminal: list.New(),
-	}
+	return &store{newRegistry[*Job](maxJobs, ttl)}
 }
 
-// markTerminal records a job's terminal position and enforces the capacity
-// bound. Callers hold s.mu and have already set the terminal state.
+func (j *Job) docID() string           { return j.ID }
+func (j *Job) docState() State         { return j.State }
+func (j *Job) docFinished() *time.Time { return j.Finished }
+func (j *Job) timeline() *obs.Timeline { return j.events }
+
+// markTerminal drops a finished job's cancel handle and hands it to the
+// registry's terminal order. Callers hold s.mu and have already set the
+// terminal state.
 func (s *store) markTerminal(j *Job) {
 	j.cancel = nil
-	j.elem = s.terminal.PushBack(j)
-	for len(s.jobs) > s.maxJobs && s.terminal.Len() > 0 {
-		oldest := s.terminal.Remove(s.terminal.Front()).(*Job)
-		delete(s.jobs, oldest.ID)
-		s.evicted++
-	}
-}
-
-// sweep evicts terminal jobs whose Finished time is older than the TTL and
-// returns how many were dropped.
-func (s *store) sweep(now time.Time) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	evicted := 0
-	for el := s.terminal.Front(); el != nil; {
-		j := el.Value.(*Job)
-		if j.Finished == nil || now.Sub(*j.Finished) < s.ttl {
-			break // the list is finished-ordered; the rest are younger
-		}
-		next := el.Next()
-		s.terminal.Remove(el)
-		delete(s.jobs, j.ID)
-		evicted++
-		s.evicted++
-		el = next
-	}
-	return evicted
-}
-
-// evictedCount returns how many jobs both bounds have dropped so far.
-func (s *store) evictedCount() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
-}
-
-// size returns the current number of tracked jobs.
-func (s *store) size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
+	s.markTerminalLocked(j)
 }
 
 // export returns copies of every terminal job in eviction order (oldest
-// finished first), their flight-recorder timelines, and the ID sequence,
-// for snapshotting. Queued and running jobs are deliberately absent: they
-// cannot survive a restart.
+// finished first), their timelines, and the ID sequence, for snapshotting.
 func (s *store) export() ([]Job, map[string][]obs.Event, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Job, 0, s.terminal.Len())
-	events := make(map[string][]obs.Event, s.terminal.Len())
-	for el := s.terminal.Front(); el != nil; el = el.Next() {
-		j := el.Value.(*Job)
-		out = append(out, *j)
-		if evs := j.events.Events(); len(evs) > 0 {
-			events[j.ID] = evs
-		}
-	}
-	return out, events, s.seq
+	var out []Job
+	events, seq := s.registry.export(func(j *Job) { out = append(out, *j) })
+	return out, events, seq
 }
 
-// restore reinstates snapshotted terminal jobs, preserving their eviction
-// order, and advances the ID sequence so new jobs cannot collide with
-// restored ones. Non-terminal or malformed entries are skipped. Each
-// restored job keeps its recorded timeline (when the snapshot has one)
-// plus a snapshot_restored marker, so the flight recorder shows the
-// restart boundary.
+// restore reinstates snapshotted terminal jobs; only their exported fields
+// survive, so the run state starts empty.
 func (s *store) restore(jobs []Job, events map[string][]obs.Event, seq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq > s.seq {
-		s.seq = seq
-	}
-	for i := range jobs {
-		j := jobs[i]
-		if j.ID == "" || !j.State.Terminal() || j.Finished == nil {
-			continue
-		}
-		if _, exists := s.jobs[j.ID]; exists {
-			continue
-		}
-		j.run, j.cancel, j.elem, j.progress, j.Progress = nil, nil, nil, nil, nil
+	docs := make([]*Job, len(jobs))
+	for i, j := range jobs {
+		j.run, j.cancel, j.progress, j.Progress = nil, nil, nil, nil
 		j.parent = obs.SpanContext{}
 		j.events = obs.NewTimeline(0)
-		j.events.Restore(events[j.ID])
-		j.events.Add("snapshot_restored", "restored from snapshot")
-		cp := j
-		s.jobs[cp.ID] = &cp
-		s.markTerminal(&cp)
+		docs[i] = &j
 	}
+	s.registry.restore(docs, events, seq)
 }
 
 // add registers a new job and assigns its ID. IDs embed a sequence number
@@ -445,7 +362,7 @@ func (s *store) add(kind Kind, p params, key string, tn *tenant.Tenant, now time
 		fields = append(fields, "trace", digest)
 	}
 	j.events.AddAt(now, "queued", "", fields...)
-	s.jobs[j.ID] = j
+	s.docs[j.ID] = j
 	return j
 }
 
@@ -469,37 +386,12 @@ func (s *store) adoptTrace(j *Job, sc obs.SpanContext) {
 	j.parent = sc
 }
 
-// events returns a job's flight-recorder timeline snapshot and how many
-// early events its bound has discarded.
-func (s *store) events(id string) ([]obs.Event, uint64, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, 0, false
-	}
-	return j.events.Events(), j.events.Dropped(), true
-}
-
-// timeline returns a job's flight-recorder timeline for live
-// subscription (the SSE streaming path). The pointer is set at add and
-// never replaced, so the caller may subscribe without holding the lock.
-func (s *store) timeline(id string) (*obs.Timeline, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return j.events, true
-}
-
 // get returns a snapshot of a job (copy, so callers can marshal it without
 // holding the lock).
 func (s *store) get(id string) (Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.docs[id]
 	if !ok {
 		return Job{}, false
 	}
@@ -512,12 +404,8 @@ func (s *store) get(id string) (Job, bool) {
 
 // list returns snapshots of every job, unordered.
 func (s *store) list() []Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, *j)
-	}
+	var out []Job
+	s.each(func(j *Job) { out = append(out, *j) })
 	return out
 }
 
@@ -626,7 +514,7 @@ const (
 func (s *store) cancel(id string, now time.Time) (Job, cancelOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.docs[id]
 	if !ok {
 		return Job{}, cancelUnknown
 	}

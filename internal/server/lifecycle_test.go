@@ -128,10 +128,10 @@ func TestStoreTTLSweep(t *testing.T) {
 	now := time.Now()
 	j := st.add(KindCompression, &CompressionParams{}, "00000000cafef00d", nil, now)
 	st.setDone(j, json.RawMessage(`{}`), nil, now)
-	if n := st.sweep(now.Add(10 * time.Millisecond)); n != 0 {
+	if n := st.expire(now.Add(10 * time.Millisecond)); n != 0 {
 		t.Fatalf("swept %d young jobs", n)
 	}
-	if n := st.sweep(now.Add(time.Second)); n != 1 {
+	if n := st.expire(now.Add(time.Second)); n != 1 {
 		t.Fatalf("swept %d, want 1", n)
 	}
 	if _, ok := st.get(j.ID); ok {
@@ -299,6 +299,14 @@ func TestSnapshotRestore(t *testing.T) {
 	done := pollDone(t, ts1, id)
 	wantResult, _ := json.Marshal(done["result"])
 
+	// Two sweeps that finish out of creation order: the snapshot keeps the
+	// registry's finished order, which is the order they will be evicted in.
+	t0 := time.Now()
+	first := s1.sweeps.add(testSweepRequest(t, 1), nil, "", "", t0).doc.ID
+	second := s1.sweeps.add(testSweepRequest(t, 2), nil, "", "", t0).doc.ID
+	s1.sweeps.finish(second, json.RawMessage(`{"n":2}`), nil, false, t0.Add(time.Millisecond))
+	s1.sweeps.finish(first, json.RawMessage(`{"n":1}`), nil, false, t0.Add(2*time.Millisecond))
+
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s1.Shutdown(ctx); err != nil {
@@ -331,6 +339,37 @@ func TestSnapshotRestore(t *testing.T) {
 	// New IDs must not collide with restored ones.
 	if doc["id"].(string) == id {
 		t.Fatal("job ID sequence was not restored")
+	}
+
+	// The sweeps came back in finished order, each with its result and a
+	// snapshot_restored marker closing its timeline.
+	sweeps, _, _ := s2.sweeps.export()
+	if len(sweeps) != 2 || sweeps[0].ID != second || sweeps[1].ID != first {
+		t.Fatalf("restored sweep order %+v, want [%s %s]", sweeps, second, first)
+	}
+	if list := s2.sweeps.list(); len(list) != 2 || list[0].ID != first || list[1].ID != second {
+		t.Fatalf("restored sweep list %+v, want creation order [%s %s]", list, first, second)
+	}
+	for _, sw := range sweeps {
+		got := pollSweep(t, ts2, sw.ID)
+		if got.State != StateDone || len(got.Result) == 0 {
+			t.Errorf("restored sweep %s: state %s, result %s", sw.ID, got.State, got.Result)
+		}
+		resp, err := http.Get(ts2.URL + "/v1/sweeps/" + sw.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evDoc struct {
+			Events []struct{ Type string } `json:"events"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&evDoc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(evDoc.Events); n < 2 || evDoc.Events[n-1].Type != "snapshot_restored" {
+			t.Errorf("restored sweep %s timeline %+v, want recorded events then snapshot_restored", sw.ID, evDoc.Events)
+		}
 	}
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)

@@ -78,8 +78,8 @@ type Config struct {
 	// evicted oldest-finished-first (default 4096). Evicted results stay
 	// reachable through the cache under their content address.
 	MaxJobs int
-	// JobTTL is how long a terminal job's handle stays pollable after it
-	// finishes (default 1 hour).
+	// JobTTL is how long a terminal job's or sweep's handle stays pollable
+	// after it finishes (default 1 hour).
 	JobTTL time.Duration
 	// SnapshotPath, when non-empty, enables crash-safe persistence: the
 	// terminal jobs and result cache are restored from this file on
@@ -274,7 +274,7 @@ func New(cfg Config) *Server {
 	if s.log == nil {
 		s.log = obs.NopLogger()
 	}
-	s.sweeps = newSweepStore()
+	s.sweeps = newSweepStore(cfg.JobTTL)
 	s.restoreErr = s.loadSnapshot()
 	traces, err := tracestore.Open(tracestore.Options{
 		Dir: cfg.TraceDir, MaxBytes: cfg.TraceMaxBytes, TTL: cfg.TraceTTL,
@@ -393,7 +393,7 @@ func (s *Server) initCoordinator() {
 func (s *Server) RestoreError() error { return s.restoreErr }
 
 // housekeeping is the background loop behind the store bounds and the
-// snapshot cadence: every tick it TTL-sweeps terminal jobs and, when
+// snapshot cadence: every tick it expires terminal jobs and sweeps and, when
 // persistence is on, writes a snapshot. It exits when Shutdown begins
 // (Shutdown writes the final snapshot itself, after the drain).
 func (s *Server) housekeeping() {
@@ -416,7 +416,8 @@ func (s *Server) housekeeping() {
 		case <-s.hkStop:
 			return
 		case now := <-ticker.C:
-			s.store.sweep(now)
+			s.store.expire(now)
+			s.sweeps.expire(now)
 			s.traces.Sweep(now)
 			if s.cfg.SnapshotPath != "" && now.Sub(last) >= s.cfg.SnapshotInterval {
 				last = now

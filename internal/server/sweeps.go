@@ -9,17 +9,18 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"pcmcomp/internal/cluster"
 	"pcmcomp/internal/obs"
 )
 
-// maxSweeps bounds the sweep registry; terminal sweeps are evicted oldest
-// first beyond it (results stay reachable through the content cache).
+// maxSweeps bounds the sweep registry; terminal sweeps are evicted
+// oldest-finished-first beyond it (results stay reachable through the
+// content cache).
 const maxSweeps = 512
 
 // SweepStatus is the client-visible document of one sweep: the request, the
@@ -53,18 +54,22 @@ type sweepJob struct {
 	events *obs.Timeline
 }
 
-// sweepStore tracks sweeps, bounded like the job store: terminal sweeps
-// are evicted oldest-finished-first beyond maxSweeps.
+// sweepStore is the sweep registry: a registry of *sweepJob under the job
+// store's policy — terminal sweeps are evicted oldest-finished-first
+// beyond maxSweeps and expire after the job TTL — plus the sweep
+// transitions.
 type sweepStore struct {
-	mu     sync.Mutex
-	seq    uint64
-	sweeps map[string]*sweepJob
-	order  []string // insertion order, for eviction scans
+	*registry[*sweepJob]
 }
 
-func newSweepStore() *sweepStore {
-	return &sweepStore{sweeps: make(map[string]*sweepJob)}
+func newSweepStore(ttl time.Duration) *sweepStore {
+	return &sweepStore{newRegistry[*sweepJob](maxSweeps, ttl)}
 }
+
+func (sw *sweepJob) docID() string           { return sw.doc.ID }
+func (sw *sweepJob) docState() State         { return sw.doc.State }
+func (sw *sweepJob) docFinished() *time.Time { return sw.doc.Finished }
+func (sw *sweepJob) timeline() *obs.Timeline { return sw.events }
 
 func (s *sweepStore) add(req cluster.SweepRequest, cancel context.CancelCauseFunc, traceID, tenantName string, now time.Time) *sweepJob {
 	s.mu.Lock()
@@ -92,18 +97,14 @@ func (s *sweepStore) add(req cluster.SweepRequest, cancel context.CancelCauseFun
 		fields = append(fields, "trace", digest)
 	}
 	sw.events.AddAt(now, "created", "", fields...)
-	s.sweeps[sw.doc.ID] = sw
-	s.order = append(s.order, sw.doc.ID)
-	s.evictLocked()
+	s.docs[sw.doc.ID] = sw
 	return sw
 }
 
 // recordShardEvent appends one coordinator scheduling decision (dispatch,
 // retry, hedge, completion) to the sweep's timeline.
 func (s *sweepStore) recordShardEvent(id string, ev cluster.ShardEvent) {
-	s.mu.Lock()
-	sw, ok := s.sweeps[id]
-	s.mu.Unlock()
+	sw, ok := s.lookup(id)
 	if !ok {
 		return
 	}
@@ -126,81 +127,34 @@ func (s *sweepStore) recordShardEvent(id string, ev cluster.ShardEvent) {
 	sw.events.AddAt(ev.Time, ev.Type, "", fields...)
 }
 
-// events returns a sweep's flight-recorder timeline snapshot and how many
-// early events its bound has discarded.
-func (s *sweepStore) events(id string) ([]obs.Event, uint64, bool) {
-	s.mu.Lock()
-	sw, ok := s.sweeps[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, 0, false
-	}
-	return sw.events.Events(), sw.events.Dropped(), true
-}
-
-// timeline returns a sweep's flight-recorder timeline for live
-// subscription (the SSE streaming path).
-func (s *sweepStore) timeline(id string) (*obs.Timeline, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return nil, false
-	}
-	return sw.events, true
-}
-
-// evictLocked drops the oldest terminal sweeps beyond the bound.
-func (s *sweepStore) evictLocked() {
-	for len(s.sweeps) > maxSweeps {
-		evicted := false
-		for i, id := range s.order {
-			sw, ok := s.sweeps[id]
-			if !ok {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-			if sw.doc.State.Terminal() {
-				delete(s.sweeps, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return // everything live; the bound yields rather than dropping active sweeps
-		}
-	}
-}
-
 func (s *sweepStore) get(id string) (SweepStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
+	sw, ok := s.docs[id]
 	if !ok {
 		return SweepStatus{}, false
 	}
 	return sw.doc, true
 }
 
-// list returns snapshots in creation order.
+// list returns snapshots in creation order (Created, then ID, as the job
+// list orders them).
 func (s *sweepStore) list() []SweepStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SweepStatus, 0, len(s.sweeps))
-	for _, id := range s.order {
-		if sw, ok := s.sweeps[id]; ok {
-			out = append(out, sw.doc)
+	var out []SweepStatus
+	s.each(func(sw *sweepJob) { out = append(out, sw.doc) })
+	sort.Slice(out, func(i, k int) bool {
+		if !out[i].Created.Equal(out[k].Created) {
+			return out[i].Created.Before(out[k].Created)
 		}
-	}
+		return out[i].ID < out[k].ID
+	})
 	return out
 }
 
 func (s *sweepStore) setRunning(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sw, ok := s.sweeps[id]; ok && sw.doc.State == StateQueued {
+	if sw, ok := s.docs[id]; ok && sw.doc.State == StateQueued {
 		sw.doc.State = StateRunning
 		sw.events.Add("started", "handed to the coordinator")
 	}
@@ -209,7 +163,7 @@ func (s *sweepStore) setRunning(id string) {
 func (s *sweepStore) setProgress(id string, done int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sw, ok := s.sweeps[id]; ok && done > sw.doc.ShardsDone {
+	if sw, ok := s.docs[id]; ok && done > sw.doc.ShardsDone {
 		sw.doc.ShardsDone = done
 	}
 }
@@ -217,7 +171,7 @@ func (s *sweepStore) setProgress(id string, done int) {
 func (s *sweepStore) finish(id string, result json.RawMessage, err error, canceled bool, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
+	sw, ok := s.docs[id]
 	if !ok {
 		return
 	}
@@ -239,13 +193,14 @@ func (s *sweepStore) finish(id string, result json.RawMessage, err error, cancel
 		sw.events.AddAt(now, "merged", "shard results merged deterministically")
 		sw.events.AddAt(now, "done", "")
 	}
+	s.markTerminalLocked(sw)
 }
 
 // finishCached completes a sweep immediately from a cached merged result.
 func (s *sweepStore) finishCached(id string, result json.RawMessage, now time.Time) SweepStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
+	sw, ok := s.docs[id]
 	if !ok {
 		return SweepStatus{}
 	}
@@ -257,6 +212,7 @@ func (s *sweepStore) finishCached(id string, result json.RawMessage, now time.Ti
 	sw.doc.Finished = &now
 	sw.events.AddAt(now, "cache_hit", "answered from the result cache")
 	sw.events.AddAt(now, "done", "")
+	s.markTerminalLocked(sw)
 	return sw.doc
 }
 
@@ -264,7 +220,7 @@ func (s *sweepStore) finishCached(id string, result json.RawMessage, now time.Ti
 func (s *sweepStore) cancelSweep(id string) (SweepStatus, cancelOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
+	sw, ok := s.docs[id]
 	if !ok {
 		return SweepStatus{}, cancelUnknown
 	}
@@ -278,51 +234,21 @@ func (s *sweepStore) cancelSweep(id string) (SweepStatus, cancelOutcome) {
 	return sw.doc, cancelRunning
 }
 
-// export returns the terminal sweep documents in insertion order, their
-// flight-recorder timelines, and the ID sequence, for snapshotting.
-// Running sweeps are absent for the same reason running jobs are: a
-// restart cannot resume their shards.
+// export returns the terminal sweep documents in eviction order, their
+// timelines, and the ID sequence, for snapshotting.
 func (s *sweepStore) export() ([]SweepStatus, map[string][]obs.Event, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SweepStatus, 0, len(s.sweeps))
-	events := make(map[string][]obs.Event)
-	for _, id := range s.order {
-		sw, ok := s.sweeps[id]
-		if !ok || !sw.doc.State.Terminal() {
-			continue
-		}
-		out = append(out, sw.doc)
-		if evs := sw.events.Events(); len(evs) > 0 {
-			events[id] = evs
-		}
-	}
-	return out, events, s.seq
+	var out []SweepStatus
+	events, seq := s.registry.export(func(sw *sweepJob) { out = append(out, sw.doc) })
+	return out, events, seq
 }
 
-// restore reinstates snapshotted terminal sweeps with their timelines,
-// marking the restart boundary on each, and advances the ID sequence past
-// the restored ones.
+// restore reinstates snapshotted terminal sweeps.
 func (s *sweepStore) restore(sweeps []SweepStatus, events map[string][]obs.Event, seq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq > s.seq {
-		s.seq = seq
+	docs := make([]*sweepJob, len(sweeps))
+	for i, doc := range sweeps {
+		docs[i] = &sweepJob{doc: doc, events: obs.NewTimeline(0)}
 	}
-	for _, doc := range sweeps {
-		if doc.ID == "" || !doc.State.Terminal() || doc.Finished == nil {
-			continue
-		}
-		if _, exists := s.sweeps[doc.ID]; exists {
-			continue
-		}
-		sw := &sweepJob{doc: doc, events: obs.NewTimeline(0)}
-		sw.events.Restore(events[doc.ID])
-		sw.events.Add("snapshot_restored", "restored from snapshot")
-		s.sweeps[doc.ID] = sw
-		s.order = append(s.order, doc.ID)
-	}
-	s.evictLocked()
+	s.registry.restore(docs, events, seq)
 }
 
 // sweepCacheKey content-addresses a normalized sweep request, so an
