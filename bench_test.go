@@ -22,6 +22,10 @@ import (
 // internal/core and tracked in BENCH_pipeline.json).
 func BenchmarkWriteHot(b *testing.B) { benchmarks.WriteHot(b) }
 
+// BenchmarkWriteAged measures one Comp+WF Controller.Write on pre-faulted,
+// low-endurance lines, where placement slides and lines die.
+func BenchmarkWriteAged(b *testing.B) { benchmarks.WriteAged(b) }
+
 // BenchmarkCompressSelect measures the BEST-of compression decision for
 // one 64-byte write-back.
 func BenchmarkCompressSelect(b *testing.B) { benchmarks.CompressSelect(b) }

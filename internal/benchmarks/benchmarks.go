@@ -8,16 +8,18 @@
 //   - Figure/Table benchmarks regenerate one table or figure of the paper's
 //     evaluation per iteration at the quick scale — they track end-to-end
 //     experiment cost.
-//   - Microbenchmarks (WriteHot, CompressSelect, MonteCarloCurve) isolate
-//     the per-write simulation kernel — they track the hot path every
-//     experiment funnels through, and WriteHot and MonteCarloCurve
-//     additionally guard the zero-allocation property of their kernels.
+//   - Microbenchmarks (WriteHot, WriteAged, CompressSelect,
+//     MonteCarloCurve) isolate the per-write simulation kernel — they
+//     track the hot path every experiment funnels through, and WriteHot
+//     and MonteCarloCurve additionally guard the zero-allocation property
+//     of their kernels.
 //
 // FleetSweeps (fleet.go) sits above both: one distributed sweep through a
 // real in-process pcmd per iteration, gating service-level throughput.
 package benchmarks
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -27,6 +29,7 @@ import (
 	"pcmcomp/internal/core"
 	"pcmcomp/internal/ecc/ecp"
 	"pcmcomp/internal/experiments"
+	"pcmcomp/internal/lifetime"
 	"pcmcomp/internal/montecarlo"
 	"pcmcomp/internal/pcm"
 	"pcmcomp/internal/trace"
@@ -48,6 +51,7 @@ type Entry struct {
 func All() []Entry {
 	return []Entry{
 		{Name: "WriteHot", Micro: true, F: WriteHot},
+		{Name: "WriteAged", Micro: true, F: WriteAged},
 		{Name: "CompressSelect", Micro: true, F: CompressSelect},
 		{Name: "MonteCarloCurve", Micro: true, F: MonteCarloCurve},
 		{Name: "FleetSweeps", F: FleetSweeps},
@@ -81,22 +85,25 @@ func ByName(name string) (Entry, error) {
 
 // --- Microbenchmarks -------------------------------------------------------
 
-// hotSetup builds the WriteHot fixture: a Comp+WF controller on a substrate
-// whose cell endurance is effectively infinite (no cell ever wears out, so
-// iterations measure the steady-state kernel, not fault churn) and a
-// pregenerated write-back stream from the size-unstable gcc profile, which
-// exercises compression, the SC heuristic, and window placement.
-func hotSetup(b *testing.B) (*core.Controller, []trace.Event) {
-	b.Helper()
-	mem := pcm.Config{
+// benchMemory is the 4-bank, 132-line substrate of the write
+// microbenchmarks, at the given mean cell endurance.
+func benchMemory(endurance float64) pcm.Config {
+	return pcm.Config{
 		Geometry: pcm.Geometry{
 			Channels: 1, DIMMsPerChannel: 1, RanksPerDIMM: 1,
 			BanksPerRank: 4, LinesPerBank: 33,
 		},
-		Endurance: pcm.Endurance{Mean: 1e9, CoV: 0.15},
+		Endurance: pcm.Endurance{Mean: endurance, CoV: 0.15},
 		Seed:      1,
 	}
-	ctrl, err := core.New(core.DefaultConfig(core.CompWF, mem))
+}
+
+// writeFixture builds a controller from cfg and a pregenerated write-back
+// stream over its logical lines from the size-unstable gcc profile, which
+// exercises compression, the SC heuristic, and window placement.
+func writeFixture(b *testing.B, cfg core.Config) (*core.Controller, []trace.Event) {
+	b.Helper()
+	ctrl, err := core.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +115,16 @@ func hotSetup(b *testing.B) (*core.Controller, []trace.Event) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	events := gen.GenerateTrace(2048)
+	return ctrl, gen.GenerateTrace(2048)
+}
+
+// hotSetup builds the WriteHot fixture: a Comp+WF controller on a substrate
+// whose cell endurance is effectively infinite (no cell ever wears out, so
+// iterations measure the steady-state kernel, not fault churn), fed the gcc
+// stream.
+func hotSetup(b *testing.B) (*core.Controller, []trace.Event) {
+	b.Helper()
+	ctrl, events := writeFixture(b, core.DefaultConfig(core.CompWF, benchMemory(1e9)))
 	// Warm the controller: materialize every line and grow the per-line
 	// payload buffers to their steady-state capacity.
 	for i := range events {
@@ -126,6 +142,63 @@ func WriteHot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ev := &events[i%len(events)]
+		ctrl.Write(ev.Addr%logical, &ev.Data)
+	}
+}
+
+// agedSetup builds the WriteAged fixture: a Comp+WF controller on a
+// low-endurance substrate, aged with the gcc stream until a quarter of its
+// lines have died, captured as a snapshot (with the config to restore it
+// into) so the benchmark can return to the aged state whenever its own
+// writes reach the end-of-life criterion.
+func agedSetup(b *testing.B) (core.Config, []byte, []trace.Event) {
+	b.Helper()
+	cfg := lifetime.DefaultConfig(core.DefaultConfig(core.CompWF, benchMemory(300))).Controller
+	ctrl, events := writeFixture(b, cfg)
+	logical := ctrl.LogicalLines()
+	for i := 0; ctrl.DeadFraction() < 0.25; i++ {
+		ev := &events[i%len(events)]
+		ctrl.Write(ev.Addr%logical, &ev.Data)
+	}
+	var snap bytes.Buffer
+	if err := ctrl.WriteSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	return cfg, snap.Bytes(), events
+}
+
+// WriteAged measures one Comp+WF Controller.Write on pre-faulted lines:
+// placement slides past faulty cells, writes wear cells out, lines die and
+// Start-Gap copies retry dead lines — the path a lifetime run spends its
+// time in once the memory ages, which WriteHot's immortal cells never
+// reach. As in the second half of a lifetime run, a growing share of the
+// writes hits dead lines and is dropped. When the memory reaches the
+// paper's 50% end-of-life criterion the aged snapshot is restored outside
+// the timer. Recorded only; no -check gate (cells dying mid-write may
+// allocate).
+func WriteAged(b *testing.B) {
+	cfg, snap, events := agedSetup(b)
+	restore := func() *core.Controller {
+		ctrl, err := core.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ctrl.ReadSnapshot(bytes.NewReader(snap)); err != nil {
+			b.Fatal(err)
+		}
+		return ctrl
+	}
+	ctrl := restore()
+	logical := ctrl.LogicalLines()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ctrl.DeadFraction() >= 0.5 {
+			b.StopTimer()
+			ctrl = restore()
+			b.StartTimer()
+		}
 		ev := &events[i%len(events)]
 		ctrl.Write(ev.Addr%logical, &ev.Data)
 	}

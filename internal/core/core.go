@@ -196,6 +196,11 @@ type lineMeta struct {
 
 func (m *lineMeta) written() bool { return m.size != 0 }
 
+// vacate returns the line to the never-written state. The dead flag tracks
+// the physical cells' wear and stays; the payload buffer is kept for reuse
+// so Start-Gap moves do not reallocate it.
+func (m *lineMeta) vacate() { *m = lineMeta{dead: m.dead, payload: m.payload[:0]} }
+
 // bankState bundles the per-bank mechanisms: Start-Gap over the bank's rows
 // and the intra-line rotation counter.
 type bankState struct {

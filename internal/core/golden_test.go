@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pcmcomp/internal/compress"
 	"pcmcomp/internal/pcm"
 	"pcmcomp/internal/trace"
 	"pcmcomp/internal/workload"
@@ -107,9 +108,24 @@ type goldenRecord struct {
 	DeathCellsMaxBits   uint64 `json:"deathCellsMaxBits"`
 }
 
+// precompute returns each event's compression as ctrl computes it, copied
+// out of the controller's scratch. A controller that does not compress gets
+// zero Results, which WriteCompressed must ignore.
+func precompute(ctrl *Controller, events []trace.Event) []compress.Result {
+	out := make([]compress.Result, len(events))
+	for i := range events {
+		if res, ok := ctrl.Compress(&events[i].Data); ok {
+			out[i] = compress.Result{Encoding: res.Encoding, Data: append([]byte(nil), res.Data...)}
+		}
+	}
+	return out
+}
+
 // replayGolden runs the fixed two-phase trace through a fresh controller
-// and digests every outcome.
-func replayGolden(t *testing.T, system SystemKind, kill, revive []trace.Event) goldenRecord {
+// and digests every outcome. With memoized set, every demand write goes
+// through WriteCompressed with its compression precomputed up front, the
+// way the lifetime replay feeds later passes.
+func replayGolden(t *testing.T, system SystemKind, kill, revive []trace.Event, memoized bool) goldenRecord {
 	t.Helper()
 	cfg := DefaultConfig(system, goldenMemory())
 	// A short gap-movement period gives Comp+WF frequent retry opportunities
@@ -117,6 +133,10 @@ func replayGolden(t *testing.T, system SystemKind, kill, revive []trace.Event) g
 	cfg.StartGapPsi = 20
 	ctrl := mustController(t, cfg)
 	logical := ctrl.LogicalLines()
+	var killRes, reviveRes []compress.Result
+	if memoized {
+		killRes, reviveRes = precompute(ctrl, kill), precompute(ctrl, revive)
+	}
 
 	h := fnv.New64a()
 	var buf [8]byte
@@ -137,11 +157,17 @@ func replayGolden(t *testing.T, system SystemKind, kill, revive []trace.Event) g
 
 	rec := goldenRecord{System: system.String(), Writes: goldenWrites}
 	for w := 0; w < goldenWrites; w++ {
-		ev := &kill[w%len(kill)]
+		events, results := kill, killRes
 		if w >= goldenWrites/2 {
-			ev = &revive[w%len(revive)]
+			events, results = revive, reviveRes
 		}
-		out := ctrl.Write(ev.Addr%logical, &ev.Data)
+		ev := &events[w%len(events)]
+		var out Outcome
+		if memoized {
+			out = ctrl.WriteCompressed(ev.Addr%logical, &ev.Data, results[w%len(events)])
+		} else {
+			out = ctrl.Write(ev.Addr%logical, &ev.Data)
+		}
 
 		hashBool(out.Stored)
 		hashBool(out.Compressed)
@@ -214,7 +240,8 @@ func loadGolden(t *testing.T) map[string]goldenRecord {
 }
 
 // TestGoldenReplay asserts that the kernel reproduces the committed digests
-// bit-for-bit for all four systems.
+// bit-for-bit for all four systems, both through Write and through
+// WriteCompressed fed precomputed compression results.
 func TestGoldenReplay(t *testing.T) {
 	kill := goldenTrace(t, goldenKillApp)
 	revive := goldenTrace(t, goldenReviveApp)
@@ -222,7 +249,7 @@ func TestGoldenReplay(t *testing.T) {
 
 	got := make(map[string]goldenRecord, len(systems))
 	for _, sys := range systems {
-		got[sys.String()] = replayGolden(t, sys, kill, revive)
+		got[sys.String()] = replayGolden(t, sys, kill, revive, false)
 	}
 
 	// The suite is only a safety net if it reaches the interesting states.
@@ -257,6 +284,9 @@ func TestGoldenReplay(t *testing.T) {
 		if got[name] != want[name] {
 			t.Errorf("%s diverged from golden:\n got %+v\nwant %+v", name, got[name], want[name])
 		}
+		if rec := replayGolden(t, sys, kill, revive, true); rec != want[name] {
+			t.Errorf("%s via WriteCompressed diverged from golden:\n got %+v\nwant %+v", name, rec, want[name])
+		}
 	}
 }
 
@@ -273,7 +303,7 @@ func TestGoldenReplayAcrossGOMAXPROCS(t *testing.T) {
 
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	rec := replayGolden(t, CompWF, kill, revive)
+	rec := replayGolden(t, CompWF, kill, revive, false)
 	if rec != want[CompWF.String()] {
 		t.Errorf("Comp+WF digest differs under GOMAXPROCS=1:\n got %+v\nwant %+v",
 			rec, want[CompWF.String()])

@@ -36,6 +36,34 @@ type Outcome struct {
 // decision (Fig 8), window placement and sliding (Fig 4), the differential
 // write, and death/resurrection accounting.
 func (c *Controller) Write(addr int, data *block.Block) Outcome {
+	return c.write(addr, data, nil)
+}
+
+// Compress returns the compression result Write would compute for data,
+// and false when the controller stores every write raw (compression off).
+// The result's Data aliases the controller's scratch buffer and is only
+// valid until the next Compress or Write; copy it to retain.
+func (c *Controller) Compress(data *block.Block) (compress.Result, bool) {
+	if !c.cfg.UseCompression {
+		return compress.Result{}, false
+	}
+	return c.comp.Compress(data), true
+}
+
+// WriteCompressed is Write with the demand write's compression supplied by
+// the caller: res must be what Compress returned for data (its Data copied
+// out of the scratch buffer). Compression is a pure function of the block
+// and the codec configuration, so replaying a memoized result is
+// bit-identical to Write; the Fig 8 heuristic still runs on res's size,
+// and Start-Gap copies still recompress the data they move. A controller
+// that does not compress ignores res.
+func (c *Controller) WriteCompressed(addr int, data *block.Block, res compress.Result) Outcome {
+	return c.write(addr, data, &res)
+}
+
+// write is the body of Write and WriteCompressed; pre, when non-nil, is the
+// demand write's precomputed compression.
+func (c *Controller) write(addr int, data *block.Block, pre *compress.Result) Outcome {
 	bank, lrow := c.locate(addr)
 	bs := &c.banks[bank]
 
@@ -59,7 +87,7 @@ func (c *Controller) Write(addr int, data *block.Block) Outcome {
 	}
 
 	row := bs.sg.Map(lrow)
-	return c.writePhysical(bank, row, data, false)
+	return c.writePhysical(bank, row, data, pre, false)
 }
 
 // moveLine relocates the content of physical row mv.From into mv.To as part
@@ -71,34 +99,34 @@ func (c *Controller) moveLine(bank int, mv wear.Movement) {
 	if !from.written() {
 		// Nothing resident; the gap simply moves. Dead flags track the
 		// physical lines' worn cells and stay put.
-		bs.meta[mv.To] = lineMeta{dead: bs.meta[mv.To].dead}
-		*from = lineMeta{dead: from.dead}
+		bs.meta[mv.To].vacate()
+		from.vacate()
 		return
 	}
 	logical, err := c.comp.Decompress(from.enc, from.payload)
 	if err != nil {
 		// Metadata corruption cannot happen with invariant payloads;
 		// treat defensively as a dropped line.
-		bs.meta[mv.To] = lineMeta{dead: bs.meta[mv.To].dead}
-		*from = lineMeta{dead: from.dead}
+		bs.meta[mv.To].vacate()
+		from.vacate()
 		c.stats.UncorrectableErrors++
 		return
 	}
 
 	// Preserve the logical line's SC/size-tracking state across the move.
 	sc, prev := from.sc, from.prevCompSize
-	fromDead := from.dead
-	*from = lineMeta{dead: fromDead} // From becomes the gap (physical state stays)
+	from.vacate() // From becomes the gap (physical state stays)
 
 	to := &bs.meta[mv.To]
 	to.sc, to.prevCompSize = sc, prev
-	c.writePhysical(bank, mv.To, &logical, true)
+	c.writePhysical(bank, mv.To, &logical, nil, true)
 }
 
 // writePhysical stores data into the given physical row, applying the
-// compression decision and window placement. isMove marks Start-Gap copies:
-// in Comp+WF these are the only writes allowed to retry a dead line.
-func (c *Controller) writePhysical(bank, row int, data *block.Block, isMove bool) Outcome {
+// compression decision and window placement. pre, when non-nil, is data's
+// precomputed compression (see WriteCompressed). isMove marks Start-Gap
+// copies: in Comp+WF these are the only writes allowed to retry a dead line.
+func (c *Controller) writePhysical(bank, row int, data *block.Block, pre *compress.Result, isMove bool) Outcome {
 	bs := &c.banks[bank]
 	meta := &bs.meta[row]
 	c.stats.Writes++
@@ -111,7 +139,7 @@ func (c *Controller) writePhysical(bank, row int, data *block.Block, isMove bool
 	wasDead := meta.dead
 
 	// --- Compression decision (Fig 8) ---
-	payload, enc := c.chooseRepresentation(meta, data)
+	payload, enc := c.chooseRepresentation(meta, data, pre)
 	size := len(payload)
 
 	line := c.mem.Line(c.physAddr(bank, row))
@@ -178,15 +206,21 @@ func (c *Controller) writePhysical(bank, row int, data *block.Block, isMove bool
 
 // chooseRepresentation applies the Fig 8 flow: small compressed sizes are
 // always stored compressed; size-unstable lines (saturated SC) are stored
-// raw to avoid the extra bit flips compression entropy would cause.
-func (c *Controller) chooseRepresentation(meta *lineMeta, data *block.Block) ([]byte, compress.Encoding) {
+// raw to avoid the extra bit flips compression entropy would cause. pre,
+// when non-nil, stands in for compressing data.
+func (c *Controller) chooseRepresentation(meta *lineMeta, data *block.Block, pre *compress.Result) ([]byte, compress.Encoding) {
 	if !c.cfg.UseCompression {
 		return data[:], compress.EncUncompressed
 	}
 	// The Compressor's scratch-backed result is only valid until its next
 	// Compress call; writePhysical copies it into meta.payload before any
 	// other write can run, so no heap copy is needed here.
-	res := c.comp.Compress(data)
+	var res compress.Result
+	if pre != nil {
+		res = *pre
+	} else {
+		res = c.comp.Compress(data)
+	}
 	newSize := res.Size()
 
 	if !c.cfg.UseSCHeuristic {

@@ -20,7 +20,10 @@ package lifetime
 import (
 	"context"
 	"fmt"
+	"math"
 
+	"pcmcomp/internal/block"
+	"pcmcomp/internal/compress"
 	"pcmcomp/internal/core"
 	"pcmcomp/internal/trace"
 )
@@ -132,11 +135,11 @@ func RunContext(ctx context.Context, cfg Config, events []trace.Event) (Result, 
 	}
 
 	var res Result
+	memo := compressedTrace{bypass: len(events) > maxMemoEvents}
 	for {
 		res.Replays++
 		for i := range events {
-			addr := events[i].Addr % logical
-			ctrl.Write(addr, &events[i].Data)
+			memo.write(ctrl, i, events[i].Addr%logical, &events[i].Data)
 			res.DemandWrites++
 			if res.DemandWrites%uint64(checkEvery) == 0 {
 				if cfg.OnProgress != nil {
@@ -158,6 +161,61 @@ func RunContext(ctx context.Context, cfg Config, events []trace.Event) (Result, 
 			}
 		}
 	}
+}
+
+// compressedTrace memoizes a controller's compression of each trace event
+// across replays. Compression is a pure function of the block and the
+// controller's codec configuration, so the result computed on the first
+// pass is exactly what every later pass would recompute; feeding it back
+// through Controller.WriteCompressed keeps the run bit-identical to one
+// that calls Write throughout. The memo fills lazily, in trace order, so a
+// run capped below one pass compresses only the events it writes, and it
+// holds at most one payload byte per trace data byte. It lives for one
+// run: a cache shared across runs would need its own bound and eviction.
+type compressedTrace struct {
+	// bypass routes every write through Controller.Write: the controller
+	// stores writes uncompressed, or the trace is too long for 32-bit
+	// arena offsets.
+	bypass bool
+	// events[i] is event i's encoding and the end of its payload in arena
+	// (the payload starts where event i-1's ends).
+	events []memoEvent
+	arena  []byte
+}
+
+// maxMemoEvents bounds the memoized trace length so that every payload
+// offset fits a uint32.
+const maxMemoEvents = math.MaxUint32 / block.Size
+
+type memoEvent struct {
+	end uint32
+	enc compress.Encoding
+}
+
+// write replays trace event i (data, folded onto logical address addr)
+// through ctrl, compressing and memoizing it on its first replay. Events
+// must first arrive in trace order, as the replay loop delivers them.
+func (m *compressedTrace) write(ctrl *core.Controller, i, addr int, data *block.Block) {
+	if m.bypass {
+		ctrl.Write(addr, data)
+		return
+	}
+	if i == len(m.events) {
+		res, ok := ctrl.Compress(data)
+		if !ok {
+			m.bypass = true
+			ctrl.Write(addr, data)
+			return
+		}
+		m.arena = append(m.arena, res.Data...)
+		m.events = append(m.events, memoEvent{end: uint32(len(m.arena)), enc: res.Encoding})
+	}
+	var start uint32
+	if i > 0 {
+		start = m.events[i-1].end
+	}
+	ev := m.events[i]
+	ctrl.WriteCompressed(addr, data, compress.Result{Encoding: ev.enc, Data: m.arena[start:ev.end]})
 }
 
 // TimeModel converts simulated demand-write counts into wall-clock
