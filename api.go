@@ -39,12 +39,18 @@ const LineSize = block.Size
 type CompressionResult = compress.Result
 
 // Compress returns the smaller of the BDI and FPC encodings of a line (the
-// paper's BEST scheme), falling back to raw storage when neither helps.
-func Compress(b *Block) CompressionResult { return compress.Compress(b) }
+// paper's BEST scheme), falling back to raw storage when neither helps. It
+// runs a fresh compress.Compressor, so the result is safe to retain; loops
+// that compress many lines should hold their own Compressor instead.
+func Compress(b *Block) CompressionResult {
+	var c compress.Compressor
+	return c.Compress(b)
+}
 
 // Decompress reverses Compress given the stored encoding metadata.
 func Decompress(enc compress.Encoding, data []byte) (Block, error) {
-	return compress.Decompress(enc, data)
+	var c compress.Compressor
+	return c.Decompress(enc, data)
 }
 
 // --- Hard-error tolerance ---

@@ -75,13 +75,17 @@ func run() error {
 
 	fmt.Printf("%-40s %6s %6s %6s  %-14s %s\n",
 		"pattern", "BDI", "FPC", "BEST", "winner", "read+cycles")
+	// One Compressor per column: each result aliases its own scratch buffer.
+	bdiOnly := compress.Compressor{DisableFPC: true}
+	fpcOnly := compress.Compressor{DisableBDI: true}
+	var bestOf compress.Compressor
 	for _, p := range patterns {
 		b := p.build()
-		bdi := compress.CompressBDI(&b)
-		fpc := compress.CompressFPC(&b)
-		best := compress.Compress(&b)
+		bdi := bdiOnly.Compress(&b)
+		fpc := fpcOnly.Compress(&b)
+		best := bestOf.Compress(&b)
 		// Verify the round trip while we're here.
-		back, err := compress.Decompress(best.Encoding, best.Data)
+		back, err := bestOf.Decompress(best.Encoding, best.Data)
 		if err != nil {
 			return err
 		}

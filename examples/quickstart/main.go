@@ -48,7 +48,8 @@ func run() error {
 	for i := 0; i < 8; i++ {
 		data.SetWord(i, base+uint64(i*3))
 	}
-	res := compress.Compress(&data)
+	var comp compress.Compressor
+	res := comp.Compress(&data)
 	fmt.Printf("Step 1 - compression: 64B line -> %dB via %v (ratio %.2f)\n",
 		res.Size(), res.Encoding, res.Ratio())
 

@@ -115,9 +115,10 @@ var baseDeltas = []struct {
 // (Table I of the DSN'17 paper).
 const DecompressionCycles = 1
 
-// Analyze returns the encoding Compress would choose for the line without
-// materializing any output. It is the hardware's candidate race: all
-// geometries are size-checked and the smallest fitting one wins.
+// Analyze returns the smallest encoding of the line without materializing
+// any output. It is the hardware's candidate race: all geometries are
+// size-checked and the smallest fitting one wins (EncUncompressed when
+// none fits).
 func Analyze(b *block.Block) Encoding {
 	if isZero(b) {
 		return EncZeros
@@ -138,8 +139,8 @@ func Analyze(b *block.Block) Encoding {
 }
 
 // AppendCompress appends the payload of the line under the given encoding
-// (as returned by Analyze) to dst and returns the extended slice. It is the
-// allocation-free half of Compress: when dst has capacity, no heap
+// (as returned by Analyze) to dst and returns the extended slice: the
+// original line bytes for EncUncompressed. When dst has capacity, no heap
 // allocation occurs.
 func AppendCompress(dst []byte, b *block.Block, enc Encoding) []byte {
 	switch enc {
@@ -159,14 +160,6 @@ func AppendCompress(dst []byte, b *block.Block, enc Encoding) []byte {
 		}
 	}
 	panic(fmt.Sprintf("bdi: AppendCompress with unknown encoding %d", uint8(enc)))
-}
-
-// Compress compresses a 64-byte line. It returns the chosen encoding and the
-// compressed payload (the original line bytes for EncUncompressed).
-// The returned slice is freshly allocated and safe to retain.
-func Compress(b *block.Block) (Encoding, []byte) {
-	enc := Analyze(b)
-	return enc, AppendCompress(nil, b, enc)
 }
 
 // Decompress reconstructs the original 64-byte line from an encoding and its

@@ -1,7 +1,11 @@
-// Package compress provides the memory controller's compression front-end:
-// it runs BDI and FPC in parallel on every write-back (as the DSN'17 paper's
-// controller does), picks whichever yields the smaller output ("BEST"), and
-// defines the 5-bit encoding metadata stored alongside each compressed line.
+// Package compress provides the memory controller's compression front-end,
+// Compressor: it runs BDI and FPC in parallel on every write-back (as the
+// DSN'17 paper's controller does), picks whichever yields the smaller
+// output ("BEST"), and defines the 5-bit encoding metadata stored alongside
+// each compressed line. Configurations of the same Compressor give the
+// paper's single-codec views (Figure 3's BDI-only and FPC-only columns) and
+// add FVC to the race, since the paper's mechanism works with any
+// value-popularity compressor (§III).
 //
 // The controller stores, per line, a 5-bit encoding field that identifies
 // both the algorithm and (for BDI) the base/delta geometry, so that a read
@@ -34,8 +38,10 @@ const (
 	EncBDIB2D1   Encoding = 8
 	// EncFPC marks an FPC bitstream.
 	EncFPC Encoding = 9
-	// Encoding 10 is EncFVC, declared in selector.go with the optional
-	// frequent-value compressor.
+	// EncFVC marks a Frequent-Value-Compression payload. FVC needs a
+	// dictionary shared between compressor and decompressor, so only a
+	// Compressor with one attached produces or decodes it.
+	EncFVC Encoding = 10
 
 	// NumEncodings is one past the largest valid encoding value.
 	NumEncodings = 11
@@ -101,68 +107,3 @@ func (r Result) Size() int { return len(r.Data) }
 
 // Ratio returns compressed size / original size, the paper's CR metric.
 func (r Result) Ratio() float64 { return float64(len(r.Data)) / float64(block.Size) }
-
-// Compress runs BDI and FPC on the line and returns the smaller result; if
-// neither beats the raw 64 bytes, the line is returned uncompressed. This is
-// the "BEST" scheme of the paper (Figure 3).
-func Compress(b *block.Block) Result {
-	bdiEnc, bdiData := bdi.Compress(b)
-	bdiSize := block.Size
-	if bdiEnc != bdi.EncUncompressed {
-		bdiSize = len(bdiData)
-	}
-	fpcSize := fpc.CompressedSize(b)
-
-	switch {
-	case bdiSize < block.Size && bdiSize <= fpcSize:
-		return Result{Encoding: fromBDI(bdiEnc), Data: bdiData}
-	case fpcSize < block.Size:
-		return Result{Encoding: EncFPC, Data: fpc.Compress(b)}
-	default:
-		raw := make([]byte, block.Size)
-		copy(raw, b[:])
-		return Result{Encoding: EncUncompressed, Data: raw}
-	}
-}
-
-// CompressBDI compresses with BDI only (for the per-algorithm comparison of
-// Figure 3).
-func CompressBDI(b *block.Block) Result {
-	enc, data := bdi.Compress(b)
-	return Result{Encoding: fromBDI(enc), Data: data}
-}
-
-// CompressFPC compresses with FPC only, falling back to raw storage when FPC
-// would expand the line (for the per-algorithm comparison of Figure 3).
-func CompressFPC(b *block.Block) Result {
-	if fpc.CompressedSize(b) >= block.Size {
-		raw := make([]byte, block.Size)
-		copy(raw, b[:])
-		return Result{Encoding: EncUncompressed, Data: raw}
-	}
-	return Result{Encoding: EncFPC, Data: fpc.Compress(b)}
-}
-
-// Decompress reconstructs the original line from a stored payload and its
-// 5-bit encoding metadata.
-func Decompress(enc Encoding, data []byte) (block.Block, error) {
-	switch {
-	case enc == EncUncompressed:
-		var out block.Block
-		if len(data) < block.Size {
-			return out, fmt.Errorf("compress: raw payload is %d bytes, want %d", len(data), block.Size)
-		}
-		copy(out[:], data[:block.Size])
-		return out, nil
-	case enc >= EncBDIZeros && enc <= EncBDIB2D1:
-		return bdi.Decompress(enc.bdiEncoding(), data)
-	case enc == EncFPC:
-		return fpc.Decompress(data)
-	case enc == EncFVC:
-		var out block.Block
-		return out, fmt.Errorf("compress: FVC payloads need a Selector with a dictionary")
-	default:
-		var out block.Block
-		return out, fmt.Errorf("compress: unknown encoding %d", uint8(enc))
-	}
-}

@@ -12,6 +12,7 @@ import (
 )
 
 func TestBestPicksSmallerOfBDIAndFPC(t *testing.T) {
+	var c Compressor
 	r := rng.New(9)
 	for trial := 0; trial < 1000; trial++ {
 		var b block.Block
@@ -31,12 +32,8 @@ func TestBestPicksSmallerOfBDIAndFPC(t *testing.T) {
 			}
 			binary.LittleEndian.PutUint32(b[i*4:], w)
 		}
-		best := Compress(&b)
-		bdiEnc, bdiData := bdi.Compress(&b)
-		bdiSize := block.Size
-		if bdiEnc != bdi.EncUncompressed {
-			bdiSize = len(bdiData)
-		}
+		best := c.Compress(&b)
+		bdiSize := len(bdi.AppendCompress(nil, &b, bdi.Analyze(&b)))
 		fpcSize := fpc.CompressedSize(&b)
 		want := bdiSize
 		if fpcSize < want {
@@ -52,6 +49,7 @@ func TestBestPicksSmallerOfBDIAndFPC(t *testing.T) {
 }
 
 func TestRoundTripAllPaths(t *testing.T) {
+	var c Compressor
 	f := func(seed uint64, kind uint8) bool {
 		r := rng.New(seed)
 		var b block.Block
@@ -71,8 +69,8 @@ func TestRoundTripAllPaths(t *testing.T) {
 				b.SetWord(i, r.Uint64())
 			}
 		}
-		res := Compress(&b)
-		out, err := Decompress(res.Encoding, res.Data)
+		res := c.Compress(&b)
+		out, err := c.Decompress(res.Encoding, res.Data)
 		return err == nil && block.Equal(&b, &out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -81,13 +79,14 @@ func TestRoundTripAllPaths(t *testing.T) {
 }
 
 func TestNeverExpands(t *testing.T) {
+	var c Compressor
 	r := rng.New(31)
 	for trial := 0; trial < 500; trial++ {
 		var b block.Block
 		for i := 0; i < 8; i++ {
 			b.SetWord(i, r.Uint64())
 		}
-		res := Compress(&b)
+		res := c.Compress(&b)
 		if res.Size() > block.Size {
 			t.Fatalf("BEST expanded to %d bytes", res.Size())
 		}
@@ -117,8 +116,9 @@ func TestDecompressionCycles(t *testing.T) {
 }
 
 func TestZeroLineIsOneByte(t *testing.T) {
+	var c Compressor
 	var b block.Block
-	res := Compress(&b)
+	res := c.Compress(&b)
 	if res.Size() != 1 {
 		t.Fatalf("zero line compressed to %d bytes, want 1 (BDI zeros)", res.Size())
 	}
@@ -133,11 +133,12 @@ func TestCompressBDIOnly(t *testing.T) {
 	for i := 1; i < 8; i++ {
 		b.SetWord(i, 42+uint64(i))
 	}
-	res := CompressBDI(&b)
+	c := Compressor{DisableFPC: true}
+	res := c.Compress(&b)
 	if res.Encoding == EncFPC {
-		t.Fatal("CompressBDI returned FPC")
+		t.Fatal("BDI-only Compressor returned FPC")
 	}
-	out, err := Decompress(res.Encoding, res.Data)
+	out, err := c.Decompress(res.Encoding, res.Data)
 	if err != nil || !block.Equal(&b, &out) {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -148,11 +149,12 @@ func TestCompressFPCOnly(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		binary.LittleEndian.PutUint32(b[i*4:], uint32(i)-8)
 	}
-	res := CompressFPC(&b)
+	c := Compressor{DisableBDI: true}
+	res := c.Compress(&b)
 	if res.Encoding != EncFPC {
 		t.Fatalf("encoding = %v, want fpc", res.Encoding)
 	}
-	out, err := Decompress(res.Encoding, res.Data)
+	out, err := c.Decompress(res.Encoding, res.Data)
 	if err != nil || !block.Equal(&b, &out) {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -162,25 +164,27 @@ func TestCompressFPCOnly(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.SetWord(i, r.Uint64())
 	}
-	res = CompressFPC(&b)
+	res = c.Compress(&b)
 	if res.Encoding != EncUncompressed || res.Size() != block.Size {
 		t.Fatalf("incompressible FPC result: %v size %d", res.Encoding, res.Size())
 	}
 }
 
 func TestRatio(t *testing.T) {
+	var c Compressor
 	var b block.Block
-	res := Compress(&b)
+	res := c.Compress(&b)
 	if got := res.Ratio(); got != 1.0/64 {
 		t.Fatalf("ratio = %v, want 1/64", got)
 	}
 }
 
 func TestDecompressErrors(t *testing.T) {
-	if _, err := Decompress(EncUncompressed, []byte{1, 2}); err == nil {
+	var c Compressor
+	if _, err := c.Decompress(EncUncompressed, []byte{1, 2}); err == nil {
 		t.Error("want error for short raw payload")
 	}
-	if _, err := Decompress(Encoding(31), nil); err == nil {
+	if _, err := c.Decompress(Encoding(31), nil); err == nil {
 		t.Error("want error for unknown encoding")
 	}
 }
@@ -205,8 +209,9 @@ func BenchmarkBestCompress(b *testing.B) {
 			}
 		}
 	}
+	var c Compressor
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Compress(&lines[i%len(lines)])
+		c.Compress(&lines[i%len(lines)])
 	}
 }

@@ -1,20 +1,23 @@
 package compress
 
 import (
+	"fmt"
+
 	"pcmcomp/internal/block"
 	"pcmcomp/internal/compress/bdi"
 	"pcmcomp/internal/compress/fpc"
 	"pcmcomp/internal/compress/fvc"
 )
 
-// Compressor is an allocation-free BEST-of compression front-end for hot
-// paths. It makes the same decisions as Selector (BDI + FPC, plus FVC when
-// a dictionary is attached) but runs in two phases — analyze candidate
-// sizes first, then materialize only the winner into a reusable scratch
-// buffer — so a steady-state Compress call performs zero heap allocations.
+// Compressor is the BEST-of compression front-end and the only decompress
+// dispatch. The zero value races BDI against FPC; DisableBDI or DisableFPC
+// leaves a single codec, and an FVC dictionary adds a third candidate. It
+// runs in two phases — analyze candidate sizes first, then materialize
+// only the winner into a reusable scratch buffer — so a steady-state
+// Compress call performs zero heap allocations.
 //
-// A Compressor is not safe for concurrent use; give each controller its
-// own.
+// A Compressor is not safe for concurrent use; give each controller, and
+// each loop, its own.
 type Compressor struct {
 	// FVC, when non-nil, adds frequent-value compression to the race.
 	FVC *fvc.Dict
@@ -27,8 +30,9 @@ type Compressor struct {
 	buf []byte // payload scratch reused across calls
 }
 
-// Compress returns the smallest candidate encoding of the line, choosing
-// exactly as Selector.Compress does. The returned Result's Data aliases
+// Compress returns the smallest candidate encoding of the line: BDI wins a
+// tie with FPC, FVC must be strictly smaller to win, and a line no codec
+// shrinks below 64 bytes is stored raw. The returned Result's Data aliases
 // the Compressor's scratch buffer and is only valid until the next call;
 // copy it to retain.
 func (c *Compressor) Compress(b *block.Block) Result {
@@ -76,9 +80,27 @@ func (c *Compressor) Compress(b *block.Block) Result {
 	return Result{Encoding: enc, Data: c.buf}
 }
 
-// Decompress reverses Compress, including FVC payloads when a dictionary
-// is attached. It is equivalent to Selector.Decompress.
+// Decompress reconstructs the original line from a stored payload and its
+// 5-bit encoding metadata. FVC payloads need the dictionary they were
+// compressed with attached; the codec flags do not restrict decoding.
 func (c *Compressor) Decompress(enc Encoding, data []byte) (block.Block, error) {
-	s := Selector{FVC: c.FVC}
-	return s.Decompress(enc, data)
+	switch {
+	case enc == EncUncompressed:
+		var out block.Block
+		if len(data) < block.Size {
+			return out, fmt.Errorf("compress: raw payload is %d bytes, want %d", len(data), block.Size)
+		}
+		copy(out[:], data[:block.Size])
+		return out, nil
+	case enc >= EncBDIZeros && enc <= EncBDIB2D1:
+		return bdi.Decompress(enc.bdiEncoding(), data)
+	case enc == EncFPC:
+		return fpc.Decompress(data)
+	case enc == EncFVC && c.FVC != nil:
+		return c.FVC.Decompress(data)
+	case enc == EncFVC:
+		return block.Block{}, fmt.Errorf("compress: FVC payload but no dictionary attached")
+	default:
+		return block.Block{}, fmt.Errorf("compress: unknown encoding %d", uint8(enc))
+	}
 }

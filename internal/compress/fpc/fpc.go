@@ -66,15 +66,9 @@ func CompressedSize(b *block.Block) int {
 	return (CompressedBits(b) + 7) / 8
 }
 
-// Compress encodes the line into a freshly allocated byte slice. The final
-// partial byte, if any, is zero-padded.
-func Compress(b *block.Block) []byte {
-	return AppendCompress(nil, b)
-}
-
 // AppendCompress appends the FPC bitstream for the line to dst and returns
-// the extended slice. When dst has enough spare capacity, no heap
-// allocation occurs.
+// the extended slice. The final partial byte, if any, is zero-padded. When
+// dst has enough spare capacity, no heap allocation occurs.
 func AppendCompress(dst []byte, b *block.Block) []byte {
 	var w bitio.Writer
 	w.Reset(dst)

@@ -19,7 +19,7 @@ func lineFromU32(vals ...uint32) block.Block {
 
 func roundTrip(t *testing.T, b *block.Block) {
 	t.Helper()
-	data := Compress(b)
+	data := AppendCompress(nil, b)
 	out, err := Decompress(data)
 	if err != nil {
 		t.Fatalf("decompress: %v", err)
@@ -99,7 +99,7 @@ func TestHalfPaddedVsSignExtendedPriority(t *testing.T) {
 	// 0x00010000: upper half 1, lower half 0 -> half-padded (not 16-bit SE,
 	// because as a signed value it's 65536 which doesn't fit in 16 bits).
 	b := lineFromU32(0x00010000)
-	data := Compress(&b)
+	data := AppendCompress(nil, &b)
 	out, err := Decompress(data)
 	if err != nil || !block.Equal(&b, &out) {
 		t.Fatalf("round trip failed: %v", err)
@@ -159,7 +159,7 @@ func TestWorstCaseSize(t *testing.T) {
 
 func TestDecompressTruncated(t *testing.T) {
 	b := lineFromU32(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
-	data := Compress(&b)
+	data := AppendCompress(nil, &b)
 	if _, err := Decompress(data[:1]); err == nil {
 		t.Fatal("want error for truncated stream")
 	}
@@ -193,7 +193,7 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			binary.LittleEndian.PutUint32(b[i*4:], w)
 		}
-		data := Compress(&b)
+		data := AppendCompress(nil, &b)
 		out, err := Decompress(data)
 		return err == nil && block.Equal(&b, &out) && len(data) == CompressedSize(&b)
 	}
@@ -210,7 +210,7 @@ func BenchmarkCompress(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Compress(&line)
+		AppendCompress(nil, &line)
 	}
 }
 
@@ -220,7 +220,7 @@ func BenchmarkDecompress(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		binary.LittleEndian.PutUint32(line[i*4:], uint32(r.Intn(65536))-32768)
 	}
-	data := Compress(&line)
+	data := AppendCompress(nil, &line)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decompress(data); err != nil {

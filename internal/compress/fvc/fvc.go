@@ -2,7 +2,7 @@
 // "Frequent Value Compression in Data Caches", MICRO 2000) — reference
 // [14] of the DSN'17 paper, which notes that its mechanism works with any
 // value-popularity compressor. FVC is provided as the drop-in third
-// algorithm demonstrating that claim (see compress.Selector).
+// algorithm demonstrating that claim (see compress.Compressor).
 //
 // FVC keeps a small dictionary of the most frequent 32-bit words. Each
 // word of a line encodes as a 1-bit flag followed by either a dictionary
@@ -111,11 +111,6 @@ func (d *Dict) CompressedBits(b *block.Block) int {
 // CompressedSize returns the compressed size in whole bytes.
 func (d *Dict) CompressedSize(b *block.Block) int {
 	return (d.CompressedBits(b) + 7) / 8
-}
-
-// Compress encodes the line against the dictionary.
-func (d *Dict) Compress(b *block.Block) []byte {
-	return d.AppendCompress(nil, b)
 }
 
 // AppendCompress appends the FVC bitstream for the line to dst and returns

@@ -47,7 +47,7 @@ func TestAllHitsCompress8x(t *testing.T) {
 	if got := d.CompressedSize(&b); got != 6 {
 		t.Fatalf("size = %d, want 6", got)
 	}
-	data := d.Compress(&b)
+	data := d.AppendCompress(nil, &b)
 	out, err := d.Decompress(data)
 	if err != nil || !block.Equal(&b, &out) {
 		t.Fatalf("round trip failed: %v", err)
@@ -65,7 +65,7 @@ func TestAllMissesExpand(t *testing.T) {
 	if got := d.CompressedSize(&b); got != 66 {
 		t.Fatalf("size = %d, want 66", got)
 	}
-	data := d.Compress(&b)
+	data := d.AppendCompress(nil, &b)
 	out, err := d.Decompress(data)
 	if err != nil || !block.Equal(&b, &out) {
 		t.Fatalf("round trip failed: %v", err)
@@ -123,7 +123,7 @@ func TestRoundTripProperty(t *testing.T) {
 				binary.LittleEndian.PutUint32(b[i*4:], uint32(r.Uint64()))
 			}
 		}
-		data := d.Compress(&b)
+		data := d.AppendCompress(nil, &b)
 		out, err := d.Decompress(data)
 		return err == nil && block.Equal(&b, &out) && len(data) == d.CompressedSize(&b)
 	}
@@ -135,7 +135,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestDecompressTruncated(t *testing.T) {
 	d := mustDict(t, []uint32{1, 2})
 	var b block.Block
-	data := d.Compress(&b)
+	data := d.AppendCompress(nil, &b)
 	if _, err := d.Decompress(data[:1]); err == nil {
 		t.Fatal("truncated stream accepted")
 	}

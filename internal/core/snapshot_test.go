@@ -158,3 +158,40 @@ func TestSnapshotRejectsJunk(t *testing.T) {
 		t.Fatal("truncated snapshot accepted")
 	}
 }
+
+// FuzzReadSnapshot feeds arbitrary bytes to ReadSnapshot on a fresh
+// controller: it must either fail cleanly or restore a controller on
+// which a Read and a Write of every logical line finish without a panic.
+// The corpus starts from a real, partly worn-out Comp+WF snapshot.
+func FuzzReadSnapshot(f *testing.F) {
+	cfg := DefaultConfig(CompWF, testMemory(800, 0.2))
+	cfg.StartGapPsi = 13
+	cfg.IntraCounterBits = 5
+	seed, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	driveTraffic(seed, 9, 6000)
+	var snap bytes.Buffer
+	if err := seed.WriteSnapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Bytes())
+	f.Add([]byte(ctrlSnapshotMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := mustController(t, cfg)
+		if err := c.ReadSnapshot(bytes.NewReader(data)); err != nil {
+			return
+		}
+		for addr := 0; addr < c.LogicalLines(); addr++ {
+			_, _, _ = c.Read(addr)
+			var line block.Block
+			if addr%2 == 0 {
+				line = compressibleBlock(uint64(addr))
+			} else {
+				line = randomBlock(uint64(addr))
+			}
+			c.Write(addr, &line)
+		}
+	})
+}

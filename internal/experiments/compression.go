@@ -42,6 +42,37 @@ func Fig1BitFlips(app string, lines, traceEvents, samples int, seed uint64) (sta
 	return s, nil
 }
 
+// CompressedSizes is one application's row of Figure 3: the mean stored
+// size, in bytes, of its write-backs under BDI alone, FPC alone, and BEST
+// of the two.
+type CompressedSizes struct {
+	BDI, FPC, Best float64
+}
+
+// AppCompressedSizes measures one application's Figure 3 row over the
+// first events write-backs of its generator. progress, when non-nil, is
+// called with the number of events done before every 4096th event.
+func AppCompressedSizes(app string, lines, events int, seed uint64, progress func(done int)) (CompressedSizes, error) {
+	g, err := generatorFor(app, lines, seed)
+	if err != nil {
+		return CompressedSizes{}, err
+	}
+	var best compress.Compressor
+	bdiOnly := compress.Compressor{DisableFPC: true}
+	fpcOnly := compress.Compressor{DisableBDI: true}
+	var aBDI, aFPC, aBest stats.Running
+	for i := 0; i < events; i++ {
+		if progress != nil && i%4096 == 0 {
+			progress(i)
+		}
+		ev := g.Next()
+		aBDI.Add(float64(bdiOnly.Compress(&ev.Data).Size()))
+		aFPC.Add(float64(fpcOnly.Compress(&ev.Data).Size()))
+		aBest.Add(float64(best.Compress(&ev.Data).Size()))
+	}
+	return CompressedSizes{BDI: aBDI.Mean(), FPC: aFPC.Mean(), Best: aBest.Mean()}, nil
+}
+
 // Fig3CompressedSizes reproduces Figure 3: the average compressed data size
 // per application for BDI alone, FPC alone, and BEST of the two. The paper
 // reports a BEST average compression ratio of ~0.43 (27.5 bytes).
@@ -52,21 +83,14 @@ func Fig3CompressedSizes(lines, eventsPerApp int, seed uint64) (*stats.Table, er
 	}
 	var sumBDI, sumFPC, sumBest float64
 	for _, app := range FigureOrder {
-		g, err := generatorFor(app, lines, seed)
+		s, err := AppCompressedSizes(app, lines, eventsPerApp, seed, nil)
 		if err != nil {
 			return nil, err
 		}
-		var aBDI, aFPC, aBest stats.Running
-		for i := 0; i < eventsPerApp; i++ {
-			ev := g.Next()
-			aBDI.Add(float64(compress.CompressBDI(&ev.Data).Size()))
-			aFPC.Add(float64(compress.CompressFPC(&ev.Data).Size()))
-			aBest.Add(float64(compress.Compress(&ev.Data).Size()))
-		}
-		t.AddRow(app, aBDI.Mean(), aFPC.Mean(), aBest.Mean())
-		sumBDI += aBDI.Mean()
-		sumFPC += aFPC.Mean()
-		sumBest += aBest.Mean()
+		t.AddRow(app, s.BDI, s.FPC, s.Best)
+		sumBDI += s.BDI
+		sumFPC += s.FPC
+		sumBest += s.Best
 	}
 	n := float64(len(FigureOrder))
 	t.AddRow("Average", sumBDI/n, sumFPC/n, sumBest/n)
@@ -88,6 +112,7 @@ func Fig5FlipDelta(lines, eventsPerApp int, seed uint64) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		var comp compress.Compressor
 		rawStored := make(map[int]*block.Block)
 		compStored := make(map[int]*block.Block)
 		inc, unt, dec, n := 0, 0, 0, 0
@@ -98,13 +123,13 @@ func Fig5FlipDelta(lines, eventsPerApp int, seed uint64) (*stats.Table, error) {
 				// First write to the line: initialize both shadows.
 				rb, cb := ev.Data, block.Block{}
 				rawStored[ev.Addr] = &rb
-				compressedFlips(&cb, &ev.Data)
+				compressedFlips(&comp, &cb, &ev.Data)
 				compStored[ev.Addr] = &cb
 				continue
 			}
 			rawFlips := dwFlips(rs, &ev.Data)
 			*rs = ev.Data
-			compFlips, _ := compressedFlips(compStored[ev.Addr], &ev.Data)
+			compFlips, _ := compressedFlips(&comp, compStored[ev.Addr], &ev.Data)
 			n++
 			switch {
 			case float64(compFlips) > 1.05*float64(rawFlips):
@@ -142,11 +167,12 @@ func Fig6SizeChange(lines, eventsPerApp int, seed uint64) (*stats.Table, error) 
 		if err != nil {
 			return nil, err
 		}
+		var comp compress.Compressor
 		lastSize := make(map[int]int)
 		changes, pairs := 0, 0
 		for i := 0; i < eventsPerApp; i++ {
 			ev := g.Next()
-			size := compress.Compress(&ev.Data).Size()
+			size := comp.Compress(&ev.Data).Size()
 			if prev, ok := lastSize[ev.Addr]; ok {
 				pairs++
 				if prev != size {
@@ -176,6 +202,7 @@ func Fig7SizeSeries(app string, lines, traceEvents, blocks, samples int, seed ui
 	}
 	events := g.GenerateTrace(traceEvents)
 	hot := hottestAddrs(events, blocks)
+	var comp compress.Compressor
 	out := make([]stats.Series, len(hot))
 	for i, addr := range hot {
 		out[i].Name = app + "/block" + strconv.Itoa(i+1)
@@ -183,7 +210,7 @@ func Fig7SizeSeries(app string, lines, traceEvents, blocks, samples int, seed ui
 			if events[j].Addr != addr {
 				continue
 			}
-			size := compress.Compress(&events[j].Data).Size()
+			size := comp.Compress(&events[j].Data).Size()
 			out[i].Append(float64(len(out[i].X)+1), float64(size))
 			if len(out[i].X) >= samples {
 				break
@@ -201,10 +228,11 @@ func Fig11MaxSizeCDF(app string, lines, traceEvents int, seed uint64) (stats.Ser
 	if err != nil {
 		return stats.Series{}, err
 	}
+	var comp compress.Compressor
 	maxSize := make(map[int]int)
 	for i := 0; i < traceEvents; i++ {
 		ev := g.Next()
-		size := compress.Compress(&ev.Data).Size()
+		size := comp.Compress(&ev.Data).Size()
 		if size > maxSize[ev.Addr] {
 			maxSize[ev.Addr] = size
 		}
@@ -237,10 +265,11 @@ func Table3(lines, eventsPerApp int, seed uint64) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		var comp compress.Compressor
 		var acc stats.Running
 		for i := 0; i < eventsPerApp; i++ {
 			ev := g.Next()
-			acc.Add(compress.Compress(&ev.Data).Ratio())
+			acc.Add(comp.Compress(&ev.Data).Ratio())
 		}
 		t.AddRow(app+" ("+p.Class.String()+")", p.WPKI, p.CR, acc.Mean())
 	}

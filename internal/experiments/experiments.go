@@ -85,8 +85,8 @@ func dwFlips(prev, cur *block.Block) int {
 // compressedFlips models the Comp write path without faults: the payload is
 // stored at the least-significant bytes; only the window cells are written.
 // prevStored is the line's physical content and is updated in place.
-func compressedFlips(prevStored *block.Block, data *block.Block) (flips, size int) {
-	res := compress.Compress(data)
+func compressedFlips(comp *compress.Compressor, prevStored *block.Block, data *block.Block) (flips, size int) {
+	res := comp.Compress(data)
 	size = res.Size()
 	flips = 0
 	for i, b := range res.Data {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"pcmcomp/internal/block"
 	"pcmcomp/internal/compress"
 	"pcmcomp/internal/ecc"
 	"pcmcomp/internal/ecc/aegis"
@@ -100,14 +99,16 @@ func PerfOverhead(lines, eventsPerApp, requests int, seed uint64) (*stats.Table,
 		if err != nil {
 			return nil, err
 		}
-		// Measure the stream's encoding mix.
+		// Measure the stream's encoding mix in the three latency
+		// categories of Table I.
+		var comp compress.Compressor
 		var bdi, fpcN, raw int
 		for i := 0; i < eventsPerApp; i++ {
 			ev := g.Next()
-			switch enc := compressEncoding(&ev.Data); {
-			case enc == encodingFPC:
+			switch comp.Compress(&ev.Data).Encoding {
+			case compress.EncFPC:
 				fpcN++
-			case enc == encodingRaw:
+			case compress.EncUncompressed:
 				raw++
 			default:
 				bdi++
@@ -148,25 +149,4 @@ func PerfOverhead(lines, eventsPerApp, requests int, seed uint64) (*stats.Table,
 	n := float64(len(FigureOrder))
 	t.AddRow("Average", sumLat/n, sumSlow/n)
 	return t, nil
-}
-
-// Encoding categories for PerfOverhead.
-const (
-	encodingBDI = iota + 1
-	encodingFPC
-	encodingRaw
-)
-
-// compressEncoding classifies a line's BEST encoding into the three
-// latency categories of Table I.
-func compressEncoding(b *block.Block) int {
-	res := compress.Compress(b)
-	switch res.Encoding {
-	case compress.EncFPC:
-		return encodingFPC
-	case compress.EncUncompressed:
-		return encodingRaw
-	default:
-		return encodingBDI
-	}
 }

@@ -23,7 +23,6 @@ import (
 	"pcmcomp/internal/montecarlo"
 	"pcmcomp/internal/obs"
 	"pcmcomp/internal/scheme"
-	"pcmcomp/internal/stats"
 	"pcmcomp/internal/tenant"
 	"pcmcomp/internal/trace"
 	"pcmcomp/internal/tracestore"
@@ -903,9 +902,10 @@ func (p *FailureProbabilityParams) runTraced(ctx context.Context, scheme ecc.Sch
 	if len(events) == 0 {
 		return nil, trace.ErrEmptyTrace
 	}
+	var comp compress.Compressor
 	var counts [block.Size + 1]int
 	for i := range events {
-		counts[compress.Compress(&events[i].Data).Size()]++
+		counts[comp.Compress(&events[i].Data).Size()]++
 	}
 	windows := 0
 	var sizeSum float64
@@ -999,6 +999,8 @@ type CompressionResult struct {
 	Average CompressionAppResult   `json:"average"`
 }
 
+// run computes each app's row with the function behind cmd/figures fig3,
+// so a job's rows equal that figure's rows for the same scale and seed.
 func (p *CompressionParams) run(ctx context.Context, pr *jobProgress) (any, error) {
 	scale, err := config.ByName(p.Scale)
 	if err != nil {
@@ -1011,30 +1013,15 @@ func (p *CompressionParams) run(ctx context.Context, pr *jobProgress) (any, erro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		prof, err := workload.ByName(app)
-		if err != nil {
-			return nil, err
-		}
-		g, err := workload.NewGenerator(prof, scale.TraceLines, p.Seed)
-		if err != nil {
-			return nil, err
-		}
 		eventsBase := uint64(appIdx) * uint64(scale.TraceEvents)
-		var bdi, fpc, best, ratio stats.Running
-		for i := 0; i < scale.TraceEvents; i++ {
-			if i%4096 == 0 {
-				pr.set(eventsBase+uint64(i), progressTotal)
-			}
-			ev := g.Next()
-			bdi.Add(float64(compress.CompressBDI(&ev.Data).Size()))
-			fpc.Add(float64(compress.CompressFPC(&ev.Data).Size()))
-			r := compress.Compress(&ev.Data)
-			best.Add(float64(r.Size()))
-			ratio.Add(r.Ratio())
+		s, err := experiments.AppCompressedSizes(app, scale.TraceLines, scale.TraceEvents, p.Seed,
+			func(done int) { pr.set(eventsBase+uint64(done), progressTotal) })
+		if err != nil {
+			return nil, err
 		}
 		out.Apps = append(out.Apps, CompressionAppResult{
-			App: app, BDIBytes: bdi.Mean(), FPCBytes: fpc.Mean(),
-			BestBytes: best.Mean(), BestRatio: ratio.Mean(),
+			App: app, BDIBytes: s.BDI, FPCBytes: s.FPC,
+			BestBytes: s.Best, BestRatio: s.Best / block.Size,
 		})
 	}
 	n := float64(len(out.Apps))

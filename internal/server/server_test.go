@@ -12,9 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"pcmcomp/internal/compress"
 	"pcmcomp/internal/config"
 	"pcmcomp/internal/core"
+	"pcmcomp/internal/experiments"
 	"pcmcomp/internal/lifetime"
+	"pcmcomp/internal/stats"
 	"pcmcomp/internal/workload"
 )
 
@@ -194,6 +197,73 @@ func TestServerEachKindEndToEnd(t *testing.T) {
 			done := pollDone(t, ts, doc["id"].(string))
 			tc.check(t, done["result"].(map[string]any))
 		})
+	}
+}
+
+// TestCompressionJobMatchesFig3 pins the compression job to cmd/figures
+// fig3: each app's row equals the matching Fig3CompressedSizes row
+// bit-exactly, and best_ratio — best_bytes/64 — equals the mean of the
+// per-event BEST ratios, since dividing by 64 is exact.
+func TestCompressionJobMatchesFig3(t *testing.T) {
+	_, ts := newTestServer(t)
+	const seed = 7
+	apps := []string{"milc", "gcc", "sjeng"}
+	doc, code := submit(t, ts, "compression", `{"apps": ["milc", "gcc", "sjeng"], "scale": "quick", "seed": 7}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d (%v)", code, doc)
+	}
+	done := pollDone(t, ts, doc["id"].(string))
+	raw, err := json.Marshal(done["result"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res CompressionResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Apps) != len(apps) {
+		t.Fatalf("apps = %d, want %d", len(res.Apps), len(apps))
+	}
+
+	scale := config.ScaleQuick
+	fig3, err := experiments.Fig3CompressedSizes(scale.TraceLines, scale.TraceEvents, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]int)
+	for i := 0; i < fig3.Rows(); i++ {
+		rows[fig3.Label(i)] = i
+	}
+	for i, app := range apps {
+		got := res.Apps[i]
+		row, ok := rows[app]
+		if got.App != app || !ok {
+			t.Fatalf("row %d: app %q, want %q in Fig 3", i, got.App, app)
+		}
+		want := [3]float64{fig3.Value(row, 0), fig3.Value(row, 1), fig3.Value(row, 2)}
+		if [3]float64{got.BDIBytes, got.FPCBytes, got.BestBytes} != want {
+			t.Errorf("%s: job bdi/fpc/best = %v/%v/%v, Fig 3 = %v",
+				app, got.BDIBytes, got.FPCBytes, got.BestBytes, want)
+		}
+
+		prof, err := workload.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := workload.NewGenerator(prof, scale.TraceLines, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var comp compress.Compressor
+		var ratio stats.Running
+		for j := 0; j < scale.TraceEvents; j++ {
+			ev := g.Next()
+			ratio.Add(comp.Compress(&ev.Data).Ratio())
+		}
+		if got.BestRatio != got.BestBytes/64 || got.BestRatio != ratio.Mean() {
+			t.Errorf("%s: best_ratio %v, best_bytes/64 %v, mean per-event ratio %v",
+				app, got.BestRatio, got.BestBytes/64, ratio.Mean())
+		}
 	}
 }
 

@@ -11,11 +11,12 @@ import (
 
 func TestClassNominalSizes(t *testing.T) {
 	// Every content class must compress (under BEST) to its nominal size.
+	var comp compress.Compressor
 	r := rng.New(1)
 	for class, want := range nominalSize {
 		for trial := 0; trial < 50; trial++ {
 			b := generate(r, class)
-			res := compress.Compress(&b)
+			res := comp.Compress(&b)
 			if res.Size() != want {
 				t.Fatalf("class %d trial %d: BEST size %d, want %d (enc %v)",
 					class, trial, res.Size(), want, res.Encoding)
@@ -25,12 +26,13 @@ func TestClassNominalSizes(t *testing.T) {
 }
 
 func TestMutatePreservesSize(t *testing.T) {
+	var comp compress.Compressor
 	r := rng.New(2)
 	for class, want := range nominalSize {
 		b := generate(r, class)
 		for trial := 0; trial < 30; trial++ {
 			mutate(r, &b, class, 0.5)
-			res := compress.Compress(&b)
+			res := comp.Compress(&b)
 			if res.Size() != want {
 				t.Fatalf("class %d: size %d after mutation, want %d", class, res.Size(), want)
 			}
@@ -118,10 +120,11 @@ func measureCR(t *testing.T, p Profile, events int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var comp compress.Compressor
 	var total int
 	for i := 0; i < events; i++ {
 		ev := g.Next()
-		total += compress.Compress(&ev.Data).Size()
+		total += comp.Compress(&ev.Data).Size()
 	}
 	return float64(total) / float64(events*block.Size)
 }
@@ -160,11 +163,12 @@ func TestSizeChangeProbabilityShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var comp compress.Compressor
 		lastSize := make(map[int]int)
 		changes, pairs := 0, 0
 		for i := 0; i < 30000; i++ {
 			ev := g.Next()
-			size := compress.Compress(&ev.Data).Size()
+			size := comp.Compress(&ev.Data).Size()
 			if prev, ok := lastSize[ev.Addr]; ok {
 				pairs++
 				if prev != size {
