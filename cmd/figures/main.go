@@ -6,15 +6,17 @@
 //
 //	figures [-scale quick|default|large] [-seed N] <experiment>
 //
-// Experiments: fig1 fig3 fig5 fig6 fig7 fig9 fig10 fig11 fig12 fig13
-// table3 table4 perf uncorrectable energy ablation-sc ablation-thresholds
-// ablation-ecc ablation-fnw all
+// Experiments: table3 fig1 fig3 fig5 fig6 fig7 fig9 fig10 fig11 fig12
+// fig13 table4 perf uncorrectable energy secded ablation-sc
+// ablation-thresholds ablation-ecc ablation-fnw, or all of them in that
+// order with "all"; figures -h prints the same list.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"pcmcomp/internal/config"
 	"pcmcomp/internal/experiments"
@@ -28,8 +30,23 @@ func main() {
 	}
 }
 
+// experimentNames lists every experiment, in the order "all" runs them.
+var experimentNames = []string{
+	"table3", "fig1", "fig3", "fig5", "fig6", "fig7", "fig9",
+	"fig10", "fig11", "fig12", "fig13", "table4", "perf",
+	"uncorrectable", "energy", "secded",
+	"ablation-sc", "ablation-thresholds", "ablation-ecc", "ablation-fnw",
+}
+
+// experimentList is experimentNames for usage and error text.
+var experimentList = strings.Join(experimentNames, " ") + " all"
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: figures [flags] <experiment>\n\nexperiments: %s\n\nflags:\n", experimentList)
+		fs.PrintDefaults()
+	}
 	scaleName := fs.String("scale", "quick", "substrate scale: quick, default, or large")
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	seeds := fs.Int("seeds", 1, "seeds for the lifetime experiments (mean and 95% CI when > 1)")
@@ -38,7 +55,7 @@ func run(args []string) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("need exactly one experiment name; see -h")
+		return fmt.Errorf("need exactly one experiment name, one of: %s", experimentList)
 	}
 	scale, err := scaleByName(*scaleName)
 	if err != nil {
@@ -48,12 +65,7 @@ func run(args []string) error {
 
 	name := fs.Arg(0)
 	if name == "all" {
-		for _, exp := range []string{
-			"table3", "fig1", "fig3", "fig5", "fig6", "fig7", "fig9",
-			"fig10", "fig11", "fig12", "fig13", "table4", "perf",
-			"uncorrectable", "energy", "secded",
-			"ablation-sc", "ablation-thresholds", "ablation-ecc", "ablation-fnw",
-		} {
+		for _, exp := range experimentNames {
 			if err := runOne(exp, scale, opts, *seed, *seeds, *trials); err != nil {
 				return fmt.Errorf("%s: %w", exp, err)
 			}
@@ -155,7 +167,7 @@ func runOne(name string, scale config.Scale, opts experiments.LifetimeOptions, s
 			fmt.Printf("  Reduction: %.1f%%  (paper: ~90%%)\n", 100*(1-float64(wf)/float64(base)))
 		}
 	default:
-		return fmt.Errorf("unknown experiment %q", name)
+		return fmt.Errorf("unknown experiment %q, want one of: %s", name, experimentList)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestScaleByName(t *testing.T) {
 	for _, name := range []string{"quick", "default", "large"} {
@@ -14,11 +17,19 @@ func TestScaleByName(t *testing.T) {
 }
 
 func TestBadArgs(t *testing.T) {
-	if err := run([]string{}); err == nil {
-		t.Error("missing experiment accepted")
-	}
-	if err := run([]string{"bogus"}); err == nil {
-		t.Error("bogus experiment accepted")
+	// A missing or unknown experiment is refused with an error that names
+	// the valid ones.
+	for _, args := range [][]string{{}, {"bogus"}, {"fig10", "fig12"}} {
+		err := run(args)
+		if err == nil {
+			t.Errorf("%q accepted", args)
+			continue
+		}
+		for _, want := range []string{"fig10", "secded", "ablation-fnw", "all"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%q: error %q does not name experiment %q", args, err, want)
+			}
+		}
 	}
 	if err := run([]string{"-scale", "bogus", "fig3"}); err == nil {
 		t.Error("bogus scale accepted")

@@ -5,131 +5,76 @@ import (
 
 	"pcmcomp/internal/core"
 	"pcmcomp/internal/ecc/aegis"
-	"pcmcomp/internal/ecc/ecp"
 	"pcmcomp/internal/ecc/safer"
 	"pcmcomp/internal/ecc/secded"
-	"pcmcomp/internal/lifetime"
-	"pcmcomp/internal/pcm"
 	"pcmcomp/internal/stats"
-	"pcmcomp/internal/trace"
 )
 
 // The ablation studies of DESIGN.md §5: each isolates one design choice of
 // the paper's mechanism and reports its lifetime (and, where relevant,
-// energy) effect on a representative workload subset.
+// energy) effect on a representative workload subset. Like the figures,
+// each is a set of variants over lifetimeRuns.
 
 // ablationApps is the workload subset used by the ablations: one high-,
 // one medium-, and one low-compressibility application.
 var ablationApps = []string{"milc", "gcc", "lbm"}
 
-// runConfigured runs a lifetime experiment with a caller-tweaked controller
-// config, capped relative to its own baseline.
-func (o LifetimeOptions) runConfigured(events []trace.Event, mutate func(*core.Config)) (lifetime.Result, error) {
-	ctrl := core.DefaultConfig(core.CompWF, o.Scale.Substrate(o.Seed))
-	mutate(&ctrl)
-	cfg := lifetime.DefaultConfig(ctrl)
-	cfg.MaxDemandWrites = o.MaxDemandWrites
-	return lifetime.Run(cfg, events)
-}
-
 // AblationSCHeuristic compares Comp+WF lifetime with the Fig 8 heuristic
 // enabled vs disabled, normalized to Baseline.
 func AblationSCHeuristic(o LifetimeOptions) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Ablation: SC bit-flip-control heuristic (Comp+WF lifetime vs Baseline)",
-		Columns: []string{"with-SC", "without-SC"},
-	}
-	for _, app := range ablationApps {
-		events, _, err := o.appTrace(app)
-		if err != nil {
-			return nil, err
-		}
-		base, withRes, err := o.runPair(events, []core.SystemKind{core.CompWF})
-		if err != nil {
-			return nil, err
-		}
-		o2 := o
-		o2.MaxDemandWrites = base.DemandWrites * o.capFactor()
-		without, err := o2.runConfigured(events, func(c *core.Config) { c.UseSCHeuristic = false })
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(app, withRes[0].Normalized(base), without.Normalized(base))
-	}
-	return t, nil
+	return o.table(lifetimeTable{
+		title:   "Ablation: SC bit-flip-control heuristic (Comp+WF lifetime vs Baseline)",
+		columns: []string{"with-SC", "without-SC"},
+		apps:    ablationApps,
+		variants: []variant{
+			compWF(nil),
+			compWF(func(c *core.Config) { c.UseSCHeuristic = false }),
+		},
+		row: appRuns.normalized,
+	})
 }
 
 // AblationThresholds sweeps the Fig 8 thresholds on a size-unstable
 // workload (gcc) and reports Comp+WF lifetime normalized to Baseline.
 func AblationThresholds(o LifetimeOptions) (*stats.Table, error) {
+	t1s, t2s := []int{8, 16, 32}, []int{4, 8, 16}
+	var variants []variant
+	for _, t1 := range t1s {
+		for _, t2 := range t2s {
+			variants = append(variants, compWF(func(c *core.Config) {
+				c.Threshold1 = t1
+				c.Threshold2 = t2
+			}))
+		}
+	}
+	runs, err := o.lifetimeRuns([]string{"gcc"}, variants)
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{
 		Title:   "Ablation: SC thresholds (gcc, Comp+WF lifetime vs Baseline)",
 		Columns: []string{"T2=4", "T2=8", "T2=16"},
 	}
-	events, _, err := o.appTrace("gcc")
-	if err != nil {
-		return nil, err
-	}
-	base, _, err := o.runPair(events, nil)
-	if err != nil {
-		return nil, err
-	}
-	o2 := o
-	o2.MaxDemandWrites = base.DemandWrites * o.capFactor()
-	for _, t1 := range []int{8, 16, 32} {
-		row := make([]float64, 0, 3)
-		for _, t2 := range []int{4, 8, 16} {
-			res, err := o2.runConfigured(events, func(c *core.Config) {
-				c.Threshold1 = t1
-				c.Threshold2 = t2
-			})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.Normalized(base))
-		}
-		t.AddRow("T1="+strconv.Itoa(t1), row...)
+	cells := runs[0].normalized()
+	for i, t1 := range t1s {
+		t.AddRow("T1="+strconv.Itoa(t1), cells[i*len(t2s):(i+1)*len(t2s)]...)
 	}
 	return t, nil
 }
 
 // AblationECCScheme swaps the hard-error scheme under Comp+WF.
 func AblationECCScheme(o LifetimeOptions) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Ablation: hard-error scheme under Comp+WF (lifetime vs ECP-6 Baseline)",
-		Columns: []string{"ECP-6", "SAFER-32", "Aegis-17x31"},
-	}
-	for _, app := range ablationApps {
-		events, _, err := o.appTrace(app)
-		if err != nil {
-			return nil, err
-		}
-		base, _, err := o.runPair(events, nil)
-		if err != nil {
-			return nil, err
-		}
-		o2 := o
-		o2.MaxDemandWrites = base.DemandWrites * o.capFactor()
-		row := make([]float64, 0, 3)
-		for _, scheme := range []string{"ecp", "safer", "aegis"} {
-			res, err := o2.runConfigured(events, func(c *core.Config) {
-				switch scheme {
-				case "safer":
-					c.Scheme = safer.New(5)
-				case "aegis":
-					c.Scheme = aegis.MustNew(17, 31)
-				default:
-					c.Scheme = ecp.New(6)
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.Normalized(base))
-		}
-		t.AddRow(app, row...)
-	}
-	return t, nil
+	return o.table(lifetimeTable{
+		title:   "Ablation: hard-error scheme under Comp+WF (lifetime vs ECP-6 Baseline)",
+		columns: []string{"ECP-6", "SAFER-32", "Aegis-17x31"},
+		apps:    ablationApps,
+		variants: []variant{
+			compWF(nil), // core.DefaultConfig's ECP-6
+			compWF(func(c *core.Config) { c.Scheme = safer.New(5) }),
+			compWF(func(c *core.Config) { c.Scheme = aegis.MustNew(17, 31) }),
+		},
+		row: appRuns.normalized,
+	})
 }
 
 // SECDEDComparison reproduces §II-C's argument at system level: a Baseline
@@ -137,110 +82,25 @@ func AblationECCScheme(o LifetimeOptions) (*stats.Table, error) {
 // ECP-6, because SECDED loses a whole line at the second stuck cell in any
 // 64-bit beat.
 func SECDEDComparison(o LifetimeOptions) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Section II-C: SECDED vs ECP-6 (Baseline lifetime, normalized to ECP-6)",
-		Columns: []string{"ECP-6", "SECDED"},
-	}
-	for _, app := range ablationApps {
-		events, _, err := o.appTrace(app)
-		if err != nil {
-			return nil, err
-		}
-		base, _, err := o.runPair(events, nil)
-		if err != nil {
-			return nil, err
-		}
-		ctrl := core.DefaultConfig(core.Baseline, o.Scale.Substrate(o.Seed))
-		ctrl.Scheme = secded.Scheme{}
-		cfg := lifetime.DefaultConfig(ctrl)
-		cfg.MaxDemandWrites = base.DemandWrites * o.capFactor()
-		sec, err := lifetime.Run(cfg, events)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(app, 1, sec.Normalized(base))
-	}
-	return t, nil
+	return o.table(lifetimeTable{
+		title:    "Section II-C: SECDED vs ECP-6 (Baseline lifetime, normalized to ECP-6)",
+		columns:  []string{"ECP-6", "SECDED"},
+		apps:     ablationApps,
+		variants: []variant{{core.Baseline, func(c *core.Config) { c.Scheme = secded.Scheme{} }}},
+		row:      func(r appRuns) []float64 { return []float64{1, r.runs[0].Normalized(r.base)} },
+	})
 }
 
 // AblationFNW compares plain differential writes against Flip-N-Write at
 // the window granularity, reporting Comp+WF lifetime and write energy.
 func AblationFNW(o LifetimeOptions) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Ablation: Flip-N-Write vs plain DW (Comp+WF)",
-		Columns: []string{"DW-life", "FNW-life", "DW-pJ/wr", "FNW-pJ/wr"},
-	}
-	energy := pcm.DefaultEnergyModel()
-	for _, app := range ablationApps {
-		events, _, err := o.appTrace(app)
-		if err != nil {
-			return nil, err
-		}
-		base, dwRes, err := o.runPair(events, []core.SystemKind{core.CompWF})
-		if err != nil {
-			return nil, err
-		}
-		o2 := o
-		o2.MaxDemandWrites = base.DemandWrites * o.capFactor()
-		fnw, err := o2.runConfigured(events, func(c *core.Config) { c.UseFNW = true })
-		if err != nil {
-			return nil, err
-		}
-		perWrite := func(r lifetime.Result) float64 {
-			if r.Stats.Writes == 0 {
-				return 0
-			}
-			return energy.WriteEnergyPJ(int(r.Stats.SetPulses), int(r.Stats.ResetPulses)) /
-				float64(r.Stats.Writes)
-		}
-		t.AddRow(app,
-			dwRes[0].Normalized(base), fnw.Normalized(base),
-			perWrite(dwRes[0]), perWrite(fnw))
-	}
-	return t, nil
-}
-
-// EnergyComparison reports average write energy (pJ/write) for Baseline vs
-// Comp+WF over an equal write budget — the compression energy side-claim.
-func EnergyComparison(o LifetimeOptions, writes uint64) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Write energy (pJ per write-back, equal write budget)",
-		Columns: []string{"Baseline", "Comp+WF", "ratio"},
-	}
-	energy := pcm.DefaultEnergyModel()
-	for _, app := range FigureOrder {
-		events, _, err := o.appTrace(app)
-		if err != nil {
-			return nil, err
-		}
-		run := func(sys core.SystemKind) (float64, error) {
-			ctrl := core.DefaultConfig(sys, o.Scale.Substrate(o.Seed))
-			cfg := lifetime.DefaultConfig(ctrl)
-			cfg.MaxDemandWrites = writes
-			cfg.FailureFraction = 1
-			res, err := lifetime.Run(cfg, events)
-			if err != nil {
-				return 0, err
-			}
-			if res.Stats.Writes == 0 {
-				return 0, nil
-			}
-			return energy.WriteEnergyPJ(int(res.Stats.SetPulses), int(res.Stats.ResetPulses)) /
-				float64(res.Stats.Writes), nil
-		}
-		b, err := run(core.Baseline)
-		if err != nil {
-			return nil, err
-		}
-		w, err := run(core.CompWF)
-		if err != nil {
-			return nil, err
-		}
-		ratio := 0.0
-		if b > 0 {
-			ratio = w / b
-		}
-		t.AddRow(app, b, w, ratio)
-	}
-	return t, nil
+	return o.table(lifetimeTable{
+		title:    "Ablation: Flip-N-Write vs plain DW (Comp+WF)",
+		columns:  []string{"DW-life", "FNW-life", "DW-pJ/wr", "FNW-pJ/wr"},
+		apps:     ablationApps,
+		variants: []variant{compWF(nil), compWF(func(c *core.Config) { c.UseFNW = true })},
+		row: func(r appRuns) []float64 {
+			return append(r.normalized(), writeEnergyPJ(r.runs[0]), writeEnergyPJ(r.runs[1]))
+		},
+	})
 }

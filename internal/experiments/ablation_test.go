@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"pcmcomp/internal/stats"
 )
 
 func TestAblationSCHeuristicTable(t *testing.T) {
@@ -83,5 +85,40 @@ func TestEnergyComparisonTable(t *testing.T) {
 		if ratio := tb.Value(row, 2); ratio >= 1 {
 			t.Errorf("%s: energy ratio %.2f should be < 1", app, ratio)
 		}
+	}
+}
+
+// TestLifetimeTablesHonorOptionCap pins the cap rule: MaxDemandWrites caps
+// every run of a lifetime table, variants included. The cap sits far below
+// every quick-scale Baseline lifetime of the ablation apps, so each run
+// stops at it and no variant can outlive its Baseline.
+func TestLifetimeTablesHonorOptionCap(t *testing.T) {
+	o := quickOptions()
+	o.MaxDemandWrites = 20000
+	for _, tc := range []struct {
+		name string
+		fn   func(LifetimeOptions) (*stats.Table, error)
+		// lifeCols are the table's lifetime columns; the rest are energy.
+		lifeCols int
+	}{
+		{"sc-heuristic", AblationSCHeuristic, 2},
+		{"thresholds", AblationThresholds, 3},
+		{"ecc-scheme", AblationECCScheme, 3},
+		{"fnw", AblationFNW, 2},
+		{"secded", SECDEDComparison, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, err := tc.fn(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < tb.Rows(); r++ {
+				for c := 0; c < tc.lifeCols; c++ {
+					if v := tb.Value(r, c); v > 1 {
+						t.Errorf("%s[%s] = %.3f, want <= 1 under the option cap", tb.Label(r), tb.Columns[c], v)
+					}
+				}
+			}
+		})
 	}
 }

@@ -7,29 +7,21 @@ import (
 	"pcmcomp/internal/core"
 	"pcmcomp/internal/lifetime"
 	"pcmcomp/internal/parallel"
+	"pcmcomp/internal/pcm"
 	"pcmcomp/internal/stats"
 	"pcmcomp/internal/trace"
 	"pcmcomp/internal/workload"
 )
 
-// forEachApp runs fn once per FigureOrder application, concurrently up to
-// limit workers (<= 0 selects the CPU count). Runs are independent and
-// internally seeded, so results are deterministic regardless of scheduling
-// or worker count; the first error wins.
-func forEachApp(limit int, fn func(i int, app string) error) error {
-	return parallel.ForEach(len(FigureOrder), limit, func(i int) error {
-		return fn(i, FigureOrder[i])
-	})
-}
-
 // LifetimeOptions parameterize the lifetime experiments (Figs 10/12/13,
-// Table IV).
+// Table IV, the §II-C SECDED comparison and the ablations).
 type LifetimeOptions struct {
 	// Scale selects the substrate preset.
 	Scale config.Scale
 	// Seed drives trace generation and endurance sampling.
 	Seed uint64
-	// MaxDemandWrites caps each run (0 = none); quick modes set it.
+	// MaxDemandWrites caps every run of every lifetime table, Baseline
+	// included (0 = none); quick modes set it.
 	MaxDemandWrites uint64
 	// BaselineCapFactor caps non-baseline runs at this multiple of the
 	// app's baseline lifetime (0 = default 40). Zero-dominated workloads
@@ -37,9 +29,10 @@ type LifetimeOptions struct {
 	// paper's largest reported gain is ~13x, so a 40x cap bounds runtime
 	// without censoring any realistic ratio.
 	BaselineCapFactor uint64
-	// Concurrency bounds the per-application worker fan-out (0 = CPU
-	// count). Results are identical at any width — the determinism tests
-	// sweep this knob to prove it.
+	// Concurrency bounds the per-application worker fan-out of every
+	// lifetime table, the ablations included (0 = CPU count). Results are
+	// identical at any width — the determinism tests sweep this knob to
+	// prove it.
 	Concurrency int
 }
 
@@ -52,45 +45,124 @@ func (o LifetimeOptions) capFactor() uint64 {
 
 // appTrace builds the per-app replay trace at the option's scale.
 func (o LifetimeOptions) appTrace(app string) ([]trace.Event, workload.Profile, error) {
-	p, err := profileFor(app)
+	g, err := generatorFor(app, o.Scale.TraceLines, o.Seed)
 	if err != nil {
-		return nil, p, err
+		return nil, workload.Profile{}, err
 	}
-	g, err := workload.NewGenerator(p, o.Scale.TraceLines, o.Seed)
-	if err != nil {
-		return nil, p, err
-	}
-	return g.GenerateTrace(o.Scale.TraceEvents), p, nil
+	return g.GenerateTrace(o.Scale.TraceEvents), g.Profile(), nil
 }
 
-// runOne executes one lifetime run for a system on an app's trace, capped
-// at cap demand writes (0 = only the option-level cap applies).
-func (o LifetimeOptions) runOne(sys core.SystemKind, events []trace.Event, cap uint64) (lifetime.Result, error) {
-	ctrl := core.DefaultConfig(sys, o.Scale.Substrate(o.Seed))
+// variant is one configuration a lifetime table compares against the
+// Baseline: a paper system, optionally with its controller config tweaked.
+type variant struct {
+	sys   core.SystemKind
+	tweak func(*core.Config)
+}
+
+// compWF is the Comp+WF system with tweak applied.
+func compWF(tweak func(*core.Config)) variant { return variant{core.CompWF, tweak} }
+
+// runConfig builds the lifetime run of v, capped at maxWrites demand
+// writes (0 = none). Every lifetime run of this package is built here.
+func (o LifetimeOptions) runConfig(v variant, maxWrites uint64) lifetime.Config {
+	ctrl := core.DefaultConfig(v.sys, o.Scale.Substrate(o.Seed))
+	if v.tweak != nil {
+		v.tweak(&ctrl)
+	}
 	cfg := lifetime.DefaultConfig(ctrl)
-	cfg.MaxDemandWrites = o.MaxDemandWrites
-	if cap > 0 && (cfg.MaxDemandWrites == 0 || cap < cfg.MaxDemandWrites) {
-		cfg.MaxDemandWrites = cap
-	}
-	return lifetime.Run(cfg, events)
+	cfg.MaxDemandWrites = maxWrites
+	return cfg
 }
 
-// runPair runs the baseline uncapped, then the listed systems capped at
-// capFactor times the baseline's lifetime.
-func (o LifetimeOptions) runPair(events []trace.Event, systems []core.SystemKind) (lifetime.Result, []lifetime.Result, error) {
-	base, err := o.runOne(core.Baseline, events, 0)
-	if err != nil {
-		return lifetime.Result{}, nil, err
+// appRuns are one application's lifetime runs: the Baseline and one
+// result per variant, in variant order.
+type appRuns struct {
+	app  string
+	prof workload.Profile
+	base lifetime.Result
+	runs []lifetime.Result
+}
+
+// normalized returns each variant's lifetime relative to the Baseline.
+func (r appRuns) normalized() []float64 {
+	out := make([]float64, len(r.runs))
+	for i, res := range r.runs {
+		out[i] = res.Normalized(r.base)
 	}
-	out := make([]lifetime.Result, len(systems))
-	for i, sys := range systems {
-		res, err := o.runOne(sys, events, base.DemandWrites*o.capFactor())
+	return out
+}
+
+// lifetimeRuns is the runner behind every lifetime table. For each app,
+// concurrently up to o.Concurrency workers, it runs the Baseline under the
+// option cap alone, then each variant under the cap rule below.
+// Runs are independent and internally seeded, so the results are
+// deterministic regardless of scheduling or worker count; the first error
+// wins.
+func (o LifetimeOptions) lifetimeRuns(apps []string, variants []variant) ([]appRuns, error) {
+	out := make([]appRuns, len(apps))
+	err := parallel.ForEach(len(apps), o.Concurrency, func(i int) error {
+		events, prof, err := o.appTrace(apps[i])
 		if err != nil {
-			return lifetime.Result{}, nil, err
+			return err
 		}
-		out[i] = res
+		r := appRuns{app: apps[i], prof: prof, runs: make([]lifetime.Result, len(variants))}
+		if r.base, err = lifetime.Run(o.runConfig(variant{sys: core.Baseline}, o.MaxDemandWrites), events); err != nil {
+			return err
+		}
+		// The cap rule: the option cap, tightened to capFactor times the
+		// Baseline's lifetime.
+		capWrites := r.base.DemandWrites * o.capFactor()
+		if capWrites == 0 || (o.MaxDemandWrites > 0 && o.MaxDemandWrites < capWrites) {
+			capWrites = o.MaxDemandWrites
+		}
+		for j, v := range variants {
+			if r.runs[j], err = lifetime.Run(o.runConfig(v, capWrites), events); err != nil {
+				return err
+			}
+		}
+		out[i] = r
+		return nil
+	})
+	return out, err
+}
+
+// lifetimeTable describes a table of one row per application over
+// lifetimeRuns.
+type lifetimeTable struct {
+	title    string
+	columns  []string
+	apps     []string
+	variants []variant
+	// row turns one app's runs into its cells.
+	row func(appRuns) []float64
+	// average appends an "Average" row: the column sums in app order
+	// divided by the app count.
+	average bool
+}
+
+// table runs spec and renders its rows.
+func (o LifetimeOptions) table(spec lifetimeTable) (*stats.Table, error) {
+	all, err := o.lifetimeRuns(spec.apps, spec.variants)
+	if err != nil {
+		return nil, err
 	}
-	return base, out, nil
+	t := &stats.Table{Title: spec.title, Columns: spec.columns}
+	sums := make([]float64, len(spec.columns))
+	for _, r := range all {
+		cells := spec.row(r)
+		t.AddRow(r.app, cells...)
+		for j, v := range cells {
+			sums[j] += v
+		}
+	}
+	if spec.average {
+		n := float64(len(spec.apps))
+		for j := range sums {
+			sums[j] /= n
+		}
+		t.AddRow("Average", sums...)
+	}
+	return t, nil
 }
 
 // Fig10Lifetimes reproduces Figure 10: per-application lifetime of Comp,
@@ -98,41 +170,14 @@ func (o LifetimeOptions) runPair(events []trace.Event, systems []core.SystemKind
 // averages are ~1.35x (Comp, with regressions on low-CR apps), 3.2x
 // (Comp+W) and 4.3x (Comp+WF).
 func Fig10Lifetimes(o LifetimeOptions) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Figure 10: lifetime normalized to Baseline (CoV " + fmt.Sprintf("%.2f", o.Scale.CoV) + ")",
-		Columns: []string{"Comp", "Comp+W", "Comp+WF"},
-	}
-	systems := []core.SystemKind{core.Comp, core.CompW, core.CompWF}
-	rows := make([][]float64, len(FigureOrder))
-	err := forEachApp(o.Concurrency, func(i int, app string) error {
-		events, _, err := o.appTrace(app)
-		if err != nil {
-			return err
-		}
-		base, results, err := o.runPair(events, systems)
-		if err != nil {
-			return err
-		}
-		row := make([]float64, len(systems))
-		for j := range systems {
-			row[j] = results[j].Normalized(base)
-		}
-		rows[i] = row
-		return nil
+	return o.table(lifetimeTable{
+		title:    "Figure 10: lifetime normalized to Baseline (CoV " + fmt.Sprintf("%.2f", o.Scale.CoV) + ")",
+		columns:  []string{"Comp", "Comp+W", "Comp+WF"},
+		apps:     FigureOrder,
+		variants: []variant{{sys: core.Comp}, {sys: core.CompW}, {sys: core.CompWF}},
+		row:      appRuns.normalized,
+		average:  true,
 	})
-	if err != nil {
-		return nil, err
-	}
-	sums := make([]float64, len(systems))
-	for i, app := range FigureOrder {
-		t.AddRow(app, rows[i]...)
-		for j := range systems {
-			sums[j] += rows[i][j]
-		}
-	}
-	n := float64(len(FigureOrder))
-	t.AddRow("Average", sums[0]/n, sums[1]/n, sums[2]/n)
-	return t, nil
 }
 
 // Fig12RecoveredCells reproduces Figure 12: the average number of faulty
@@ -140,131 +185,103 @@ func Fig10Lifetimes(o LifetimeOptions) (*stats.Table, error) {
 // The paper reports ~3x ECP-6's 6 cells on average, with highly
 // compressible apps (sjeng, milc, cactusADM) reaching 25-35.
 func Fig12RecoveredCells(o LifetimeOptions) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Figure 12: average faulty cells in a failed line (Comp+WF vs Baseline's ECP-6 limit)",
-		Columns: []string{"Baseline", "Comp+WF"},
-	}
-	rows := make([][2]float64, len(FigureOrder))
-	err := forEachApp(o.Concurrency, func(i int, app string) error {
-		events, _, err := o.appTrace(app)
-		if err != nil {
-			return err
-		}
-		base, results, err := o.runPair(events, []core.SystemKind{core.CompWF})
-		if err != nil {
-			return err
-		}
-		bs, ws := base.Stats, results[0].Stats
-		rows[i] = [2]float64{bs.DeathFaultCells.Mean(), ws.DeathFaultCells.Mean()}
-		return nil
+	return o.table(lifetimeTable{
+		title:    "Figure 12: average faulty cells in a failed line (Comp+WF vs Baseline's ECP-6 limit)",
+		columns:  []string{"Baseline", "Comp+WF"},
+		apps:     FigureOrder,
+		variants: []variant{compWF(nil)},
+		row: func(r appRuns) []float64 {
+			return []float64{r.base.Stats.DeathFaultCells.Mean(), r.runs[0].Stats.DeathFaultCells.Mean()}
+		},
+		average: true,
 	})
-	if err != nil {
-		return nil, err
-	}
-	var sumB, sumW float64
-	for i, app := range FigureOrder {
-		t.AddRow(app, rows[i][0], rows[i][1])
-		sumB += rows[i][0]
-		sumW += rows[i][1]
-	}
-	n := float64(len(FigureOrder))
-	t.AddRow("Average", sumB/n, sumW/n)
-	return t, nil
 }
 
 // Fig13HighVariation reproduces Figure 13: Comp+WF lifetime normalized to
 // Baseline under higher process variation (CoV = 0.25).
 func Fig13HighVariation(o LifetimeOptions) (*stats.Table, error) {
 	o.Scale.CoV = 0.25
-	t := &stats.Table{
-		Title:   "Figure 13: Comp+WF lifetime normalized to Baseline (CoV 0.25)",
-		Columns: []string{"Comp+WF"},
-	}
-	rows := make([]float64, len(FigureOrder))
-	err := forEachApp(o.Concurrency, func(i int, app string) error {
-		events, _, err := o.appTrace(app)
-		if err != nil {
-			return err
-		}
-		base, results, err := o.runPair(events, []core.SystemKind{core.CompWF})
-		if err != nil {
-			return err
-		}
-		rows[i] = results[0].Normalized(base)
-		return nil
+	return o.table(lifetimeTable{
+		title:    "Figure 13: Comp+WF lifetime normalized to Baseline (CoV 0.25)",
+		columns:  []string{"Comp+WF"},
+		apps:     FigureOrder,
+		variants: []variant{compWF(nil)},
+		row:      appRuns.normalized,
+		average:  true,
 	})
-	if err != nil {
-		return nil, err
-	}
-	var sum float64
-	for i, app := range FigureOrder {
-		t.AddRow(app, rows[i])
-		sum += rows[i]
-	}
-	t.AddRow("Average", sum/float64(len(FigureOrder)))
-	return t, nil
 }
 
 // Table4Months reproduces Table IV: projected lifetime in months for the
 // Baseline and Comp+WF systems, rescaled to the paper's endurance and
 // capacity through lifetime.TimeModel (paper averages: 22 vs 79 months).
 func Table4Months(o LifetimeOptions) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Table IV: projected lifetime in months (rescaled to 4GB / 1e7-write cells)",
-		Columns: []string{"Baseline", "Comp+WF"},
-	}
-	rows := make([][2]float64, len(FigureOrder))
-	err := forEachApp(o.Concurrency, func(i int, app string) error {
-		events, prof, err := o.appTrace(app)
-		if err != nil {
-			return err
-		}
-		base, results, err := o.runPair(events, []core.SystemKind{core.CompWF})
-		if err != nil {
-			return err
-		}
-		tm := lifetime.DefaultTimeModel(prof.WPKI, o.Scale.EnduranceScale(), o.Scale.CapacityScale())
-		rows[i] = [2]float64{tm.Months(base.DemandWrites), tm.Months(results[0].DemandWrites)}
-		return nil
+	return o.table(lifetimeTable{
+		title:    "Table IV: projected lifetime in months (rescaled to 4GB / 1e7-write cells)",
+		columns:  []string{"Baseline", "Comp+WF"},
+		apps:     FigureOrder,
+		variants: []variant{compWF(nil)},
+		row: func(r appRuns) []float64 {
+			tm := lifetime.DefaultTimeModel(r.prof.WPKI, o.Scale.EnduranceScale(), o.Scale.CapacityScale())
+			return []float64{tm.Months(r.base.DemandWrites), tm.Months(r.runs[0].DemandWrites)}
+		},
+		average: true,
 	})
+}
+
+// fixedBudget runs the Baseline and Comp+WF on app's trace for exactly
+// writes demand writes each: FailureFraction 1 keeps the runs going past
+// the lifetime criterion.
+func (o LifetimeOptions) fixedBudget(app string, writes uint64) (base, wf lifetime.Result, err error) {
+	events, _, err := o.appTrace(app)
 	if err != nil {
-		return nil, err
+		return base, wf, err
 	}
-	var sumB, sumW float64
-	for i, app := range FigureOrder {
-		t.AddRow(app, rows[i][0], rows[i][1])
-		sumB += rows[i][0]
-		sumW += rows[i][1]
+	var res [2]lifetime.Result
+	for i, sys := range []core.SystemKind{core.Baseline, core.CompWF} {
+		cfg := o.runConfig(variant{sys: sys}, writes)
+		cfg.FailureFraction = 1
+		if res[i], err = lifetime.Run(cfg, events); err != nil {
+			return base, wf, err
+		}
 	}
-	n := float64(len(FigureOrder))
-	t.AddRow("Average", sumB/n, sumW/n)
-	return t, nil
+	return res[0], res[1], nil
+}
+
+// writeEnergyPJ is a run's average write energy in pJ per write-back.
+func writeEnergyPJ(r lifetime.Result) float64 {
+	if r.Stats.Writes == 0 {
+		return 0
+	}
+	return pcm.DefaultEnergyModel().WriteEnergyPJ(int(r.Stats.SetPulses), int(r.Stats.ResetPulses)) /
+		float64(r.Stats.Writes)
 }
 
 // UncorrectableReduction computes the abstract's reliability claim: the
 // reduction in uncorrectable errors of Comp+WF relative to Baseline over an
 // equal write budget.
 func UncorrectableReduction(o LifetimeOptions, app string, writes uint64) (baseline, compWF uint64, err error) {
-	events, _, err := o.appTrace(app)
-	if err != nil {
-		return 0, 0, err
+	b, w, err := o.fixedBudget(app, writes)
+	return b.Stats.UncorrectableErrors, w.Stats.UncorrectableErrors, err
+}
+
+// EnergyComparison reports average write energy (pJ/write) for Baseline vs
+// Comp+WF over an equal write budget — the compression energy side-claim.
+func EnergyComparison(o LifetimeOptions, writes uint64) (*stats.Table, error) {
+	t := &stats.Table{
+		Title:   "Write energy (pJ per write-back, equal write budget)",
+		Columns: []string{"Baseline", "Comp+WF", "ratio"},
 	}
-	run := func(sys core.SystemKind) (uint64, error) {
-		ctrl := core.DefaultConfig(sys, o.Scale.Substrate(o.Seed))
-		cfg := lifetime.DefaultConfig(ctrl)
-		cfg.MaxDemandWrites = writes
-		cfg.FailureFraction = 1 // run the full budget
-		res, err := lifetime.Run(cfg, events)
+	for _, app := range FigureOrder {
+		bRes, wRes, err := o.fixedBudget(app, writes)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return res.Stats.UncorrectableErrors, nil
+		b, w := writeEnergyPJ(bRes), writeEnergyPJ(wRes)
+		ratio := 0.0
+		if b > 0 {
+			ratio = w / b
+		}
+		t.AddRow(app, b, w, ratio)
 	}
-	if baseline, err = run(core.Baseline); err != nil {
-		return 0, 0, err
-	}
-	if compWF, err = run(core.CompWF); err != nil {
-		return 0, 0, err
-	}
-	return baseline, compWF, nil
+	return t, nil
 }
