@@ -50,7 +50,7 @@ func run(args []string) error {
 	scaleName := fs.String("scale", "quick", "substrate scale: quick, default, or large")
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	seeds := fs.Int("seeds", 1, "seeds for the lifetime experiments (mean and 95% CI when > 1)")
-	trials := fs.Int("trials", 2000, "Monte-Carlo trials per Fig 9 point")
+	trials := fs.Int("trials", 3000, "Monte-Carlo trials per Fig 9 point (the default matches results/fig9.txt)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -176,9 +176,12 @@ type Scheme interface {
 
 // CorrectabilityBounds is optionally implemented by schemes whose
 // Correctable decision admits count-only screening. It lets bulk callers
-// (the Monte-Carlo placement scan) decide most windows from the fault
-// count alone and reserve the full Correctable call for the ambiguous
-// band in between.
+// decide most windows from the fault count alone and reserve the full
+// Correctable call for the ambiguous band in between. The Monte-Carlo
+// kernel (montecarlo.Runner) uses it twice: its placement scan screens each
+// window origin, and its mean-window screen returns 0 for a whole
+// failure-probability point, without drawing a trial, when the mean fault
+// count over its windows is below always+1.
 type CorrectabilityBounds interface {
 	// CorrectableBounds returns (always, never): a window holding at most
 	// `always` faults is always correctable, and one holding more than

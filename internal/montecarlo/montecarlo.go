@@ -78,7 +78,11 @@ const ctxCheckEvery = 4096
 // Allocating the scratch once and reusing it across points and curves is
 // what makes the curve path allocation-free — the per-call locals of the
 // old kernel escaped to the heap twice per curve point through the
-// ecc.Scheme interface call.
+// ecc.Scheme interface call. Its other shortcuts keep every output
+// bit-identical to the plain path (rng.Rand.Intn draws, the generic
+// Survives scan): cells come from a shift of one prefetched draw, window
+// origins are screened by fault count, and points that provably fail no
+// trial return 0 without drawing.
 //
 // A Runner is not safe for concurrent use; give each goroutine its own.
 // Results are a pure function of the arguments, never of the Runner's
@@ -102,6 +106,8 @@ func NewRunner() *Runner { return &Runner{} }
 // every call and the Batch serves draws in exactly the order rng.New(Seed)
 // would emit them, so estimates are bit-identical to the unbatched
 // trial-at-a-time path and independent of the Runner's previous calls.
+// For schemes with ecc.CorrectabilityBounds, a configuration whose mean
+// window holds fewer than always+1 faults returns 0 without a trial.
 // The context is polled every ctxCheckEvery trials; on cancellation it
 // returns 0 and ctx.Err().
 func (ru *Runner) FailureProbability(ctx context.Context, cfg Config) (float64, error) {
@@ -116,11 +122,19 @@ func (ru *Runner) FailureProbability(ctx context.Context, cfg Config) (float64, 
 	if b, ok := cfg.Scheme.(ecc.CorrectabilityBounds); ok {
 		always, never = b.CorrectableBounds()
 		bounded = true
-		if cfg.Errors <= always {
-			// Every trial injects exactly cfg.Errors distinct faults, so no
-			// window can exceed the always-correctable budget: the estimate
-			// is exactly 0 without running a trial. Skipping the draws is
-			// invisible elsewhere — each curve point reseeds its own stream.
+		if cfg.Errors*cfg.WindowBytes < block.Size*(always+1) {
+			// Mean-window screen: every trial survives, so the estimate is
+			// exactly 0 without running one. Each trial injects exactly
+			// cfg.Errors distinct faults. Over the block.Size wrapping
+			// origins each faulty byte lies in exactly WindowBytes windows,
+			// so the window counts sum to Errors·WindowBytes and the
+			// smallest is at most ⌊Errors·WindowBytes/block.Size⌋ ≤ always.
+			// The origin scan reaches that origin unless it accepted an
+			// earlier one, and accepts it on the count alone, as Survives'
+			// Correctable call must by the bounds contract. (A full-line
+			// window has one placement; there the condition reduces to
+			// Errors ≤ always.) Skipping the draws is invisible elsewhere:
+			// each curve point reseeds its own stream.
 			return 0, nil
 		}
 	}
@@ -183,10 +197,25 @@ func (ru *Runner) survivesBounded(scheme ecc.Scheme, windowBytes, always, never 
 	return false
 }
 
-// injectUniform adds exactly n distinct uniformly placed faults.
+// cellBitsLog2 is log2(block.Bits). injectUniform draws a cell as the top
+// cellBitsLog2 bits of one generator output, which for a power-of-two bound
+// is exactly what Intn(block.Bits) returns: Lemire's rejection threshold
+// (-2^k) mod 2^k is 0, so the first draw x is always accepted, and the high
+// word of x·2^k is x >> (64-k).
+const (
+	cellBitsLog2 = 9
+	cellShift    = 64 - cellBitsLog2
+)
+
+// The shift-only draw needs a power-of-two line: this fails to compile
+// unless block.Bits == 1<<cellBitsLog2.
+var _ [block.Bits]struct{} = [1 << cellBitsLog2]struct{}{}
+
+// injectUniform adds exactly n distinct uniformly placed faults, drawing
+// the same cells as r.Intn(block.Bits) would without its divide.
 func injectUniform(r *rng.Batch, faults *ecc.FaultSet, n int) {
 	for count := 0; count < n; {
-		cell := r.Intn(block.Bits)
+		cell := int(r.Uint64() >> cellShift)
 		if !faults.Contains(cell) {
 			faults.Add(cell)
 			count++

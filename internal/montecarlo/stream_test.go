@@ -2,14 +2,17 @@ package montecarlo
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"pcmcomp/internal/block"
 	"pcmcomp/internal/ecc"
+	"pcmcomp/internal/ecc/aegis"
 	"pcmcomp/internal/ecc/ecp"
 	"pcmcomp/internal/ecc/safer"
+	"pcmcomp/internal/ecc/secded"
 	"pcmcomp/internal/rng"
 )
 
@@ -59,12 +62,31 @@ func curvesEqualBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestBatchedCurveMatchesSequential pins the batched-trial path to the
-// trial-at-a-time path across the trial counts that stress the 64-draw
-// prefetch boundary (1, one under, exactly one batch, one over, several
-// batches plus a remainder) and across window sizes including the
-// single-placement full line.
+// TestBatchedCurveMatchesSequential pins the Runner's kernel to the
+// trial-at-a-time path. The first sweep covers the trial counts that stress
+// the 64-draw prefetch boundary (1, one under, exactly one batch, one over,
+// several batches plus a remainder) and window sizes including the
+// single-placement full line. The second pins the shift-only cell draw and
+// the mean-window screen: for every count-bounded scheme and a spread of
+// windows, the curve runs past the last point the screen returns 0 for
+// (Errors·WindowBytes < block.Size·(always+1)) without drawing, so the
+// reference's full scans check both sides of that boundary. Only ECP-6 and
+// Aegis at a 1-byte window are screened beyond 128 errors (ECP-6 up to 447,
+// Aegis at every count), so there the reference checks screened points
+// alone.
 func TestBatchedCurveMatchesSequential(t *testing.T) {
+	check := func(name string, scheme ecc.Scheme, window, maxErrors, trials int) {
+		t.Helper()
+		want, err := referenceCurve(scheme, window, maxErrors, trials, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Curve(scheme, window, maxErrors, trials, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curvesEqualBits(t, fmt.Sprintf("%s/%dB", name, window), got, want)
+	}
 	for _, tc := range []struct {
 		name      string
 		scheme    ecc.Scheme
@@ -75,16 +97,30 @@ func TestBatchedCurveMatchesSequential(t *testing.T) {
 	} {
 		for _, trials := range []int{1, 63, 64, 65, 300} {
 			for _, window := range []int{1, 32, 64} {
-				want, err := referenceCurve(tc.scheme, window, tc.maxErrors, trials, 42)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Curve(tc.scheme, window, tc.maxErrors, trials, 42)
-				if err != nil {
-					t.Fatal(err)
-				}
-				curvesEqualBits(t, tc.name, got, want)
+				check(tc.name, tc.scheme, window, tc.maxErrors, trials)
 			}
+		}
+	}
+
+	aegis17x31, err := aegis.New(17, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme ecc.Scheme
+	}{
+		{"ecp-6", ecp.New(6)},
+		{"safer-5", safer.New(5)},
+		{"aegis-17x31", aegis17x31},
+		{"secded", secded.Scheme{}},
+	} {
+		for _, window := range []int{1, 7, 16, 24, 33, 64} {
+			maxErrors := 48
+			if window <= 7 {
+				maxErrors = 128
+			}
+			check(tc.name, tc.scheme, window, maxErrors, 65)
 		}
 	}
 }

@@ -187,15 +187,26 @@ func (b *Batch) Reset(r *Rand) {
 }
 
 // Uint64 returns the next 64 random bits, refilling from the underlying
-// generator as needed.
+// generator as needed. The buffered case is small enough to inline into
+// the caller's draw loop; the refill stays out of line.
 func (b *Batch) Uint64() uint64 {
-	if b.pos >= batchSize {
-		b.r.Fill(b.buf[:])
-		b.pos = 0
+	if b.pos < batchSize {
+		v := b.buf[b.pos]
+		b.pos++
+		return v
 	}
-	v := b.buf[b.pos]
-	b.pos++
-	return v
+	return b.refill()
+}
+
+// refill is Uint64's slow path: it prefetches the next batchSize outputs
+// and serves the first of them. It is marked noinline because inlining it
+// would push Uint64 over the compiler's inlining budget.
+//
+//go:noinline
+func (b *Batch) refill() uint64 {
+	b.r.Fill(b.buf[:])
+	b.pos = 1
+	return b.buf[0]
 }
 
 // Intn returns a uniform random int in [0, n), consuming the same draws as

@@ -219,6 +219,21 @@ func TestBatchMatchesDirectStream(t *testing.T) {
 	}
 }
 
+// TestIntnPowerOfTwoIsShift pins the identity the Monte-Carlo cell draw
+// relies on: for a bound of 2^k, Lemire's rejection threshold is 0 and the
+// high word of x·2^k is x >> (64-k), so Intn(1<<k) consumes one draw and
+// returns its top k bits.
+func TestIntnPowerOfTwoIsShift(t *testing.T) {
+	for k := 0; k <= 20; k++ {
+		a, b := New(uint64(100+k)), New(uint64(100+k))
+		for i := 0; i < 1000; i++ {
+			if got, want := a.Intn(1<<k), int(b.Uint64()>>(64-k)); got != want {
+				t.Fatalf("k=%d draw %d: Intn(1<<k) = %d, Uint64()>>(64-k) = %d", k, i, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkFill(b *testing.B) {
 	r := New(1)
 	var buf [64]uint64
