@@ -178,10 +178,12 @@ type Scheme interface {
 // Correctable decision admits count-only screening. It lets bulk callers
 // decide most windows from the fault count alone and reserve the full
 // Correctable call for the ambiguous band in between. The Monte-Carlo
-// kernel (montecarlo.Runner) uses it twice: its placement scan screens each
-// window origin, and its mean-window screen returns 0 for a whole
+// kernel (montecarlo.Runner) uses it three times: its placement scan
+// screens each window origin; its mean-window screen returns 0 for a whole
 // failure-probability point, without drawing a trial, when the mean fault
-// count over its windows is below always+1.
+// count over its windows is below always+1; and its all-fail screen
+// returns 1 for a point, again without a trial, when even the faults that
+// cannot fall outside a window exceed never.
 type CorrectabilityBounds interface {
 	// CorrectableBounds returns (always, never): a window holding at most
 	// `always` faults is always correctable, and one holding more than

@@ -84,13 +84,13 @@ func parseObjective(subject, spec string) (Objective, error) {
 		if isPct {
 			v /= 100
 		}
-		if v <= 0 || v >= 1 {
+		if !(v > 0 && v < 1) { // also rejects NaN
 			return Objective{}, fmt.Errorf("error-rate target %q must be in (0%%, 100%%)", rhs)
 		}
 		obj.Target = v
 	case strings.HasPrefix(lhs, "p") && len(lhs) > 1:
 		n, err := strconv.ParseFloat(lhs[1:], 64)
-		if err != nil || n <= 0 || n >= 100 {
+		if err != nil || !(n > 0 && n < 100) { // also rejects NaN
 			return Objective{}, fmt.Errorf("bad quantile %q (want p50..p99.9)", lhs)
 		}
 		obj.Quantile = n / 100

@@ -40,10 +40,12 @@ func TestParseSLOsErrors(t *testing.T) {
 		{"jobs:p95=2s", "want metric<target"},
 		{"jobs:p0<2s", "bad quantile"},
 		{"jobs:p100<2s", "bad quantile"},
+		{"jobs:pNaN<2s", "bad quantile"},
 		{"jobs:p95<fast", "bad latency target"},
 		{"jobs:p95<-2s", "bad latency target"},
 		{"jobs:err<0%", "must be in"},
 		{"jobs:err<150%", "must be in"},
+		{"jobs:err<NaN%", "must be in"},
 		{"jobs:err<lots", "bad error-rate target"},
 		{"jobs:q95<2s", "unknown metric"},
 		{"jobs:p95<2s;jobs:p95<2s", "duplicate"},
@@ -57,6 +59,43 @@ func TestParseSLOsErrors(t *testing.T) {
 	if objs, err := ParseSLOs(""); err != nil || objs != nil {
 		t.Fatalf("empty spec should parse to nil, got %v, %v", objs, err)
 	}
+}
+
+// FuzzParseSLOs feeds ParseSLOs arbitrary -slo flag values. It must never
+// panic. Every objective it accepts must be in range: a latency objective
+// has a quantile in (0, 1) and a finite positive target in seconds, an
+// error-rate objective a target fraction in (0, 1). Its canonical Name
+// must parse back to the same objective.
+func FuzzParseSLOs(f *testing.F) {
+	for _, s := range []string{
+		"jobs:p95<2s,err<1%;http:p99<500ms", "http:err<0.05", "jobs:p99.9<1ms",
+		"jobs:p0<2s", "jobs:p100<2s", "jobs:p95<-2s", "jobs:err<0%", "jobs:err<150%",
+		"jobs:p95<2s;jobs:p95<2s", "jobs:", ";;", "jobs:pNaN<1s", "jobs:err<NaN%",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseSLOs(spec)
+		if err != nil {
+			return
+		}
+		for _, o := range objs {
+			if o.Subject != "jobs" && o.Subject != "http" {
+				t.Fatalf("ParseSLOs(%q): objective %+v has subject %q", spec, o, o.Subject)
+			}
+			if o.ErrRate {
+				if !(o.Target > 0 && o.Target < 1) || o.Quantile != 0 {
+					t.Fatalf("ParseSLOs(%q): error-rate objective out of range: %+v", spec, o)
+				}
+			} else if !(o.Quantile > 0 && o.Quantile < 1) || !(o.Target > 0) || math.IsInf(o.Target, 0) {
+				t.Fatalf("ParseSLOs(%q): latency objective out of range: %+v", spec, o)
+			}
+			again, err := ParseSLOs(o.Name)
+			if err != nil || len(again) != 1 || again[0] != o {
+				t.Fatalf("ParseSLOs(%q): objective %+v re-parses from its name as %+v, %v", spec, o, again, err)
+			}
+		}
+	})
 }
 
 // agg builds a window aggregate with count observations all landing at

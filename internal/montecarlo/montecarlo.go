@@ -81,8 +81,9 @@ const ctxCheckEvery = 4096
 // ecc.Scheme interface call. Its other shortcuts keep every output
 // bit-identical to the plain path (rng.Rand.Intn draws, the generic
 // Survives scan): cells come from a shift of one prefetched draw, window
-// origins are screened by fault count, and points that provably fail no
-// trial return 0 without drawing.
+// origins are screened by fault count, and points whose answer the fault
+// count alone decides return 0 (no trial can fail) or 1 (every trial
+// fails) without drawing.
 //
 // A Runner is not safe for concurrent use; give each goroutine its own.
 // Results are a pure function of the arguments, never of the Runner's
@@ -93,7 +94,10 @@ type Runner struct {
 	r      rng.Rand
 	batch  rng.Batch
 	faults ecc.FaultSet
-	counts [block.Size]uint8
+	// counts holds the per-byte fault counts twice over (byte i at i and
+	// at i+block.Size), so every wrapping window is a contiguous run and
+	// the placement scan indexes without a modulo.
+	counts [2 * block.Size]uint8
 }
 
 // NewRunner returns a ready Runner. The zero value is also valid; New is
@@ -106,8 +110,10 @@ func NewRunner() *Runner { return &Runner{} }
 // every call and the Batch serves draws in exactly the order rng.New(Seed)
 // would emit them, so estimates are bit-identical to the unbatched
 // trial-at-a-time path and independent of the Runner's previous calls.
-// For schemes with ecc.CorrectabilityBounds, a configuration whose mean
-// window holds fewer than always+1 faults returns 0 without a trial.
+// For schemes with ecc.CorrectabilityBounds, two count screens answer a
+// point without a trial: a configuration whose mean window holds fewer
+// than always+1 faults returns 0, and one where every window must hold
+// more than never faults returns 1.
 // The context is polled every ctxCheckEvery trials; on cancellation it
 // returns 0 and ctx.Err().
 func (ru *Runner) FailureProbability(ctx context.Context, cfg Config) (float64, error) {
@@ -136,6 +142,20 @@ func (ru *Runner) FailureProbability(ctx context.Context, cfg Config) (float64, 
 			// Errors ≤ always.) Skipping the draws is invisible elsewhere:
 			// each curve point reseeds its own stream.
 			return 0, nil
+		}
+		if cfg.Errors-8*(block.Size-cfg.WindowBytes) > never {
+			// All-fail screen: every trial fails, so the estimate is
+			// failures/Trials = Trials/Trials, exactly 1, without running
+			// one. Each trial injects exactly cfg.Errors distinct faults,
+			// and only 8·(block.Size−WindowBytes) cells lie outside any one
+			// window, so every window holds at least
+			// Errors−8·(block.Size−WindowBytes) > never faults. The origin
+			// scan therefore rejects every origin on the count alone
+			// (consistent bounds have always ≤ never), as Survives'
+			// Correctable call must by the bounds contract. (At a full-line
+			// window the condition reduces to Errors > never.) As above,
+			// skipping the draws is invisible elsewhere.
+			return 1, nil
 		}
 	}
 	ru.r.Reseed(cfg.Seed)
@@ -180,19 +200,25 @@ func (ru *Runner) survivesBounded(scheme ecc.Scheme, windowBytes, always, never 
 		}
 		return scheme.Correctable(f, 0, block.Size)
 	}
-	f.ByteCounts(&ru.counts)
+	c := &ru.counts
+	f.ByteCounts((*[block.Size]uint8)(c[:block.Size]))
+	copy(c[block.Size:], c[:block.Size])
 	cnt := 0
-	for i := 0; i < windowBytes; i++ {
-		cnt += int(ru.counts[i])
+	for _, n := range c[:windowBytes] {
+		cnt += int(n)
 	}
-	for origin := 0; origin < block.Size; origin++ {
+	// leave[o] and enter[o] are the bytes that leave and enter the window
+	// as it slides from origin o to o+1.
+	leave := c[:block.Size]
+	enter := c[windowBytes : windowBytes+block.Size]
+	for origin := range leave {
 		if cnt <= always {
 			return true
 		}
 		if cnt <= never && scheme.Correctable(f, origin, windowBytes) {
 			return true
 		}
-		cnt += int(ru.counts[(origin+windowBytes)%block.Size]) - int(ru.counts[origin])
+		cnt += int(enter[origin]) - int(leave[origin])
 	}
 	return false
 }

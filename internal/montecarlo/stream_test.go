@@ -67,13 +67,21 @@ func curvesEqualBits(t *testing.T, name string, got, want []float64) {
 // the 64-draw prefetch boundary (1, one under, exactly one batch, one over,
 // several batches plus a remainder) and window sizes including the
 // single-placement full line. The second pins the shift-only cell draw and
-// the mean-window screen: for every count-bounded scheme and a spread of
-// windows, the curve runs past the last point the screen returns 0 for
-// (Errors·WindowBytes < block.Size·(always+1)) without drawing, so the
-// reference's full scans check both sides of that boundary. Only ECP-6 and
-// Aegis at a 1-byte window are screened beyond 128 errors (ECP-6 up to 447,
-// Aegis at every count), so there the reference checks screened points
-// alone.
+// the two count screens, for every count-bounded scheme over a spread of
+// windows:
+//   - The mean-window screen returns 0 while
+//     Errors·WindowBytes < block.Size·(always+1). Every curve runs past
+//     that point, so the reference's full scans check both sides of it.
+//     The exception is Aegis at a 1-byte window, screened at every count.
+//   - The all-fail screen returns 1 once
+//     Errors > 8·(block.Size−WindowBytes)+never. Windows 1 and 2 run every
+//     error count, and windows 60 to 64 run past that boundary. Near it the
+//     reference of a wide window reads 1 as well, so the narrow windows are
+//     what pin the boundary's place: a screen that starts too early (say,
+//     4 instead of 8 cells per outside byte) answers 1 there, where most
+//     trials survive. SAFER-2 (always 1, never 2) pins the comparison: on
+//     the full line at two faults the mean-window screen just misses and
+//     every trial survives, so a screen testing ≥ never would answer 1.
 func TestBatchedCurveMatchesSequential(t *testing.T) {
 	check := func(name string, scheme ecc.Scheme, window, maxErrors, trials int) {
 		t.Helper()
@@ -114,13 +122,24 @@ func TestBatchedCurveMatchesSequential(t *testing.T) {
 		{"safer-5", safer.New(5)},
 		{"aegis-17x31", aegis17x31},
 		{"secded", secded.Scheme{}},
+		{"safer-2", safer.New(1)},
 	} {
-		for _, window := range []int{1, 7, 16, 24, 33, 64} {
-			maxErrors := 48
-			if window <= 7 {
+		_, never := tc.scheme.(ecc.CorrectabilityBounds).CorrectableBounds()
+		for _, window := range []int{1, 2, 7, 16, 24, 33, 60, 63, 64} {
+			maxErrors, trials := 48, 65
+			switch {
+			case window <= 2:
+				// Every error count, at fewer trials: the draws that
+				// fill a nearly full line dominate the cost.
+				maxErrors, trials = block.Bits, 20
+			case window <= 7:
 				maxErrors = 128
+			case window >= 60 && window < block.Size:
+				// Past the all-fail boundary, at fewer trials: SAFER's full
+				// scans of nearly full windows dominate the cost.
+				maxErrors, trials = max(maxErrors, 8*(block.Size-window)+never+1), 20
 			}
-			check(tc.name, tc.scheme, window, maxErrors, 65)
+			check(tc.name, tc.scheme, window, maxErrors, trials)
 		}
 	}
 }

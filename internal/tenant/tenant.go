@@ -16,6 +16,7 @@ package tenant
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -225,14 +226,17 @@ func ParseSpec(spec string) (*Tenant, error) {
 	}
 	var rate, burst float64
 	weight := 1
-	var err error
+	var (
+		err error
+		ok  bool
+	)
 	if len(parts) > 2 && parts[2] != "" {
-		if rate, err = strconv.ParseFloat(parts[2], 64); err != nil || rate < 0 {
+		if rate, ok = parseQuota(parts[2]); !ok {
 			return nil, fmt.Errorf("tenant %s: bad rate %q (want submissions/sec >= 0)", name, parts[2])
 		}
 	}
 	if len(parts) > 3 && parts[3] != "" {
-		if burst, err = strconv.ParseFloat(parts[3], 64); err != nil || burst < 0 {
+		if burst, ok = parseQuota(parts[3]); !ok {
 			return nil, fmt.Errorf("tenant %s: bad burst %q", name, parts[3])
 		}
 	}
@@ -242,6 +246,14 @@ func ParseSpec(spec string) (*Tenant, error) {
 		}
 	}
 	return NewTenant(name, key, rate, burst, weight), nil
+}
+
+// parseQuota parses a rate or burst field: a finite number >= 0. NaN and
+// ±Inf parse as floats but are no quota: a NaN rate would silently lift
+// the limit, and a NaN burst would refuse every submission.
+func parseQuota(field string) (float64, bool) {
+	v, err := strconv.ParseFloat(field, 64)
+	return v, err == nil && v >= 0 && !math.IsInf(v, 0)
 }
 
 // ParseSpecs parses a comma-separated list of tenant specs (the inline

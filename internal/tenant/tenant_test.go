@@ -33,6 +33,10 @@ func TestParseSpec(t *testing.T) {
 		{spec: "alice:k:1:-2", wantErr: true},
 		{spec: "alice:k:1:1:0", wantErr: true},
 		{spec: "alice:k:1:1:x", wantErr: true},
+		{spec: "alice:k:NaN", wantErr: true},
+		{spec: "alice:k:+Inf", wantErr: true},
+		{spec: "alice:k:1:NaN", wantErr: true},
+		{spec: "alice:k:1:Inf", wantErr: true},
 		{spec: "a:b:1:1:1:extra", wantErr: true},
 	}
 	for _, tc := range cases {
