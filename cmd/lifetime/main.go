@@ -5,7 +5,18 @@
 // Usage:
 //
 //	lifetime -app milc [-system all|baseline|comp|comp+w|comp+wf]
-//	         [-scale quick|default|large] [-trace file.pcmt] [-seed N]
+//	         [-ecc ecp|safer|aegis|secded] [-fnw]
+//	         [-scale quick|default|large] [-trace file] [-seed N]
+//
+// Each system is a preset of the scheme registry (internal/scheme); -ecc
+// and -fnw override its hard-error scheme and write encoder, and the
+// controller is built with scheme.Spec.ControllerConfig — the same builder
+// a pcmd lifetime job uses, so both report the same demand writes for the
+// same app, scale and seed. Rows are labeled with the preset name.
+//
+// -trace replays a recorded trace instead of generating one; the encoding
+// is sniffed from its contents (binary .pcmt, PCMS stream, gzip of either,
+// or NDJSON), as trace.Decode describes.
 //
 // Ctrl-C (or SIGTERM) interrupts the replay at the next check interval and
 // prints the statistics accumulated so far before exiting.
@@ -16,20 +27,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"pcmcomp/internal/config"
-	"pcmcomp/internal/core"
-	"pcmcomp/internal/ecc"
-	"pcmcomp/internal/ecc/aegis"
-	"pcmcomp/internal/ecc/ecp"
-	"pcmcomp/internal/ecc/safer"
-	"pcmcomp/internal/ecc/secded"
 	"pcmcomp/internal/lifetime"
+	"pcmcomp/internal/scheme"
 	"pcmcomp/internal/trace"
 	"pcmcomp/internal/workload"
 )
@@ -48,7 +52,7 @@ func run(ctx context.Context, args []string) error {
 	app := fs.String("app", "gcc", "workload profile name")
 	system := fs.String("system", "all", "baseline, comp, comp+w, comp+wf, or all")
 	scaleName := fs.String("scale", "quick", "substrate scale: quick, default, or large")
-	traceFile := fs.String("trace", "", "replay a .pcmt trace instead of generating one")
+	traceFile := fs.String("trace", "", "replay a trace file (binary, stream, gzip, or NDJSON) instead of generating one")
 	seed := fs.Uint64("seed", 1, "seed")
 	eccName := fs.String("ecc", "ecp", "hard-error scheme: ecp, safer, aegis, or secded")
 	useFNW := fs.Bool("fnw", false, "use Flip-N-Write instead of plain differential writes")
@@ -66,6 +70,11 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
+	systems, err := resolveSystems(*system, *eccName, *useFNW)
+	if err != nil {
+		return err
+	}
+
 	var events []trace.Event
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
@@ -73,23 +82,7 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		defer f.Close()
-		if trace.IsGzipPath(*traceFile) {
-			sr, err := trace.NewStreamReader(f, true)
-			if err != nil {
-				return err
-			}
-			defer sr.Close()
-			for {
-				e, err := sr.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return err
-				}
-				events = append(events, e)
-			}
-		} else if events, err = trace.Read(f); err != nil {
+		if events, err = trace.Decode(f); err != nil {
 			return err
 		}
 	} else {
@@ -100,21 +93,12 @@ func run(ctx context.Context, args []string) error {
 		events = gen.GenerateTrace(scale.TraceEvents)
 	}
 
-	systems, err := parseSystems(*system)
-	if err != nil {
-		return err
-	}
-
-	scheme, err := schemeByName(*eccName)
-	if err != nil {
-		return err
-	}
-
 	var baseline lifetime.Result
 	for i, sys := range systems {
-		ctrl := core.DefaultConfig(sys, scale.Substrate(*seed))
-		ctrl.Scheme = scheme
-		ctrl.UseFNW = *useFNW
+		ctrl, err := sys.spec.ControllerConfig(scale.Substrate(*seed))
+		if err != nil {
+			return err
+		}
 		cfg := lifetime.DefaultConfig(ctrl)
 		res, err := lifetime.RunContext(ctx, cfg, events)
 		interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -123,7 +107,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		tm := lifetime.DefaultTimeModel(prof.WPKI, scale.EnduranceScale(), scale.CapacityScale())
 		fmt.Printf("%-9s demand writes %12d  replays %6d  projected %7.1f months",
-			sys, res.DemandWrites, res.Replays, tm.Months(res.DemandWrites))
+			sys.name, res.DemandWrites, res.Replays, tm.Months(res.DemandWrites))
 		switch {
 		case interrupted:
 			fmt.Printf("  (interrupted)\n")
@@ -143,28 +127,39 @@ func run(ctx context.Context, args []string) error {
 	return nil
 }
 
-func schemeByName(name string) (ecc.Scheme, error) {
-	switch strings.ToLower(name) {
-	case "ecp":
-		return ecp.New(6), nil
-	case "safer":
-		return safer.New(5), nil
-	case "aegis":
-		return aegis.New(17, 31)
-	case "secded":
-		return secded.Scheme{}, nil
-	default:
-		return nil, fmt.Errorf("unknown ECC scheme %q", name)
-	}
+// labeledSpec is one lifetime run: a registry preset's name and its spec with
+// the -ecc and -fnw overrides applied.
+type labeledSpec struct {
+	name string
+	spec scheme.Spec
 }
 
-func parseSystems(s string) ([]core.SystemKind, error) {
-	if s == "all" {
-		return []core.SystemKind{core.Baseline, core.Comp, core.CompW, core.CompWF}, nil
+// resolveSystems looks up the -system preset (every preset for "all") and
+// sets the -ecc scheme and, with -fnw, the Flip-N-Write encoder on each.
+func resolveSystems(name, eccName string, fnw bool) ([]labeledSpec, error) {
+	presets := scheme.Presets()
+	if name != "all" {
+		p, err := scheme.PresetByName(name)
+		if err != nil {
+			return nil, err
+		}
+		presets = []scheme.Preset{p}
 	}
-	sys, err := core.SystemByName(strings.ToLower(s))
+	e, _, err := scheme.ECCByName(eccName)
 	if err != nil {
 		return nil, err
 	}
-	return []core.SystemKind{sys}, nil
+	out := make([]labeledSpec, len(presets))
+	for i, p := range presets {
+		sp, err := scheme.Parse(p.Spec)
+		if err != nil {
+			return nil, err
+		}
+		sp.ECC = e.Name
+		if fnw {
+			sp.Enc = "fnw"
+		}
+		out[i] = labeledSpec{p.Name, sp}
+	}
+	return out, nil
 }

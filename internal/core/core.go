@@ -61,41 +61,6 @@ func (s SystemKind) String() string {
 	}
 }
 
-// CanonicalName returns the lowercase request/CLI spelling of the system,
-// the form SystemByName round-trips.
-func (s SystemKind) CanonicalName() string {
-	switch s {
-	case Baseline:
-		return "baseline"
-	case Comp:
-		return "comp"
-	case CompW:
-		return "comp+w"
-	case CompWF:
-		return "comp+wf"
-	default:
-		return fmt.Sprintf("systemkind(%d)", int(s))
-	}
-}
-
-// SystemByName maps the request/CLI spellings onto SystemKind, accepting
-// the "+"-less aliases; unknown names report the valid set, mirroring
-// config.ByName.
-func SystemByName(name string) (SystemKind, error) {
-	switch name {
-	case "baseline":
-		return Baseline, nil
-	case "comp":
-		return Comp, nil
-	case "comp+w", "compw":
-		return CompW, nil
-	case "comp+wf", "compwf":
-		return CompWF, nil
-	default:
-		return 0, fmt.Errorf("unknown system %q (want baseline, comp, comp+w, or comp+wf)", name)
-	}
-}
-
 // Config parameterizes a Controller.
 //
 // A controller is defined by four independent capabilities — compression,

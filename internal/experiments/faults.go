@@ -2,15 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"pcmcomp/internal/compress"
 	"pcmcomp/internal/ecc"
-	"pcmcomp/internal/ecc/aegis"
-	"pcmcomp/internal/ecc/ecp"
-	"pcmcomp/internal/ecc/safer"
 	"pcmcomp/internal/montecarlo"
 	"pcmcomp/internal/perfmodel"
 	"pcmcomp/internal/rng"
+	"pcmcomp/internal/scheme"
 	"pcmcomp/internal/stats"
 	"pcmcomp/internal/workload"
 )
@@ -18,19 +18,18 @@ import (
 // Fig9Windows are the compressed-data sizes the paper sweeps in Figure 9.
 var Fig9Windows = []int{1, 8, 16, 20, 24, 32, 34, 36, 40, 64}
 
-// Fig9Scheme builds one of the paper's three evaluated schemes by name:
-// "ecp", "safer", or "aegis".
+// fig9Schemes are the paper's three Fig 9 schemes, in the spelling the
+// Monte-Carlo CLI and failure-probability jobs accept.
+var fig9Schemes = []string{"ecp", "safer", "aegis"}
+
+// Fig9Scheme builds one of the paper's three evaluated schemes by name —
+// "ecp", "safer", or "aegis" — through the scheme registry.
 func Fig9Scheme(name string) (ecc.Scheme, error) {
-	switch name {
-	case "ecp":
-		return ecp.New(6), nil
-	case "safer":
-		return safer.New(5), nil
-	case "aegis":
-		return aegis.New(17, 31)
-	default:
-		return nil, fmt.Errorf("experiments: unknown scheme %q (want ecp, safer, aegis)", name)
+	if !slices.Contains(fig9Schemes, name) {
+		return nil, fmt.Errorf("experiments: unknown scheme %q (want %s)", name, strings.Join(fig9Schemes, ", "))
 	}
+	_, s, err := scheme.ECCByName(name)
+	return s, err
 }
 
 // Fig9Failure reproduces one panel of Figure 9: failure probability versus
@@ -65,16 +64,16 @@ func Fig9Tolerance(maxErrors, trials int, seed uint64) (*stats.Table, error) {
 		Title:   "Figure 9 summary: tolerable faults at p=0.5, 32B window",
 		Columns: []string{"faults@p0.5"},
 	}
-	for _, name := range []string{"ecp", "safer", "aegis"} {
-		scheme, err := Fig9Scheme(name)
+	for _, name := range fig9Schemes {
+		sch, err := Fig9Scheme(name)
 		if err != nil {
 			return nil, err
 		}
-		curve, err := montecarlo.Curve(scheme, 32, maxErrors, trials, seed)
+		curve, err := montecarlo.Curve(sch, 32, maxErrors, trials, seed)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(scheme.Name(), float64(montecarlo.TolerableAt(curve, 0.5)))
+		t.AddRow(sch.Name(), float64(montecarlo.TolerableAt(curve, 0.5)))
 	}
 	return t, nil
 }

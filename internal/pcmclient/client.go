@@ -229,26 +229,35 @@ func retryAfter(resp *http.Response, now time.Time) time.Duration {
 	return 0
 }
 
-// do issues one request with the retry policy and decodes the JSON
-// response into out. body is re-encoded per attempt, so retries resend
-// the full payload.
+// do issues one request with a JSON body (nil for none) under the retry
+// policy and decodes the JSON response into out.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	if body == nil {
+		return c.send(ctx, method, path, nil, "", out)
+	}
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("pcmclient: encode request: %w", err)
+	}
+	return c.send(ctx, method, path, buf, "application/json", out)
+}
+
+// send issues one request under the retry policy and decodes the JSON
+// response into out. The body bytes (nil for none) are resent verbatim on
+// each attempt, labeled with contentType.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, contentType string, out any) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
 		if body != nil {
-			buf, err := json.Marshal(body)
-			if err != nil {
-				return fmt.Errorf("pcmclient: encode request: %w", err)
-			}
-			rd = bytes.NewReader(buf)
+			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 		if err != nil {
 			return err
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", contentType)
 		}
 		if c.APIKey != "" {
 			req.Header.Set("X-Api-Key", c.APIKey)
@@ -603,50 +612,6 @@ type TraceMeta struct {
 	Created time.Time `json:"created"`
 }
 
-// doRaw issues one non-JSON-body request with the same retry policy as do.
-// The body bytes are resent verbatim on each attempt.
-func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, out any) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
-		if err != nil {
-			return err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/octet-stream")
-		}
-		if c.APIKey != "" {
-			req.Header.Set("X-Api-Key", c.APIKey)
-		}
-		obs.Inject(ctx, req)
-		retry, err := c.attempt(req, out)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retry || attempt >= c.MaxRetries {
-			return lastErr
-		}
-		delay := c.backoff(attempt)
-		if hint := lastRetryAfter(err); hint > delay {
-			delay = hint
-		}
-		if c.MaxBackoff > 0 && delay > c.MaxBackoff {
-			delay = c.MaxBackoff
-		}
-		c.logger().Info("pcmclient: retrying",
-			"method", method, "path", path, "attempt", attempt+1,
-			"delay", delay.Round(time.Millisecond).String(), "err", lastErr.Error())
-		if err := c.doSleep(ctx, delay); err != nil {
-			return err
-		}
-	}
-}
-
 // UploadTrace posts trace bytes — any encoding the server understands:
 // tracegen binary, gzip, or NDJSON — to POST /v1/traces and returns the
 // stored trace's metadata plus whether the bytes were newly stored (false
@@ -656,7 +621,7 @@ func (c *Client) UploadTrace(ctx context.Context, data []byte) (*TraceMeta, bool
 		Trace  TraceMeta `json:"trace"`
 		Stored bool      `json:"stored"`
 	}
-	if err := c.doRaw(ctx, http.MethodPost, "/v1/traces", data, &out); err != nil {
+	if err := c.send(ctx, http.MethodPost, "/v1/traces", data, "application/octet-stream", &out); err != nil {
 		return nil, false, err
 	}
 	return &out.Trace, out.Stored, nil

@@ -1,11 +1,16 @@
 package pcmclient
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -229,5 +234,66 @@ func TestWatchFailsFastOnMissingJob(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("attempts = %d, want 1 (404 must not retry)", got)
+	}
+}
+
+// TestUploadTraceRetriesAndResends checks that a trace upload shares the
+// JSON calls' retry loop: a 503 is retried, every attempt resends the same
+// bytes with the same headers, and an upload that never succeeds logs
+// "retries exhausted".
+func TestUploadTraceRetriesAndResends(t *testing.T) {
+	data := []byte("PCMT\x01\x01\x07" + strings.Repeat("\xab", 64))
+	type seen struct{ body, contentType, traceSource string }
+	var mu sync.Mutex
+	var reqs []seen
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		reqs = append(reqs, seen{string(body), r.Header.Get("Content-Type"), r.Header.Get("X-Trace-Source")})
+		first := len(reqs) == 1
+		mu.Unlock()
+		if first {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		json.NewEncoder(w).Encode(map[string]any{
+			"trace":  TraceMeta{Digest: "sha256:00", Events: 1},
+			"stored": true,
+		})
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL)
+	c.TraceSource = "http://coordinator.example"
+	instrument(c)
+	meta, stored, err := c.UploadTrace(context.Background(), data)
+	if err != nil {
+		t.Fatalf("upload after a 503: %v", err)
+	}
+	if !stored || meta.Digest != "sha256:00" {
+		t.Fatalf("upload = %+v stored=%v", meta, stored)
+	}
+	if len(reqs) != 2 {
+		t.Fatalf("server saw %d requests, want the 503 and one retry", len(reqs))
+	}
+	want := seen{string(data), "application/octet-stream", c.TraceSource}
+	for i, got := range reqs {
+		if got != want {
+			t.Errorf("attempt %d sent %+q, want %+q", i+1, got, want)
+		}
+	}
+
+	down, _ := newFlaky(1<<30, "", nil)
+	defer down.Close()
+	var logs bytes.Buffer
+	c = New(down.URL)
+	c.MaxRetries = 1
+	c.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	instrument(c)
+	if _, _, err := c.UploadTrace(context.Background(), data); err == nil {
+		t.Fatal("upload to an always-503 server succeeded")
+	}
+	if !strings.Contains(logs.String(), "retries exhausted") {
+		t.Errorf("exhausted upload logged no warning:\n%s", logs.String())
 	}
 }

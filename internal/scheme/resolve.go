@@ -25,20 +25,32 @@ var defaultFVCValues = []uint32{
 	0x7FFFFFFF, 0x00000002, 0x0000FFFF, 0xFFFF0000,
 }
 
-// eccByName builds the hard-error scheme for a registered ecc name.
-func eccByName(name string) (ecc.Scheme, error) {
-	switch name {
-	case "ecp6":
-		return ecp.New(6), nil
-	case "secded":
-		return secded.Scheme{}, nil
-	case "safer":
-		return safer.New(5), nil
-	case "aegis":
-		return aegis.New(17, 31)
-	default:
-		return nil, fmt.Errorf("scheme: unknown ecc scheme %q (want %s)", name, strings.Join(names(ECCs()), ", "))
+// ECCByName resolves a hard-error scheme name and builds a fresh scheme.
+// It accepts the registered names and "ecp", the Fig 9 and CLI spelling
+// of ecp6, in any case, and returns the registry entry alongside the
+// scheme. An unknown name reports the valid set. It is the only place a
+// name becomes an ecc.Scheme.
+func ECCByName(name string) (Entry, ecc.Scheme, error) {
+	key := strings.ToLower(name)
+	if key == "ecp" {
+		key = "ecp6"
 	}
+	var s ecc.Scheme
+	var err error
+	switch key {
+	case "ecp6":
+		s = ecp.New(6)
+	case "secded":
+		s = secded.Scheme{}
+	case "safer":
+		s = safer.New(5)
+	case "aegis":
+		s, err = aegis.New(17, 31)
+	default:
+		return Entry{}, nil, fmt.Errorf("scheme: unknown ecc scheme %q (want %s, or ecp for ecp6)", name, strings.Join(names(ECCs()), ", "))
+	}
+	e, _ := lookup(ECCs(), key)
+	return e, s, err
 }
 
 // ControllerConfig resolves the spec into a controller configuration on
@@ -64,7 +76,7 @@ func (sp Spec) ControllerConfig(mem pcm.Config) (core.Config, error) {
 		cfg.FVC = dict
 	}
 
-	scheme, err := eccByName(sp.ECC)
+	_, scheme, err := ECCByName(sp.ECC)
 	if err != nil {
 		return core.Config{}, err
 	}

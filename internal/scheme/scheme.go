@@ -133,19 +133,28 @@ func Default() Spec {
 	return sp
 }
 
-// presetByName returns the preset spec for a preset name (accepting the
-// "+"-less aliases the CLI and API accept for systems).
-func presetByName(name string) (Preset, bool) {
-	alias := map[string]string{"compw": "comp+w", "compwf": "comp+wf"}
-	if canon, ok := alias[name]; ok {
-		name = canon
+// PresetByName resolves a system name to its preset, in any case and with
+// the "+"-less aliases compw and compwf that the CLI and API accept. An
+// unknown name reports the valid set.
+func PresetByName(name string) (Preset, error) {
+	key := strings.ToLower(strings.TrimSpace(name))
+	switch key {
+	case "compw":
+		key = "comp+w"
+	case "compwf":
+		key = "comp+wf"
 	}
-	for _, p := range Presets() {
-		if p.Name == name {
-			return p, true
+	presets := Presets()
+	for _, p := range presets {
+		if p.Name == key {
+			return p, nil
 		}
 	}
-	return Preset{}, false
+	valid := make([]string, len(presets))
+	for i, p := range presets {
+		valid[i] = p.Name
+	}
+	return Preset{}, fmt.Errorf("scheme: unknown system %q (want %s)", name, strings.Join(valid, ", "))
 }
 
 // Parse parses a spec string — a preset name or a key=value list — and
@@ -156,7 +165,7 @@ func Parse(s string) (Spec, error) {
 	if in == "" {
 		return Spec{}, fmt.Errorf("empty scheme spec")
 	}
-	if p, ok := presetByName(in); ok {
+	if p, err := PresetByName(in); err == nil {
 		return Parse(p.Spec)
 	}
 
@@ -241,12 +250,20 @@ func parseList(val string, reg []Entry, what string) ([]string, error) {
 
 // mustName validates a single name against a registry.
 func mustName(val string, reg []Entry, what string) error {
-	for _, e := range reg {
-		if e.Name == val {
-			return nil
-		}
+	if _, ok := lookup(reg, val); ok {
+		return nil
 	}
 	return fmt.Errorf("scheme: unknown %s %q (want %s)", what, val, strings.Join(names(reg), ", "))
+}
+
+// lookup finds a name's entry in a registry.
+func lookup(reg []Entry, name string) (Entry, bool) {
+	for _, e := range reg {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Entry{}, false
 }
 
 // String renders the canonical spec: fixed key order, registry-ordered

@@ -193,3 +193,50 @@ func TestDefault(t *testing.T) {
 		t.Errorf("Default() = %q, want comp", got)
 	}
 }
+
+// TestECCByName covers the one name-to-scheme lookup: registry names and
+// the "ecp" alias, in any case, each building the paper's scheme; the
+// spec grammar itself keeps rejecting the alias.
+func TestECCByName(t *testing.T) {
+	for name, want := range map[string]struct{ entry, full string }{
+		"ecp":    {"ecp6", "ECP-6"},
+		"ECP6":   {"ecp6", "ECP-6"},
+		"safer":  {"safer", "SAFER-32"},
+		"SAFER":  {"safer", "SAFER-32"},
+		"aegis":  {"aegis", "Aegis-17x31"},
+		"secded": {"secded", "SECDED-72/64"},
+	} {
+		e, s, err := ECCByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if e.Name != want.entry || e.Description == "" || s.Name() != want.full {
+			t.Errorf("%s -> %+v %s, want entry %s building %s", name, e, s.Name(), want.entry, want.full)
+		}
+	}
+	_, _, err := ECCByName("bogus")
+	if err == nil || !strings.Contains(err.Error(), "ecp6, secded, safer, aegis, or ecp") {
+		t.Errorf("unknown ecc error should list valid names, got %v", err)
+	}
+	if _, err := Parse("ecc=ecp"); err == nil {
+		t.Error(`Parse("ecc=ecp") accepted the CLI alias into the spec grammar`)
+	}
+}
+
+// TestPresetByName covers the system-name lookup: canonical names, case,
+// the "+"-less aliases, and an error listing the valid names.
+func TestPresetByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"baseline": "baseline", "Comp": "comp", "comp+w": "comp+w",
+		"compw": "comp+w", "comp+wf": "comp+wf", "COMPWF": "comp+wf",
+	} {
+		p, err := PresetByName(name)
+		if err != nil || p.Name != want {
+			t.Errorf("%s -> %+v, %v; want %s", name, p, err, want)
+		}
+	}
+	_, err := PresetByName("bogus")
+	if err == nil || !strings.Contains(err.Error(), "baseline, comp, comp+w, comp+wf") {
+		t.Errorf("unknown system error should list valid names, got %v", err)
+	}
+}

@@ -114,12 +114,8 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	// enqueued all-or-nothing.
 	jobs := make([]*Job, 0, len(entries))
 	toRun := make([]*Job, 0, len(entries))
-	traceSource := r.Header.Get("X-Trace-Source")
 	for _, e := range entries {
-		j := s.store.add(e.kind, e.p, e.key, tn, now)
-		if traceSource != "" && j.TraceDigest != "" {
-			s.store.setTraceSource(j, traceSource)
-		}
+		j := s.addJob(r, e.kind, e.p, e.key, tn, now)
 		jobs = append(jobs, j)
 		if cached, ok := s.cache.Get(e.key); ok {
 			s.store.finishCached(j, cached, now)

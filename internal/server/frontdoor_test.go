@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pcmcomp/internal/obs"
 	"pcmcomp/internal/pcmclient"
 	"pcmcomp/internal/tenant"
 )
@@ -445,6 +446,49 @@ func TestServerBatchSubmit(t *testing.T) {
 	}
 	if msg := doc["error"].(string); !strings.Contains(msg, "burst") {
 		t.Fatalf("error %q does not explain the burst bound", msg)
+	}
+}
+
+// TestServerBatchAdoptsPropagatedTrace checks that a batch submission
+// joins the submitter's trace, as a single submission does: every job in
+// the batch carries the trace ID from the propagation headers.
+func TestServerBatchAdoptsPropagatedTrace(t *testing.T) {
+	_, ts := newTestServer(t)
+	traceID := obs.NewTraceID()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs:batch", strings.NewReader(`{"jobs": [
+		{"kind": "failure-probability", "params": {"scheme": "ecp", "window": 16, "max_errors": 4, "trials": 50}},
+		{"kind": "compression", "params": {"apps": ["milc"], "scale": "quick"}}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(obs.TraceIDHeader, traceID)
+	req.Header.Set(obs.SpanIDHeader, "00000000000000a1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Jobs []struct {
+			ID      string `json:"id"`
+			TraceID string `json:"trace_id"`
+		} `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted || len(doc.Jobs) != 2 {
+		t.Fatalf("batch: %d with %d jobs, want 202 with 2", resp.StatusCode, len(doc.Jobs))
+	}
+	for _, j := range doc.Jobs {
+		if j.TraceID != traceID {
+			t.Errorf("job %s trace_id = %q, want the propagated %q", j.ID, j.TraceID, traceID)
+		}
+		if done := pollDone(t, ts, j.ID); done["trace_id"] != traceID {
+			t.Errorf("finished job %s trace_id = %v, want the propagated %q", j.ID, done["trace_id"], traceID)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"pcmcomp/internal/block"
 	"pcmcomp/internal/compress"
 	"pcmcomp/internal/config"
-	"pcmcomp/internal/core"
 	"pcmcomp/internal/ecc"
 	"pcmcomp/internal/experiments"
 	"pcmcomp/internal/lifetime"
@@ -609,15 +608,17 @@ func (p *LifetimeParams) normalize() error {
 		}
 	} else {
 		if len(p.Systems) == 0 {
-			p.Systems = []string{"baseline", "comp", "comp+w", "comp+wf"}
+			for _, pr := range scheme.Presets() {
+				p.Systems = append(p.Systems, pr.Name)
+			}
 		}
 		for i, name := range p.Systems {
-			sys, err := core.SystemByName(name)
+			pr, err := scheme.PresetByName(name)
 			if err != nil {
 				return err
 			}
 			// Canonical spelling, so "compwf" and "comp+wf" share a cache key.
-			p.Systems[i] = sys.CanonicalName()
+			p.Systems[i] = pr.Name
 		}
 	}
 	if p.Seed == 0 {

@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"pcmcomp/internal/cluster"
+	"pcmcomp/internal/experiments"
 	"pcmcomp/internal/fleetobs"
 	"pcmcomp/internal/obs"
 	"pcmcomp/internal/scheme"
@@ -605,6 +606,23 @@ func (s *Server) throttle(w http.ResponseWriter, tn *tenant.Tenant, hint time.Du
 		fmt.Sprintf("tenant %q submission quota exhausted, retry in %ds", tn.Name, secs))
 }
 
+// addJob records one validated submission and applies the request's
+// propagation headers. A coordinator that dispatched a trace-driven shard
+// names where to fetch the data trace if the local store lacks it; a
+// submitter that propagated a trace (a coordinator's dispatch span, a
+// client's own span) has the job's execution join it instead of rooting
+// its own.
+func (s *Server) addJob(r *http.Request, kind Kind, p params, key string, tn *tenant.Tenant, now time.Time) *Job {
+	j := s.store.add(kind, p, key, tn, now)
+	if src := r.Header.Get("X-Trace-Source"); src != "" && j.TraceDigest != "" {
+		s.store.setTraceSource(j, src)
+	}
+	if rp := obs.RemoteParent(r.Context()); rp.TraceID != "" {
+		s.store.adoptTrace(j, rp)
+	}
+	return j
+}
+
 // submitHandler builds the POST handler for one job kind.
 func (s *Server) submitHandler(kind Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -638,17 +656,7 @@ func (s *Server) submitHandler(kind Kind) http.HandlerFunc {
 			return
 		}
 		s.metrics.tenantSubmitted(tn.Name)
-		j := s.store.add(kind, p, key, tn, now)
-		if src := r.Header.Get("X-Trace-Source"); src != "" && j.TraceDigest != "" {
-			// A coordinator dispatched this shard: remember where to fetch
-			// the trace if the local store does not hold it.
-			s.store.setTraceSource(j, src)
-		}
-		if rp := obs.RemoteParent(r.Context()); rp.TraceID != "" {
-			// The submitter propagated a trace (a coordinator's dispatch
-			// span); this job's execution joins it instead of rooting its own.
-			s.store.adoptTrace(j, rp)
-		}
+		j := s.addJob(r, kind, p, key, tn, now)
 		if cached, ok := s.cache.Get(key); ok {
 			s.store.finishCached(j, cached, now)
 			s.metrics.cacheHit()
@@ -823,11 +831,16 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"workloads": out})
 }
 
+// legacySchemes are the hard-error scheme names GET /v1/schemes has served
+// since before the composition registry, in their request spelling.
+var legacySchemes = []string{"ecp", "safer", "aegis", "secded"}
+
 // handleSchemes implements GET /v1/schemes: the legacy hard-error scheme
-// list (the Fig 9 Monte-Carlo names), plus the full composition registry —
-// codecs, ECCs, write encoders, wear policies, and the four paper presets
-// with their canonical specs — so clients can discover what a "schemes"
-// spec may compose.
+// list (each built through the registry; monte_carlo marks the Fig 9
+// names a failure-probability job accepts), plus the full composition
+// registry — codecs, ECCs, write encoders, wear policies, and the four
+// paper presets with their canonical specs — so clients can discover what
+// a "schemes" spec may compose.
 func (s *Server) handleSchemes(w http.ResponseWriter, _ *http.Request) {
 	type mcScheme struct {
 		Name        string `json:"name"`
@@ -835,13 +848,18 @@ func (s *Server) handleSchemes(w http.ResponseWriter, _ *http.Request) {
 		Description string `json:"description"`
 		MonteCarlo  bool   `json:"monte_carlo"`
 	}
+	legacy := make([]mcScheme, 0, len(legacySchemes))
+	for _, name := range legacySchemes {
+		e, sch, err := scheme.ECCByName(name)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		_, err = experiments.Fig9Scheme(name)
+		legacy = append(legacy, mcScheme{name, sch.Name(), e.Description, err == nil})
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"schemes": []mcScheme{
-			{"ecp", "ECP-6", "error-correcting pointers, 6 per 512-bit line (paper baseline)", true},
-			{"safer", "SAFER-32", "dynamic partitioning into 32 groups with inversion", true},
-			{"aegis", "Aegis-17x31", "17x31 grid-based group formation", true},
-			{"secded", "SECDED-72/64", "(72,64) Hsiao code the paper argues against (§II-C)", false},
-		},
+		"schemes":       legacy,
 		"codecs":        scheme.Codecs(),
 		"eccs":          scheme.ECCs(),
 		"encoders":      scheme.Encoders(),

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -146,6 +147,9 @@ func (sr *StreamReader) Next() (Event, error) {
 	}
 	if addr == endMarker {
 		return e, io.EOF
+	}
+	if addr-1 > math.MaxInt {
+		return e, fmt.Errorf("trace: event address %d overflows int", addr-1)
 	}
 	e.Addr = int(addr - 1)
 	if _, err := io.ReadFull(sr.br, e.Data[:]); err != nil {

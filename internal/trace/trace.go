@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"pcmcomp/internal/block"
 )
@@ -97,11 +98,16 @@ func Read(r io.Reader) ([]Event, error) {
 	if count > maxEvents {
 		return nil, fmt.Errorf("trace: implausible event count %d", count)
 	}
-	events := make([]Event, 0, count)
+	// The header's count is untrusted until the events arrive: reserve a
+	// bounded amount and let append grow the slice as they do.
+	events := make([]Event, 0, min(count, 1<<12))
 	for i := uint64(0); i < count; i++ {
 		addr, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: read event %d address: %w", i, err)
+		}
+		if addr > math.MaxInt {
+			return nil, fmt.Errorf("trace: event %d address %d overflows int", i, addr)
 		}
 		var e Event
 		e.Addr = int(addr)
