@@ -19,7 +19,6 @@
 package benchmarks
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -147,12 +146,11 @@ func WriteHot(b *testing.B) {
 	}
 }
 
-// agedSetup builds the WriteAged fixture: a Comp+WF controller on a
+// agedController builds the WriteAged fixture: a Comp+WF controller on a
 // low-endurance substrate, aged with the gcc stream until a quarter of its
-// lines have died, captured as a snapshot (with the config to restore it
-// into) so the benchmark can return to the aged state whenever its own
-// writes reach the end-of-life criterion.
-func agedSetup(b *testing.B) (core.Config, []byte, []trace.Event) {
+// lines have died. Endurance sampling is deterministic in (seed, address),
+// so every call returns a controller in the identical aged state.
+func agedController(b *testing.B) (*core.Controller, []trace.Event) {
 	b.Helper()
 	cfg := lifetime.DefaultConfig(core.DefaultConfig(core.CompWF, benchMemory(300))).Controller
 	ctrl, events := writeFixture(b, cfg)
@@ -161,11 +159,7 @@ func agedSetup(b *testing.B) (core.Config, []byte, []trace.Event) {
 		ev := &events[i%len(events)]
 		ctrl.Write(ev.Addr%logical, &ev.Data)
 	}
-	var snap bytes.Buffer
-	if err := ctrl.WriteSnapshot(&snap); err != nil {
-		b.Fatal(err)
-	}
-	return cfg, snap.Bytes(), events
+	return ctrl, events
 }
 
 // WriteAged measures one Comp+WF Controller.Write on pre-faulted lines:
@@ -174,29 +168,18 @@ func agedSetup(b *testing.B) (core.Config, []byte, []trace.Event) {
 // time in once the memory ages, which WriteHot's immortal cells never
 // reach. As in the second half of a lifetime run, a growing share of the
 // writes hits dead lines and is dropped. When the memory reaches the
-// paper's 50% end-of-life criterion the aged snapshot is restored outside
-// the timer. Recorded only; no -check gate (cells dying mid-write may
-// allocate).
+// paper's 50% end-of-life criterion, a fresh controller is aged again
+// outside the timer. Recorded only; no -check gate (cells dying mid-write
+// may allocate).
 func WriteAged(b *testing.B) {
-	cfg, snap, events := agedSetup(b)
-	restore := func() *core.Controller {
-		ctrl, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ctrl.ReadSnapshot(bytes.NewReader(snap)); err != nil {
-			b.Fatal(err)
-		}
-		return ctrl
-	}
-	ctrl := restore()
+	ctrl, events := agedController(b)
 	logical := ctrl.LogicalLines()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if ctrl.DeadFraction() >= 0.5 {
 			b.StopTimer()
-			ctrl = restore()
+			ctrl, _ = agedController(b)
 			b.StartTimer()
 		}
 		ev := &events[i%len(events)]

@@ -446,6 +446,31 @@ func TestFNWRoundTripAndInversionCount(t *testing.T) {
 	}
 }
 
+// TestFNWPlainPathWhenCheap: a write that flips one cell is far below
+// half the window, so FNW must store it plainly, programming just that cell.
+func TestFNWPlainPathWhenCheap(t *testing.T) {
+	cfg := DefaultConfig(Baseline, testMemory(1e8, 0.15))
+	cfg.UseFNW = true
+	c := mustController(t, cfg)
+	data := randomBlock(5)
+	c.Write(0, &data)
+	before := c.Stats()
+	data[0] ^= 0x01
+	if out := c.Write(0, &data); !out.Stored {
+		t.Fatal("1-bit update not stored")
+	}
+	after := c.Stats()
+	if after.FNWInversions != before.FNWInversions {
+		t.Fatal("1-bit change must not invert")
+	}
+	if flips := after.BitFlips - before.BitFlips; flips != 1 {
+		t.Fatalf("1-bit change programmed %d cells, want 1", flips)
+	}
+	if got, _, err := c.Read(0); err != nil || !block.Equal(&got, &data) {
+		t.Fatalf("read-back after plain FNW write: %v", err)
+	}
+}
+
 func TestModelBasedRandomOperations(t *testing.T) {
 	// Shadow-model invariant: any line whose last write was Stored and that
 	// is not dead must read back the last written value, across all systems

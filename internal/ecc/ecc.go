@@ -152,10 +152,8 @@ func (f *FaultSet) Indices() []int {
 // cells one by one.
 func (f *FaultSet) Word(i int) uint64 { return f.words[i] }
 
-// Words returns the raw bitmap for serialization.
-func (f *FaultSet) Words() [block.Bits / 64]uint64 { return f.words }
-
-// SetWords restores a bitmap captured with Words.
+// SetWords replaces the whole bitmap (the fuzz targets build fault sets
+// from raw words).
 func (f *FaultSet) SetWords(w [block.Bits / 64]uint64) { f.words = w }
 
 // Scheme is a hard-error tolerance mechanism. Implementations decide, from

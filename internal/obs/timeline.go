@@ -174,7 +174,9 @@ func (t *Timeline) SubscribeReplay(afterSeq uint64, buffer int) (replay []SubEve
 
 // Unsubscribe detaches a subscription registered by SubscribeReplay.
 // Idempotent; the channel is left open (readers drain and stop on their
-// own context, never on a close they might race).
+// own context, never on a close they might race). The last subscriber to
+// leave releases the subscriber map, so a timeline that was once streamed
+// does not keep an empty map alive.
 func (t *Timeline) Unsubscribe(sub *Subscription) {
 	if t == nil || sub == nil {
 		return
@@ -182,6 +184,9 @@ func (t *Timeline) Unsubscribe(sub *Subscription) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.subs, sub)
+	if len(t.subs) == 0 {
+		t.subs = nil
+	}
 }
 
 // Subscribers reports the number of live subscriptions — the leak probe

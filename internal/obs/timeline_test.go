@@ -61,6 +61,34 @@ func TestUnsubscribeStopsDeliveryAndIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestLastUnsubscribeReleasesMap: the subscriber map lives only while
+// someone is subscribed, and a later subscriber still gets live events.
+func TestLastUnsubscribeReleasesMap(t *testing.T) {
+	tl := NewTimeline(16)
+	_, a := tl.SubscribeReplay(0, 4)
+	_, b := tl.SubscribeReplay(0, 4)
+	tl.Unsubscribe(a)
+	if tl.subs == nil || tl.Subscribers() != 1 {
+		t.Fatalf("map released with a subscriber left: %v, %d", tl.subs, tl.Subscribers())
+	}
+	tl.Unsubscribe(b)
+	tl.Unsubscribe(b)
+	if tl.subs != nil {
+		t.Fatalf("empty subscriber map kept alive: %v", tl.subs)
+	}
+	_, c := tl.SubscribeReplay(0, 4)
+	defer tl.Unsubscribe(c)
+	tl.Add("e", "after")
+	select {
+	case ev := <-c.C:
+		if ev.Event.Msg != "after" {
+			t.Fatalf("resubscriber got %+v", ev)
+		}
+	default:
+		t.Fatal("resubscriber missed a live event")
+	}
+}
+
 func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	tl := NewTimeline(16)
 	_, sub := tl.SubscribeReplay(0, 1)

@@ -2,7 +2,6 @@ package pcm
 
 import (
 	"testing"
-	"testing/quick"
 
 	"pcmcomp/internal/block"
 	"pcmcomp/internal/rng"
@@ -254,51 +253,6 @@ func TestWearOnlyOnFlips(t *testing.T) {
 	// Each set bit of 0xaa wore exactly once.
 	if l.Remaining(5*8+1) != 99 {
 		t.Fatalf("flipped cell remaining = %d, want 99", l.Remaining(5*8+1))
-	}
-}
-
-func TestFNWNeverWritesMoreThanHalf(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		cfg := smallConfig(1e6)
-		m := New(cfg)
-		l := m.Line(0)
-		var d block.Block
-		for i := 0; i < 8; i++ {
-			d.SetWord(i, r.Uint64())
-		}
-		l.Write(&d)
-		var e block.Block
-		for i := 0; i < 8; i++ {
-			e.SetWord(i, r.Uint64())
-		}
-		res, inverted := l.WriteWindowFNW(&e, 0, block.Size)
-		if res.FlipsNeeded > block.Bits/2 {
-			return false
-		}
-		// Read-back: stored data equals e or its complement.
-		want := e
-		if inverted {
-			want = e.Invert()
-		}
-		return block.Equal(l.Data(), &want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFNWPlainPathWhenCheap(t *testing.T) {
-	m := New(smallConfig(1e6))
-	l := m.Line(0)
-	var d block.Block
-	d[0] = 0x01
-	res, inverted := l.WriteWindowFNW(&d, 0, block.Size)
-	if inverted {
-		t.Fatal("1-bit change must not invert")
-	}
-	if res.FlipsWritten != 1 {
-		t.Fatalf("flips = %d", res.FlipsWritten)
 	}
 }
 

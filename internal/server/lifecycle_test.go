@@ -420,6 +420,58 @@ func TestSnapshotCorruptionGuard(t *testing.T) {
 	}
 }
 
+// bootFromSnapshot writes content as the snapshot file and boots a server
+// that restores it.
+func bootFromSnapshot(t *testing.T, content string) *Server {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snapshot.json")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, QueueDepth: 2, SnapshotPath: path})
+	t.Cleanup(func() { shutdownServer(s) })
+	if err := s.RestoreError(); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return s
+}
+
+// TestRestoredSweepIDNotReissued: a snapshot whose sweep_seq is missing
+// (it is omitempty) or stale must not let the next sweep reuse a restored
+// sweep's ID, which would overwrite the restored document.
+func TestRestoredSweepIDNotReissued(t *testing.T) {
+	s := bootFromSnapshot(t, `{"version": 1, "jobs": [], "cache": [], "sweeps": [
+		{"id": "s000001", "state": "done", "created": "2026-01-01T00:00:00Z",
+		 "finished": "2026-01-01T00:00:01Z", "request": {}, "result": {"n": 1}}]}`)
+	next := s.sweeps.add(testSweepRequest(t, 1), nil, "", "", time.Now()).doc.ID
+	if next == "s000001" {
+		t.Fatalf("new sweep reissued restored ID %s", next)
+	}
+	if doc, ok := s.sweeps.get("s000001"); !ok || doc.State != StateDone || string(doc.Result) != `{"n": 1}` {
+		t.Fatalf("restored sweep lost or overwritten: %+v (found %v)", doc, ok)
+	}
+}
+
+// TestRestoredJobIDNotReissued is the job-store counterpart: the snapshot's
+// seq is stale, and the next job shares the restored job's cache-key
+// prefix, so only the sequence number keeps their IDs apart.
+func TestRestoredJobIDNotReissued(t *testing.T) {
+	const restored = "j000003-0000feed"
+	s := bootFromSnapshot(t, `{"version": 1, "seq": 1, "cache": [], "jobs": [
+		{"id": "`+restored+`", "kind": "lifetime", "state": "done",
+		 "cache_key": "0000feed00000000", "created": "2026-01-01T00:00:00Z",
+		 "finished": "2026-01-01T00:00:01Z", "params": {}, "result": {"n": 1}}]}`)
+	for range 3 {
+		j := s.store.add(KindLifetime, &blockParams{release: make(chan struct{})}, "0000feed00000001", nil, time.Now())
+		if j.ID == restored {
+			t.Fatalf("new job reissued restored ID %s", j.ID)
+		}
+	}
+	if doc, ok := s.store.get(restored); !ok || doc.State != StateDone || string(doc.Result) != `{"n": 1}` {
+		t.Fatalf("restored job lost or overwritten: %+v (found %v)", doc, ok)
+	}
+}
+
 // TestServerRejectionReasons distinguishes the two 503s: a full queue
 // carries Retry-After (transient), a draining server does not (terminal),
 // and each moves its own rejection counter.

@@ -101,6 +101,12 @@ func (s *Server) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
+	return s.restoreSnapshot(buf)
+}
+
+// restoreSnapshot decodes the snapshot file's contents and restores them,
+// or restores nothing and reports why.
+func (s *Server) restoreSnapshot(buf []byte) error {
 	var snap snapshot
 	if err := json.Unmarshal(buf, &snap); err != nil {
 		return fmt.Errorf("snapshot: corrupt %s: %w", s.cfg.SnapshotPath, err)

@@ -2,6 +2,8 @@ package server
 
 import (
 	"container/list"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -150,11 +152,13 @@ func (r *registry[D]) export(snap func(D)) (map[string][]obs.Event, uint64) {
 }
 
 // restore reinstates snapshotted terminal documents in their recorded
-// order and advances the ID sequence so new IDs cannot collide with them.
-// Live, malformed, or already-present entries are skipped. Each document
-// arrives with an empty timeline, which gets its recorded events (when the
-// snapshot has them) plus a snapshot_restored marker, so the flight
-// recorder shows the restart boundary.
+// order and advances the ID sequence past the snapshot's and every restored
+// ID's, so new IDs cannot collide with them even when the recorded
+// sequence is missing or stale. Live, malformed, or already-present
+// entries are skipped. Each document arrives with an empty timeline, which
+// gets its recorded events (when the snapshot has them) plus a
+// snapshot_restored marker, so the flight recorder shows the restart
+// boundary.
 func (r *registry[D]) restore(docs []D, events map[string][]obs.Event, seq uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -167,9 +171,25 @@ func (r *registry[D]) restore(docs []D, events map[string][]obs.Event, seq uint6
 		if _, exists := r.docs[id]; exists {
 			continue
 		}
+		if n, ok := idSeq(id); ok {
+			r.seq = max(r.seq, n)
+		}
 		d.timeline().Restore(events[id])
 		d.timeline().Add("snapshot_restored", "restored from snapshot")
 		r.docs[id] = d
 		r.markTerminalLocked(d)
 	}
+}
+
+// idSeq returns the sequence number embedded in an ID the stores issue
+// (store.add and sweepStore.add): the decimal digits after the one-letter
+// prefix ("j000042-1f2e3d4c", "s000042"). An ID without that shape cannot
+// collide with an issued one.
+func idSeq(id string) (uint64, bool) {
+	if len(id) < 2 {
+		return 0, false
+	}
+	digits, _, _ := strings.Cut(id[1:], "-")
+	n, err := strconv.ParseUint(digits, 10, 64)
+	return n, err == nil
 }

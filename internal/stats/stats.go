@@ -1,13 +1,12 @@
 // Package stats provides the small statistical toolkit used to aggregate and
-// report simulation results: integer histograms, empirical CDFs, running
-// summary statistics, and plain-text table/series rendering for regenerating
-// the paper's figures on a terminal.
+// report simulation results: integer histograms with CDF and percentile
+// queries, running summary statistics, and plain-text table/series
+// rendering for regenerating the paper's figures on a terminal.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -144,51 +143,6 @@ func (h *Histogram) Percentile(p float64) int {
 	}
 	return len(h.counts) - 1
 }
-
-// ECDF is an empirical cumulative distribution function over float64 samples.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from the samples (a copy is taken and sorted).
-func NewECDF(samples []float64) *ECDF {
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns P(X <= x).
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the p-th quantile using the same nearest-rank (ceil)
-// convention as Histogram.Percentile, so the two agree on identical data.
-// p is clamped into [0, 1]; out-of-range requests return the extremes
-// rather than panicking.
-func (e *ECDF) Quantile(p float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	if p < 0 || math.IsNaN(p) {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	i := int(math.Ceil(p*float64(len(e.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
-}
-
-// N returns the sample count.
-func (e *ECDF) N() int { return len(e.sorted) }
 
 // Table renders labeled rows of float columns as an aligned plain-text table,
 // the format used by cmd/figures to reproduce the paper's tables.

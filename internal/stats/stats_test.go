@@ -134,73 +134,22 @@ func TestHistogramMean(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{3, 1, 2, 4})
-	if e.N() != 4 {
-		t.Fatalf("N = %d", e.N())
-	}
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if q := e.Quantile(0); q != 1 {
-		t.Errorf("Quantile(0) = %v", q)
-	}
-	if q := e.Quantile(1); q != 4 {
-		t.Errorf("Quantile(1) = %v", q)
-	}
-}
-
-// TestECDFQuantileClamping covers the inputs that used to panic (p > 1
-// walked off the end of sorted; p < 0 indexed negatively) and checks the
-// nearest-rank convention matches Histogram.Percentile on identical data.
-func TestECDFQuantileClamping(t *testing.T) {
-	e := NewECDF([]float64{3, 1, 2, 4})
-	for _, tc := range []struct{ p, want float64 }{
-		{-0.5, 1}, {-1e9, 1}, {math.Inf(-1), 1}, {math.NaN(), 1},
-		{1.5, 4}, {1e9, 4}, {math.Inf(1), 4},
-	} {
-		if got := e.Quantile(tc.p); got != tc.want {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-
-	// Same data in both structures: the integer samples double as bucket
-	// values, so Quantile and Percentile must pick the same rank.
-	samples := []float64{0, 1, 1, 2, 3, 3, 3, 5}
-	e = NewECDF(samples)
+// TestHistogramPercentileNearestRank pins Percentile's nearest-rank (ceil)
+// convention on a small sample with ties and a gap.
+func TestHistogramPercentileNearestRank(t *testing.T) {
 	h := NewHistogram(8)
-	for _, v := range samples {
-		h.Add(int(v))
+	for _, v := range []int{0, 1, 1, 2, 3, 3, 3, 5} {
+		h.Add(v)
 	}
-	for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0} {
-		if got, want := e.Quantile(p), float64(h.Percentile(p)); got != want {
-			t.Errorf("Quantile(%v) = %v, Percentile(%v) = %v — conventions diverge", p, got, p, want)
+	for _, tc := range []struct {
+		p    float64
+		want int
+	}{
+		{0.1, 0}, {0.25, 1}, {0.5, 2}, {0.75, 3}, {0.9, 5}, {1.0, 5},
+	} {
+		if got := h.Percentile(tc.p); got != tc.want {
+			t.Errorf("Percentile(%v) = %d, want %d", tc.p, got, tc.want)
 		}
-	}
-}
-
-func TestECDFMonotone(t *testing.T) {
-	r := rng.New(9)
-	samples := make([]float64, 500)
-	for i := range samples {
-		samples[i] = r.NormFloat64()
-	}
-	e := NewECDF(samples)
-	prev := 0.0
-	for x := -4.0; x <= 4.0; x += 0.1 {
-		cur := e.At(x)
-		if cur < prev {
-			t.Fatalf("ECDF not monotone at x=%v", x)
-		}
-		prev = cur
 	}
 }
 

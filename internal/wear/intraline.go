@@ -55,23 +55,3 @@ func (w *IntraLine) Offset() int { return w.offset }
 
 // Rotations returns how many times the offset has advanced in total.
 func (w *IntraLine) Rotations() int { return w.rotations }
-
-// State exposes the counter's registers for checkpointing.
-func (w *IntraLine) State() (count uint32, offset, rotations int) {
-	return w.count, w.offset, w.rotations
-}
-
-// RestoreState reinstates registers captured with State.
-func (w *IntraLine) RestoreState(count uint32, offset, rotations int) error {
-	if count >= w.limit {
-		return fmt.Errorf("wear: count %d out of [0,%d)", count, w.limit)
-	}
-	if offset < 0 || offset >= w.lineSz {
-		return fmt.Errorf("wear: offset %d out of [0,%d)", offset, w.lineSz)
-	}
-	if rotations < 0 {
-		return fmt.Errorf("wear: negative rotations %d", rotations)
-	}
-	w.count, w.offset, w.rotations = count, offset, rotations
-	return nil
-}

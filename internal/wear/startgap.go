@@ -85,21 +85,3 @@ func (s *StartGap) Gap() int { return s.gap }
 
 // Start returns the current start offset (for tests and inspection).
 func (s *StartGap) Start() int { return s.start }
-
-// State exposes the leveler's registers for checkpointing.
-func (s *StartGap) State() (start, gap, count int) { return s.start, s.gap, s.count }
-
-// RestoreState reinstates registers captured with State.
-func (s *StartGap) RestoreState(start, gap, count int) error {
-	if start < 0 || start >= s.n {
-		return fmt.Errorf("wear: start %d out of [0,%d)", start, s.n)
-	}
-	if gap < 0 || gap > s.n {
-		return fmt.Errorf("wear: gap %d out of [0,%d]", gap, s.n)
-	}
-	if count < 0 || count >= s.psi {
-		return fmt.Errorf("wear: count %d out of [0,%d)", count, s.psi)
-	}
-	s.start, s.gap, s.count = start, gap, count
-	return nil
-}
