@@ -1,17 +1,14 @@
-// Command pcmctl drives a pcmd fleet from the terminal. Its main job is
-// distributed sweeps: it embeds the same internal/cluster coordinator that
-// pcmd's /v1/sweeps endpoint uses, so a workstation can shard a
-// seed-swept experiment across backends directly — no coordinator daemon
-// required — and still get the bit-identical merged result.
+// Command pcmctl drives a pcmd fleet from the terminal. Every subcommand
+// talks to one pcmd named by -server; sweeps are sharded by that pcmd's
+// coordinator (POST /v1/sweeps), so pcmctl itself runs no simulation.
 //
 // Usage:
 //
-//	pcmctl sweep -kind lifetime -params '{"app":"milc","scale":"quick"}' \
+//	pcmctl sweep -server http://coord:8080 \
+//	       -kind lifetime -params '{"app":"milc","scale":"quick"}' \
 //	       -seeds 8 [-seed-start 1] \
 //	       [-schemes 'baseline;comp=bdi+fpc,ecc=ecp6,enc=coset4,wl=startgap'] \
-//	       [-trace file.pcmt | -trace sha256:...] \
-//	       -peers http://b1:8080,http://b2:8080 | -local | -submit http://coord:8080 \
-//	       [-retries 2] [-hedge-after 30s] [-shard-timeout 15m] [-concurrency N]
+//	       [-trace file.pcmt | -trace sha256:...] [-quiet] [-v]
 //	pcmctl jobs -server http://b1:8080 [-state running] [-limit 100] [-offset 0]
 //	pcmctl events -server http://b1:8080 -id j000001-abcd1234 [-follow] [-api-key KEY]
 //	pcmctl cancel -server http://b1:8080 -id j000001-abcd1234
@@ -28,8 +25,8 @@
 // uploaded write-back traces (POST /v1/traces): upload prints the
 // trace's sha256: digest, which `sweep -trace` and the lifetime and
 // failure-probability job params accept in place of a synthetic workload.
-// sweep -trace with a file path uploads it first (to the coordinator, or
-// to every peer) and substitutes the digest automatically.
+// sweep -trace with a file path uploads it to -server first and
+// substitutes the digest; a sha256: digest passes through unchanged.
 //
 // events renders a job's (or sweep's — IDs starting with "s") flight
 // recorder. Without -follow it fetches the retained timeline once; with
@@ -38,12 +35,11 @@
 // the connection drops. -api-key authenticates as a tenant against a
 // multi-tenant pcmd.
 //
-// sweep prints shard progress to stderr and the merged sweep result as
-// JSON on stdout. With -local (or no -peers) shards execute in-process on
-// a loopback backend — handy for smoke tests and for pinning that a
-// distributed run merges to exactly the local answer. With -submit the
-// sweep runs on a coordinator pcmd instead (POST /v1/sweeps), and the
-// printed document carries the trace ID to feed `pcmctl trace`.
+// sweep prints shard progress to stderr and the finished sweep document
+// (the merged result under "result", plus the trace ID to feed `pcmctl
+// trace`) as JSON on stdout. The pcmd's -peers, -sweep-retries,
+// -hedge-after and -job-timeout decide where and how shards run; a
+// peerless pcmd runs them in-process with the same merged result.
 //
 // trace renders a completed trace from the server's /debug/traces ring as
 // an ASCII span tree — without -id it lists the retained traces.
@@ -58,7 +54,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -75,8 +70,6 @@ import (
 	"pcmcomp/internal/cluster"
 	"pcmcomp/internal/obs"
 	"pcmcomp/internal/pcmclient"
-	"pcmcomp/internal/server"
-	"pcmcomp/internal/tracestore"
 	"pcmcomp/internal/version"
 )
 
@@ -118,17 +111,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// splitPeers parses a comma-separated peer list.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // splitSchemes parses a semicolon-separated scheme-spec list (specs
 // themselves contain commas, so "," cannot be the separator).
 func splitSchemes(s string) []string {
@@ -141,43 +123,30 @@ func splitSchemes(s string) []string {
 	return out
 }
 
+// runSweep submits a sweep to a pcmd (POST /v1/sweeps) and polls it until
+// terminal. The server owns sharding, retries, and hedging; this side
+// validates the request, uploads a -trace file, and watches progress.
 func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pcmctl sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	serverURL := fs.String("server", "", "pcmd base URL (required)")
 	kind := fs.String("kind", "", "job kind: lifetime, failure-probability, or compression")
 	paramsJSON := fs.String("params", "{}", "base job parameters as JSON (seed is set per shard)")
 	seedStart := fs.Uint64("seed-start", 1, "first seed")
 	seeds := fs.Int("seeds", 1, "number of consecutive seeds")
 	schemes := fs.String("schemes", "", "semicolon-separated scheme specs for a lifetime scheme matrix (specs contain commas); one shard per scheme x seed")
-	peers := fs.String("peers", "", "comma-separated pcmd base URLs to shard across")
-	local := fs.Bool("local", false, "run shards in-process instead of against peers")
-	submit := fs.String("submit", "", "coordinator pcmd base URL: run the sweep server-side via POST /v1/sweeps")
-	verbose := fs.Bool("v", false, "log the client's retry/backoff machinery to stderr (with -submit)")
-	retries := fs.Int("retries", 2, "per-shard re-dispatch budget")
-	hedgeAfter := fs.Duration("hedge-after", 30*time.Second, "straggler hedging delay (0 disables)")
-	shardTimeout := fs.Duration("shard-timeout", 15*time.Minute, "per-attempt shard deadline")
-	concurrency := fs.Int("concurrency", 0, "max shards in flight (0 = 2 x backends)")
+	traceArg := fs.String("trace", "", "trace for trace-driven shards: a sha256: digest, or a trace file uploaded to -server first")
+	verbose := fs.Bool("v", false, "log the client's retry/backoff machinery to stderr")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
-	traceArg := fs.String("trace", "", "trace for trace-driven shards: a sha256: digest, or a trace file uploaded before the sweep")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
+	if *serverURL == "" {
+		return fmt.Errorf("-server is required")
+	}
 	var params map[string]any
 	if err := json.Unmarshal([]byte(*paramsJSON), &params); err != nil {
 		return fmt.Errorf("-params is not a JSON object: %w", err)
-	}
-	var localTraces *tracestore.Store
-	if *traceArg != "" {
-		digest, st, err := prepareSweepTrace(ctx, *traceArg, *submit, splitPeers(*peers))
-		if err != nil {
-			return err
-		}
-		if params == nil {
-			params = map[string]any{}
-		}
-		params["trace"] = digest
-		localTraces = st
 	}
 	req := cluster.SweepRequest{
 		Kind:      *kind,
@@ -186,139 +155,44 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		SeedCount: *seeds,
 		Schemes:   splitSchemes(*schemes),
 	}
+	// Bad flags fail here, before any network call.
 	if err := req.Normalize(); err != nil {
 		return err
 	}
 
-	if *submit != "" {
-		if *local || *peers != "" {
-			return fmt.Errorf("-submit is mutually exclusive with -local and -peers")
-		}
-		return submitSweep(ctx, *submit, req, *verbose, *quiet, stdout, stderr)
-	}
-
-	var backends []cluster.Backend
-	peerList := splitPeers(*peers)
-	switch {
-	case *local && len(peerList) > 0:
-		return fmt.Errorf("-local and -peers are mutually exclusive")
-	case len(peerList) > 0:
-		for _, p := range peerList {
-			backends = append(backends, cluster.NewHTTPBackend(p, 1))
-		}
-	default:
-		// Peerless degrades to in-process execution, same as a peerless
-		// pcmd: the loopback backend runs the server's local pipeline.
-		backends = append(backends, cluster.NewLoopback("local", 1,
-			func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
-				if localTraces != nil {
-					ctx = tracestore.WithResolver(ctx, localTraces)
-				}
-				return server.ExecuteLocal(ctx, server.Kind(kind), params)
-			}))
-	}
-
-	coord, err := cluster.New(backends, cluster.Options{
-		MaxRetries:   *retries,
-		ShardTimeout: *shardTimeout,
-		HedgeAfter:   *hedgeAfter,
-		Concurrency:  *concurrency,
-	})
-	if err != nil {
-		return err
-	}
-
-	onProgress := func(done, total int) {
-		if !*quiet {
-			fmt.Fprintf(stderr, "\rshards %d/%d", done, total)
-			if done == total {
-				fmt.Fprintln(stderr)
-			}
-		}
-	}
-	start := time.Now()
-	res, err := coord.Sweep(ctx, req, onProgress)
-	if err != nil {
-		return err
-	}
-	if !*quiet {
-		m := coord.Metrics()
-		fmt.Fprintf(stderr, "merged %d shards in %s (dispatched %d, retries %d, hedges %d, hedge cancels %d)\n",
-			len(res.Shards), time.Since(start).Round(time.Millisecond),
-			m.Dispatched, m.Retries, m.Hedges, m.HedgeCancels)
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// prepareSweepTrace resolves the -trace argument into a digest every shard
-// can use. A "sha256:" digest passes through untouched (the serving side
-// must already hold it). A file path is read and uploaded first: to the
-// -submit coordinator, to every -peers backend (each executes shards
-// independently, so each needs the bytes), or — with neither — into an
-// in-process store the loopback backend resolves from.
-func prepareSweepTrace(ctx context.Context, arg, submit string, peers []string) (string, *tracestore.Store, error) {
-	if strings.HasPrefix(arg, tracestore.DigestPrefix) {
-		if submit == "" && len(peers) == 0 {
-			return "", nil, fmt.Errorf("-trace with a bare digest needs -submit or -peers; local runs must name a trace file")
-		}
-		digest, err := tracestore.ParseDigest(arg)
-		return digest, nil, err
-	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		return "", nil, err
-	}
-	var targets []string
-	switch {
-	case submit != "":
-		targets = []string{submit}
-	case len(peers) > 0:
-		targets = peers
-	default:
-		st, err := tracestore.Open(tracestore.Options{})
-		if err != nil {
-			return "", nil, err
-		}
-		meta, _, err := st.Put(bytes.NewReader(data))
-		if err != nil {
-			return "", nil, err
-		}
-		return meta.Digest, st, nil
-	}
-	digest := ""
-	for _, t := range targets {
-		meta, _, err := pcmclient.New(t).UploadTrace(ctx, data)
-		if err != nil {
-			return "", nil, fmt.Errorf("upload trace to %s: %w", t, err)
-		}
-		digest = meta.Digest
-	}
-	return digest, nil, nil
-}
-
-// submitSweep runs the sweep server-side: POST /v1/sweeps on a
-// coordinator pcmd, then poll until terminal. The coordinator owns
-// sharding, retries, and hedging; this side only watches progress.
-func submitSweep(ctx context.Context, serverURL string, req cluster.SweepRequest, verbose, quiet bool, stdout, stderr io.Writer) error {
-	c := pcmclient.New(serverURL)
-	if verbose {
+	c := pcmclient.New(*serverURL)
+	if *verbose {
 		logger, err := obs.NewLogger(stderr, "text", nil)
 		if err != nil {
 			return err
 		}
 		c.Logger = logger
 	}
+	if *traceArg != "" {
+		digest := *traceArg
+		if !strings.HasPrefix(digest, "sha256:") {
+			data, err := os.ReadFile(digest)
+			if err != nil {
+				return err
+			}
+			meta, _, err := c.UploadTrace(ctx, data)
+			if err != nil {
+				return fmt.Errorf("upload trace: %w", err)
+			}
+			digest = meta.Digest
+		}
+		req.Params["trace"] = digest
+	}
+
 	sw, err := c.SubmitSweep(ctx, req)
 	if err != nil {
 		return err
 	}
-	if !quiet {
+	if !*quiet {
 		fmt.Fprintf(stderr, "sweep %s accepted (trace %s)\n", sw.ID, sw.TraceID)
 	}
 	onProgress := func(done, total int) {
-		if !quiet && total > 0 {
+		if !*quiet && total > 0 {
 			fmt.Fprintf(stderr, "\rshards %d/%d", done, total)
 		}
 	}
@@ -326,7 +200,7 @@ func submitSweep(ctx context.Context, serverURL string, req cluster.SweepRequest
 	if err != nil {
 		return err
 	}
-	if !quiet {
+	if !*quiet {
 		fmt.Fprintln(stderr)
 	}
 	if sw.State != pcmclient.StateDone {

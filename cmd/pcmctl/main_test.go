@@ -14,42 +14,64 @@ import (
 	"pcmcomp/internal/server"
 )
 
+// newDaemon serves a peerless pcmd (its sweeps run on the in-process
+// loopback backend) with the result cache off, so every sweep computes.
+func newDaemon(t *testing.T) *httptest.Server {
+	t.Helper()
+	s := server.New(server.Config{Workers: 2, QueueDepth: 8, JobTimeout: time.Minute, CacheEntries: -1})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	return ts
+}
+
 func TestSweepLocalEndToEnd(t *testing.T) {
-	runOnce := func() []byte {
+	ts := newDaemon(t)
+	runOnce := func() json.RawMessage {
 		var stdout, stderr bytes.Buffer
 		err := run(context.Background(), []string{
-			"sweep", "-kind", "failure-probability",
+			"sweep", "-server", ts.URL, "-kind", "failure-probability",
 			"-params", `{"scheme":"ecp","window":16,"max_errors":8,"trials":2000}`,
-			"-seeds", "3", "-local",
+			"-seeds", "3",
 		}, &stdout, &stderr)
 		if err != nil {
-			t.Fatalf("pcmctl sweep -local: %v (stderr: %s)", err, stderr.String())
+			t.Fatalf("pcmctl sweep: %v (stderr: %s)", err, stderr.String())
 		}
 		if !strings.Contains(stderr.String(), "shards 3/3") {
 			t.Errorf("stderr %q lacks final progress line", stderr.String())
 		}
-		return stdout.Bytes()
+		var doc struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+			t.Fatalf("stdout is not a sweep document: %v\n%s", err, stdout.Bytes())
+		}
+		return doc.Result
 	}
 	first := runOnce()
 	var res cluster.SweepResult
 	if err := json.Unmarshal(first, &res); err != nil {
-		t.Fatalf("stdout is not a sweep result: %v\n%s", err, first)
+		t.Fatalf("result is not a sweep result: %v\n%s", err, first)
 	}
 	if res.Kind != cluster.KindFailureProbability || res.SeedCount != 3 ||
 		len(res.Shards) != 3 || len(res.MeanCurve) != 8 {
 		t.Fatalf("merged result shape: %+v", res)
 	}
 	if !bytes.Equal(first, runOnce()) {
-		t.Error("two identical -local sweeps printed different bytes")
+		t.Error("two identical sweeps printed different results")
 	}
 }
 
 func TestSweepFlagValidation(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	cases := [][]string{
-		{"sweep", "-kind", "lifetime", "-local", "-peers", "http://x"},
-		{"sweep", "-kind", "lifetime", "-params", "not json"},
-		{"sweep", "-kind", "bogus"},
+		{"sweep", "-kind", "lifetime"},
+		{"sweep", "-server", "http://x", "-kind", "lifetime", "-params", "not json"},
+		{"sweep", "-server", "http://x", "-kind", "bogus"},
 		{"bogus-subcommand"},
 		{},
 	}

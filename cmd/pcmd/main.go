@@ -32,7 +32,12 @@
 //
 // With -peers, POST /v1/sweeps shards seed sweeps across the listed pcmd
 // backends (coordinator mode); without it, sweeps run on an in-process
-// loopback backend, so a single node still serves the full API.
+// loopback backend, so a single node still serves the full API. This is
+// the fleet's only sweep coordinator: `pcmctl sweep -server` submits here,
+// and -sweep-retries, -hedge-after and -job-timeout set its shard policy.
+// Every -health-interval the coordinator probes each peer's /healthz; a
+// failed probe (a drained peer answers 503) opens that peer's circuit
+// breaker, and the next good probe closes it.
 //
 // The fleet health plane scrapes every backend's /metrics (its own
 // in-process) each -scrape-interval and serves the aggregated view on

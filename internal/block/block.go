@@ -8,10 +8,7 @@
 // which are modeled separately (see internal/pcm and internal/core).
 package block
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Size is the memory line size in bytes (one LLC cache line).
 const Size = 64
@@ -21,17 +18,6 @@ const Bits = Size * 8
 
 // Block is one 64-byte memory line. It is a value type; assignment copies.
 type Block [Size]byte
-
-// FromBytes builds a Block from up to 64 bytes; shorter inputs are
-// zero-padded at the high end. It returns an error if b is longer than Size.
-func FromBytes(b []byte) (Block, error) {
-	var blk Block
-	if len(b) > Size {
-		return blk, fmt.Errorf("block: input length %d exceeds line size %d", len(b), Size)
-	}
-	copy(blk[:], b)
-	return blk, nil
-}
 
 // Word returns the i-th 64-bit little-endian word of the block (i in [0,8)).
 func (b *Block) Word(i int) uint64 {
@@ -69,20 +55,6 @@ func (b *Block) SetBit(i int, v bool) {
 	}
 }
 
-// FlipBit inverts bit i.
-func (b *Block) FlipBit(i int) {
-	b[i>>3] ^= 1 << (uint(i) & 7)
-}
-
-// PopCount returns the number of set bits in the block.
-func (b *Block) PopCount() int {
-	n := 0
-	for i := 0; i < 8; i++ {
-		n += bits.OnesCount64(b.Word(i))
-	}
-	return n
-}
-
 // HammingDistance returns the number of bit positions at which a and b
 // differ. Under differential writes, this is exactly the number of cell
 // programs required to overwrite a with b.
@@ -94,20 +66,6 @@ func HammingDistance(a, b *Block) int {
 	return n
 }
 
-// DiffBits appends to dst the indices of all bit positions at which a and b
-// differ, and returns the extended slice. Indices are ascending.
-func DiffBits(dst []int, a, b *Block) []int {
-	for i := 0; i < 8; i++ {
-		x := a.Word(i) ^ b.Word(i)
-		base := i * 64
-		for x != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(x))
-			x &= x - 1
-		}
-	}
-	return dst
-}
-
 // HammingDistanceWindow returns the Hamming distance between a and b
 // restricted to the byte window [start, start+length).
 func HammingDistanceWindow(a, b *Block, start, length int) int {
@@ -116,15 +74,6 @@ func HammingDistanceWindow(a, b *Block, start, length int) int {
 		n += bits.OnesCount8(a[i] ^ b[i])
 	}
 	return n
-}
-
-// Invert returns the bitwise complement of the block.
-func (b *Block) Invert() Block {
-	var out Block
-	for i := range b {
-		out[i] = ^b[i]
-	}
-	return out
 }
 
 // Equal reports whether two blocks hold identical contents.

@@ -75,12 +75,6 @@ func (bs *backendState) available(now time.Time) bool {
 	return bs.openUntil.IsZero() || now.After(bs.openUntil)
 }
 
-func (bs *backendState) healthy() bool {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.openUntil.IsZero()
-}
-
 // onSuccess closes the circuit.
 func (bs *backendState) onSuccess() {
 	bs.mu.Lock()
@@ -116,7 +110,8 @@ func (bs *backendState) forceOpen(cooldown time.Duration, now time.Time) bool {
 // Coordinator dispatches sweep shards across a fleet of backends with
 // weighted least-loaded selection, per-shard retry, hedged duplicates for
 // stragglers, and per-backend circuit breaking. It is safe for concurrent
-// Sweep calls; the backends' load and health are shared across sweeps.
+// SweepWithHooks calls; the backends' load and health are shared across
+// sweeps.
 type Coordinator struct {
 	opts     Options
 	mu       sync.Mutex // guards inflight counters during selection
@@ -224,29 +219,6 @@ func (c *Coordinator) CheckAll(ctx context.Context) {
 	}
 }
 
-// ReportProbe feeds an out-of-band health observation for one backend
-// into its breaker — the fleet health plane's metric scrapes double as
-// probes this way, so a backend whose /metrics stops answering is
-// sidelined from dispatch without waiting for the next HealthLoop tick.
-// Unknown names are ignored.
-func (c *Coordinator) ReportProbe(name string, err error) {
-	for _, bs := range c.backends {
-		if bs.b.Name() != name {
-			continue
-		}
-		if err != nil {
-			c.metrics.probeFail.Add(1)
-			if bs.forceOpen(c.opts.BreakerCooldown, time.Now()) {
-				c.metrics.breakerOpens.Add(1)
-			}
-		} else {
-			c.metrics.probeOK.Add(1)
-			bs.onSuccess()
-		}
-		return
-	}
-}
-
 // HealthLoop probes the fleet every interval until the context is
 // canceled. Run it as a goroutine alongside long-lived coordinators so a
 // crashed backend is sidelined between sweeps and a recovered one is
@@ -321,20 +293,15 @@ func (h *SweepHooks) emit(typ string, sh shard, backend string, attempt int, err
 	h.OnEvent(ev)
 }
 
-// Sweep shards the request across the fleet and returns the merged result.
-// onProgress (optional) is invoked after every shard completion with the
-// done and total shard counts. Sweep fails only when a shard has exhausted
-// its retries; the error then carries the first such shard's cause.
-func (c *Coordinator) Sweep(ctx context.Context, req SweepRequest, onProgress func(done, total int)) (*SweepResult, error) {
-	return c.SweepWithHooks(ctx, req, SweepHooks{OnProgress: onProgress})
-}
-
-// SweepWithHooks is Sweep with full per-shard event observation. When the
-// context carries an obs ring and span, each shard contributes a "shard"
-// span (child of the caller's span) with one "dispatch" span per attempt,
-// so a traced sweep shows exactly where every shard ran and how long each
-// attempt took. Tracing and hooks only observe scheduling — the merged
-// result is byte-identical with or without them.
+// SweepWithHooks shards the request across the fleet and returns the
+// merged result. It fails only when a shard has exhausted its retries; the
+// error then carries the first such shard's cause. hooks observe progress
+// and every scheduling decision. When the context carries an obs ring and
+// span, each shard contributes a "shard" span (child of the caller's span)
+// with one "dispatch" span per attempt, so a traced sweep shows exactly
+// where every shard ran and how long each attempt took. Tracing and hooks
+// only observe scheduling — the merged result is byte-identical with or
+// without them.
 func (c *Coordinator) SweepWithHooks(ctx context.Context, req SweepRequest, hooks SweepHooks) (*SweepResult, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, err
@@ -347,8 +314,8 @@ func (c *Coordinator) SweepWithHooks(ctx context.Context, req SweepRequest, hook
 	raw := make([]json.RawMessage, len(shards))
 	errs := make([]error, len(shards))
 	// Progress calls are serialized under a mutex: hooks may write to
-	// shared sinks (pcmctl prints to one stderr), and serializing also
-	// keeps the reported done counts strictly monotonic.
+	// shared sinks, and serializing also keeps the reported done counts
+	// strictly monotonic.
 	var progressMu sync.Mutex
 	done := 0
 	sem := make(chan struct{}, c.opts.Concurrency)

@@ -150,13 +150,13 @@ func TestSweepMergesInSeedOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var progress atomic.Int64
-	res, err := c.Sweep(context.Background(), SweepRequest{Kind: KindCompression, SeedStart: 1, SeedCount: 6},
-		func(done, total int) {
+	res, err := c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindCompression, SeedStart: 1, SeedCount: 6},
+		SweepHooks{OnProgress: func(done, total int) {
 			if total != 6 {
 				t.Errorf("progress total = %d, want 6", total)
 			}
 			progress.Store(int64(done))
-		})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestRetryMovesToHealthyBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Sweep(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 2}, nil)
+	res, err := c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 2}, SweepHooks{})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -257,7 +257,7 @@ func TestRetriesExhaustedFailsSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Sweep(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, nil)
+	_, err = c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, SweepHooks{})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want shard failure carrying the cause", err)
 	}
@@ -276,7 +276,7 @@ func TestPermanentErrorSkipsRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Sweep(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, nil)
+	_, err = c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, SweepHooks{})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -299,7 +299,7 @@ func TestPermanentErrorSkipsRetry(t *testing.T) {
 		return nil, fmt.Errorf("backend x: %w", &pcmclient.JobFailed{Job: pcmclient.Job{ID: "j1", State: "failed", Error: "sim diverged"}})
 	})
 	c2, _ := New([]Backend{jf, NewLoopback("other", 1, echoRun)}, Options{MaxRetries: 3, Concurrency: 1})
-	_, err = c2.Sweep(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, nil)
+	_, err = c2.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, SweepHooks{})
 	if !errors.Is(err, pcmclient.ErrJobFailed) {
 		t.Fatalf("err = %v, want ErrJobFailed", err)
 	}
@@ -329,7 +329,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	// Enough shards to trip the breaker: each failure on flappy re-dispatches
 	// to good, and after 2 consecutive failures flappy's circuit opens.
-	if _, err := c.Sweep(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 4}, nil); err != nil {
+	if _, err := c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 4}, SweepHooks{}); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 	snap := c.Metrics()
@@ -346,7 +346,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 
 	// With the circuit open, new shards go to good only.
 	before := c.Metrics().ShardFailures
-	if _, err := c.Sweep(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 3}, nil); err != nil {
+	if _, err := c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 3}, SweepHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Metrics().ShardFailures; got != before {
@@ -365,16 +365,26 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-func TestReportProbe(t *testing.T) {
-	a := NewLoopback("a", 1, echoRun)
+// probed is a loopback backend whose health probe returns checkErr.
+type probed struct {
+	*Loopback
+	checkErr error
+}
+
+func (p *probed) Check(context.Context) error { return p.checkErr }
+
+func TestHealthProbeDrivesBreaker(t *testing.T) {
+	a := &probed{Loopback: NewLoopback("a", 1, echoRun)}
 	b := NewLoopback("b", 1, echoRun)
 	c, err := New([]Backend{a, b}, Options{BreakerCooldown: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A failed out-of-band probe (e.g. a fleetobs scrape) opens the circuit.
-	c.ReportProbe("a", errors.New("scrape: connection refused"))
+	// A failed health probe (e.g. /healthz answering 503 while the peer
+	// drains) opens the circuit.
+	a.checkErr = errors.New("GET /healthz: 503 Service Unavailable")
+	c.CheckAll(context.Background())
 	st := c.Backends()
 	if st[0].Healthy || !st[1].Healthy {
 		t.Fatalf("after failed probe: %+v", st)
@@ -384,24 +394,19 @@ func TestReportProbe(t *testing.T) {
 	}
 
 	// Repeat failures don't double-count the open transition.
-	c.ReportProbe("a", errors.New("still down"))
+	c.CheckAll(context.Background())
 	if m := c.Metrics(); m.BreakerOpens != 1 {
 		t.Fatalf("breaker opens = %d, want 1", m.BreakerOpens)
 	}
 
 	// A successful probe closes it again.
-	c.ReportProbe("a", nil)
+	a.checkErr = nil
+	c.CheckAll(context.Background())
 	if st := c.Backends(); !st[0].Healthy {
 		t.Fatalf("after recovery probe: %+v", st[0])
 	}
-	if m := c.Metrics(); m.ProbesOK != 1 {
-		t.Fatalf("probesOK = %d, want 1", m.ProbesOK)
-	}
-
-	// Unknown backends are ignored, not invented.
-	c.ReportProbe("nope", errors.New("x"))
-	if got := len(c.Backends()); got != 2 {
-		t.Fatalf("backends = %d, want 2", got)
+	if m := c.Metrics(); m.ProbesOK != 4 {
+		t.Fatalf("probesOK = %d, want 4 (b twice while a was down, then both)", m.ProbesOK)
 	}
 }
 
@@ -418,7 +423,7 @@ func TestAllCircuitsOpenStillDispatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Sweep(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, nil); err != nil {
+	if _, err := c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, SweepHooks{}); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 }
@@ -439,7 +444,7 @@ func TestHedgeDuplicateCancelsLoser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Sweep(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, nil)
+	res, err := c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, SweepHooks{})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -490,7 +495,7 @@ func TestSweepCanceledMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Sweep(ctx, SweepRequest{Kind: KindLifetime, SeedCount: 4}, nil)
+		_, err := c.SweepWithHooks(ctx, SweepRequest{Kind: KindLifetime, SeedCount: 4}, SweepHooks{})
 		done <- err
 	}()
 	<-started
@@ -521,7 +526,7 @@ func TestWeightedPickPrefersHeavierBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Sweep(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 24}, nil); err != nil {
+	if _, err := c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 24}, SweepHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if heavy.Load() <= light.Load() {
@@ -539,9 +544,9 @@ func TestConcurrentSweepsRace(t *testing.T) {
 	done := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func(i int) {
-			_, err := c.Sweep(context.Background(), SweepRequest{
+			_, err := c.SweepWithHooks(context.Background(), SweepRequest{
 				Kind: KindCompression, SeedStart: uint64(1 + 10*i), SeedCount: 8,
-			}, func(done, total int) { _ = c.Backends() })
+			}, SweepHooks{OnProgress: func(done, total int) { _ = c.Backends() }})
 			done <- err
 		}(i)
 	}

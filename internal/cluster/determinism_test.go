@@ -87,7 +87,7 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := coord.Sweep(context.Background(), tc.req, nil)
+				res, err := coord.SweepWithHooks(context.Background(), tc.req, cluster.SweepHooks{})
 				if err != nil {
 					t.Fatalf("n=%d: sweep: %v", n, err)
 				}

@@ -30,7 +30,7 @@ func TestKillBackendMidSweepRedispatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRes, err := refCoord.Sweep(context.Background(), req, nil)
+	refRes, err := refCoord.SweepWithHooks(context.Background(), req, cluster.SweepHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestKillBackendMidSweepRedispatches(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	go func() {
-		res, err := coord.Sweep(ctx, req, nil)
+		res, err := coord.SweepWithHooks(ctx, req, cluster.SweepHooks{})
 		done <- sweepOut{res, err}
 	}()
 

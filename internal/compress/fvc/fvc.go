@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"pcmcomp/internal/bitio"
 	"pcmcomp/internal/block"
@@ -23,7 +22,7 @@ import (
 
 const wordsPerLine = block.Size / 4
 
-// Dict is a frequent-value dictionary. Construct with Train or NewDict.
+// Dict is a frequent-value dictionary. Construct with NewDict.
 type Dict struct {
 	values []uint32
 	index  map[uint32]int
@@ -49,47 +48,6 @@ func NewDict(values []uint32) (*Dict, error) {
 		d.index[v] = i
 	}
 	return d, nil
-}
-
-// Train builds a size-entry dictionary of the most frequent words in the
-// sample lines (profiling pass of the original design).
-func Train(samples []block.Block, size int) (*Dict, error) {
-	counts := make(map[uint32]int)
-	for i := range samples {
-		for w := 0; w < wordsPerLine; w++ {
-			counts[binary.LittleEndian.Uint32(samples[i][w*4:])]++
-		}
-	}
-	type vc struct {
-		v uint32
-		c int
-	}
-	all := make([]vc, 0, len(counts))
-	for v, c := range counts {
-		all = append(all, vc{v, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].v < all[j].v
-	})
-	values := make([]uint32, 0, size)
-	for _, e := range all {
-		if len(values) == size {
-			break
-		}
-		values = append(values, e.v)
-	}
-	// Pad with distinct filler values when the samples are too uniform.
-	filler := uint32(0xfeed_0001)
-	for len(values) < size {
-		if _, used := counts[filler]; !used {
-			values = append(values, filler)
-		}
-		filler++
-	}
-	return NewDict(values)
 }
 
 // Size returns the dictionary's entry count.

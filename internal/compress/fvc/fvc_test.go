@@ -72,45 +72,6 @@ func TestAllMissesExpand(t *testing.T) {
 	}
 }
 
-func TestTrainPicksFrequentValues(t *testing.T) {
-	samples := make([]block.Block, 50)
-	for i := range samples {
-		for w := 0; w < 16; w++ {
-			v := uint32(0xaaaa0000) // dominant value
-			if w == 0 {
-				v = uint32(i) // noise
-			}
-			binary.LittleEndian.PutUint32(samples[i][w*4:], v)
-		}
-	}
-	d, err := Train(samples, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.index[0xaaaa0000]; !ok {
-		t.Fatal("dominant value not in trained dictionary")
-	}
-	// Compressing a line of the dominant value must be tiny.
-	var b block.Block
-	for w := 0; w < 16; w++ {
-		binary.LittleEndian.PutUint32(b[w*4:], 0xaaaa0000)
-	}
-	if got := d.CompressedSize(&b); got > 8 {
-		t.Fatalf("dominant-value line compressed to %d bytes", got)
-	}
-}
-
-func TestTrainPadsSparseSamples(t *testing.T) {
-	var one block.Block // all-zero sample: only one distinct word value
-	d, err := Train([]block.Block{one}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Size() != 8 {
-		t.Fatalf("trained dictionary has %d entries, want 8", d.Size())
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	d := mustDict(t, []uint32{0, 1, 0xffffffff, 0x80000000})
 	f := func(seed uint64, hitMask uint16) bool {

@@ -11,8 +11,8 @@ func TestPaperGeometryMatchesTableII(t *testing.T) {
 	if g.Banks() != 8 {
 		t.Fatalf("banks = %d, want 8 (2 channels x 4 banks)", g.Banks())
 	}
-	if g.CapacityBytes() != PaperCapacityBytes {
-		t.Fatalf("capacity = %d, want 4GB", g.CapacityBytes())
+	if g.TotalLines() != PaperLines {
+		t.Fatalf("lines = %d, want %d (4GB of 64B lines)", g.TotalLines(), PaperLines)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)

@@ -127,15 +127,6 @@ func (h *Hist) Merge(other *Hist) *Hist {
 	return out
 }
 
-// MergeHists folds any number of histograms (nils skipped) into one.
-func MergeHists(hs ...*Hist) *Hist {
-	var out *Hist
-	for _, h := range hs {
-		out = out.Merge(h)
-	}
-	return out
-}
-
 // Quantile recovers the q-quantile (0 < q < 1) by linear interpolation
 // within the bucket containing the rank, the same estimate Prometheus'
 // histogram_quantile uses. Observations in the +Inf bucket report the

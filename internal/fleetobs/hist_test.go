@@ -114,7 +114,8 @@ func TestHistMerge(t *testing.T) {
 		t.Fatalf("merge should keep the slowest exemplar, got %q", m.ExemplarTrace)
 	}
 
-	if got := MergeHists(nil, a, nil); got.Count != a.Count {
-		t.Fatalf("MergeHists with nils = %+v", got)
+	var none *Hist
+	if got := none.Merge(a).Merge(nil); got.Count != a.Count {
+		t.Fatalf("merge with nils = %+v", got)
 	}
 }

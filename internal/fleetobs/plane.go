@@ -46,9 +46,6 @@ type Config struct {
 	Targets []Target
 	// Cluster, when set, supplies breaker state to join into snapshots.
 	Cluster func() []BackendHealth
-	// OnScrape, when set, observes every scrape outcome (the server
-	// feeds peer results into the cluster breakers through this).
-	OnScrape func(target string, err error)
 	// CollectTraces, when set, returns the most recent completed traces
 	// as JSON for incident bundles.
 	CollectTraces func(n int) json.RawMessage
@@ -234,9 +231,6 @@ func (p *Plane) scrapeAll() {
 			if err != nil {
 				rec.err = err.Error()
 			}
-			if p.cfg.OnScrape != nil {
-				p.cfg.OnScrape(tgt.Name, err)
-			}
 			recs[i] = rec
 		}(i, tgt)
 	}
@@ -421,13 +415,16 @@ func breachReason(st SLOStatus) string {
 	return st.Name + " burning"
 }
 
-// Snapshot returns the most recent fleet snapshot (zero-valued before
-// the first scrape completes).
+// Snapshot returns the most recent fleet snapshot. Before the first
+// scrape has folded it still lists every configured target (none up yet,
+// zero Time), so the fleet's shape never depends on scrape timing.
 func (p *Plane) Snapshot() FleetSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.lastSnap == nil {
-		return FleetSnapshot{ScrapeInterval: p.cfg.Interval.String()}
+		snap := p.buildSnapshotLocked(time.Now())
+		snap.Time = time.Time{}
+		return snap
 	}
 	return *p.lastSnap
 }

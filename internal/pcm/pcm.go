@@ -50,11 +50,6 @@ func (g Geometry) Banks() int {
 // TotalLines returns the total number of 64-byte lines.
 func (g Geometry) TotalLines() int { return g.Banks() * g.LinesPerBank }
 
-// CapacityBytes returns the data capacity in bytes (excluding the ECC chip).
-func (g Geometry) CapacityBytes() int64 {
-	return int64(g.TotalLines()) * block.Size
-}
-
 // Location identifies a line's physical position.
 type Location struct {
 	Bank int // global bank index
@@ -219,7 +214,6 @@ func (l *Line) Write(newData *block.Block) WriteResult {
 type Memory struct {
 	cfg   Config
 	lines []*Line
-	live  int // number of materialized lines
 }
 
 // New creates a Memory. It panics on invalid geometry (programmer error).
@@ -238,9 +232,6 @@ func (m *Memory) NumLines() int { return len(m.lines) }
 
 // Geometry returns the memory's geometry.
 func (m *Memory) Geometry() Geometry { return m.cfg.Geometry }
-
-// MaterializedLines returns how many lines have been touched.
-func (m *Memory) MaterializedLines() int { return m.live }
 
 // Line returns the line at the given global address, materializing it on
 // first touch. It panics if addr is out of range (programmer error).
@@ -264,6 +255,5 @@ func (m *Memory) materialize(addr int) *Line {
 		l.remaining[i] = m.cfg.Endurance.sample(r)
 	}
 	m.lines[addr] = l
-	m.live++
 	return l
 }

@@ -26,9 +26,6 @@ func TestGeometryMath(t *testing.T) {
 	if g.TotalLines() != 128 {
 		t.Fatalf("lines = %d", g.TotalLines())
 	}
-	if g.CapacityBytes() != 128*64 {
-		t.Fatalf("capacity = %d", g.CapacityBytes())
-	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +61,16 @@ func TestBankInterleaving(t *testing.T) {
 
 func TestLazyMaterialization(t *testing.T) {
 	m := New(smallConfig(100))
-	if m.MaterializedLines() != 0 {
-		t.Fatal("lines materialized before touch")
+	for addr := 0; addr < m.NumLines(); addr++ {
+		if m.Peek(addr) != nil {
+			t.Fatalf("line %d materialized before touch", addr)
+		}
 	}
 	if m.Peek(5) != nil {
 		t.Fatal("Peek materialized a line")
 	}
 	l := m.Line(5)
-	if l == nil || m.MaterializedLines() != 1 {
+	if l == nil || m.Peek(4) != nil || m.Peek(6) != nil {
 		t.Fatal("materialization failed")
 	}
 	if m.Line(5) != l {

@@ -638,15 +638,6 @@ func (c *Client) ListTraces(ctx context.Context) ([]TraceMeta, error) {
 	return out.Traces, nil
 }
 
-// StatTrace fetches one stored trace's metadata by digest.
-func (c *Client) StatTrace(ctx context.Context, digest string) (*TraceMeta, error) {
-	var out TraceMeta
-	if err := c.do(ctx, http.MethodGet, "/v1/traces/"+digest, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // DeleteTrace removes a stored trace by digest.
 func (c *Client) DeleteTrace(ctx context.Context, digest string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/traces/"+digest, nil, nil)

@@ -76,9 +76,6 @@ func (r *Rand) Uint64() uint64 {
 // Uint32 returns the next 32 random bits.
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform random int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -120,25 +117,6 @@ func (r *Rand) NormFloat64() float64 {
 	r.spare = v * f
 	r.hasSpare = true
 	return u * f
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function, via the Fisher-Yates algorithm.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
 }
 
 // Split returns a new generator whose stream is independent of r's

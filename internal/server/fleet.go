@@ -16,9 +16,9 @@ import (
 
 // initFleet wires the fleet health plane: a self-scrape target reading
 // this server's own metrics in-process, plus one HTTP target per peer.
-// Peer scrape outcomes double as health probes and feed the coordinator's
-// circuit breakers; the plane's snapshot joins the breakers back in, so
-// GET /v1/fleet/status shows both sides of the same fleet.
+// The plane only observes: the coordinator's /healthz loop alone drives
+// the circuit breakers, and the plane's snapshot joins their state back
+// in, so GET /v1/fleet/status shows both sides of the same fleet.
 func (s *Server) initFleet() {
 	if s.cfg.ScrapeInterval < 0 {
 		return // plane disabled
@@ -65,14 +65,6 @@ func (s *Server) initFleet() {
 				}
 			}
 			return out
-		},
-		OnScrape: func(target string, err error) {
-			// Peer scrapes double as health probes: a failed fetch trips
-			// the backend's breaker, a good one closes it. The self-scrape
-			// is in-process and says nothing about dispatchability.
-			if target != selfName {
-				s.coord.ReportProbe(target, err)
-			}
 		},
 		CollectTraces: func(n int) json.RawMessage {
 			data, err := json.Marshal(s.ring.RecentTraces(n))

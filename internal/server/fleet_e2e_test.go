@@ -3,10 +3,12 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,12 +67,13 @@ func TestFleetHealthPlaneEndToEnd(t *testing.T) {
 
 	var backendURLs []string
 	var backendServers []*Server
+	hold := jobBarrier(2) // one sweep shard per backend, see jobBarrier
 	for i := 0; i < 2; i++ {
 		b := New(Config{
 			Workers: 2, QueueDepth: 32, JobTimeout: time.Minute, CacheEntries: -1,
 			ScrapeInterval: -1, // backends run no plane of their own
 		})
-		bts := httptest.NewServer(b)
+		bts := httptest.NewServer(hold(b))
 		t.Cleanup(bts.Close)
 		backendURLs = append(backendURLs, bts.URL)
 		backendServers = append(backendServers, b)
@@ -300,5 +303,96 @@ func TestFleetHealthPlaneEndToEnd(t *testing.T) {
 	// is still addressable through the plane (the HTTP listener is gone).
 	if _, ok := coord.fleet.Incident(incID); !ok {
 		t.Errorf("incident %s lost after drain", incID)
+	}
+}
+
+// fetchBackend GETs /v1/backends and reports the named backend's health.
+func fetchBackend(t *testing.T, ts *httptest.Server, name string) (healthy, found bool) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/backends")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Backends []struct {
+			Name    string `json:"name"`
+			Healthy bool   `json:"healthy"`
+		} `json:"backends"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range doc.Backends {
+		if b.Name == name {
+			return b.Healthy, true
+		}
+	}
+	return false, false
+}
+
+// TestDrainingPeerStaysUnhealthy pins the single health signal: a peer
+// that is draining answers /healthz with 503 but still serves /metrics
+// (pcmd drains its job service before its HTTP listener). The health loop
+// must sideline it, and the fleet plane's successful scrapes of the same
+// peer must not readmit it.
+func TestDrainingPeerStaysUnhealthy(t *testing.T) {
+	var scrapes atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			writeError(w, http.StatusServiceUnavailable, "draining")
+		case "/metrics":
+			scrapes.Add(1)
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+			io.WriteString(w, "# TYPE pcmd_queue_depth gauge\npcmd_queue_depth 0\n"+
+				"# TYPE pcmd_goroutines gauge\npcmd_goroutines 12\n")
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(peer.Close)
+
+	const scrapeEvery = 20 * time.Millisecond
+	coord := New(Config{
+		Workers: 1, QueueDepth: 4, JobTimeout: time.Minute,
+		Peers:          []string{peer.URL},
+		HealthInterval: 50 * time.Millisecond,
+		ScrapeInterval: scrapeEvery,
+	})
+	ts := httptest.NewServer(coord)
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { _ = shutdownServer(coord) })
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		healthy, found := fetchBackend(t, ts, peer.URL)
+		if !found {
+			t.Fatalf("/v1/backends does not list peer %s", peer.URL)
+		}
+		if !healthy {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("health loop never marked the draining peer unhealthy")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Poll across well over ten scrape intervals: every read must still
+	// show the peer sidelined, however many /metrics scrapes succeed.
+	before := scrapes.Load()
+	end := time.Now().Add(15 * scrapeEvery)
+	polls := 0
+	for time.Now().Before(end) || scrapes.Load()-before < 10 {
+		if healthy, _ := fetchBackend(t, ts, peer.URL); healthy {
+			t.Fatalf("poll %d: draining peer readmitted after %d successful scrapes",
+				polls, scrapes.Load()-before)
+		}
+		polls++
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d scrapes of the peer in the polling window, want >= 10", scrapes.Load()-before)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -177,9 +177,9 @@ func (p *jobProgress) snapshot() *Progress {
 
 // ExecuteLocal runs one job synchronously in-process: decode, normalize,
 // run, marshal — the same pipeline a POST + worker would apply, minus the
-// queue and the store. It is the loopback backend a peerless pcmd (and
-// pcmctl -local) hands to the cluster coordinator, so a sweep degrades
-// gracefully to local execution with bit-identical results.
+// queue and the store. It is the loopback backend a peerless pcmd hands
+// to the cluster coordinator, so a sweep degrades gracefully to local
+// execution with bit-identical results.
 func ExecuteLocal(ctx context.Context, kind Kind, raw json.RawMessage) (json.RawMessage, error) {
 	factory, ok := paramsFor[kind]
 	if !ok {

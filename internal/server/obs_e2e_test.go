@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,6 +48,31 @@ func countType(types []string, want string) int {
 	return n
 }
 
+// jobBarrier returns a handler wrapper that holds every POST /v1/jobs on
+// the wrapped backends until n of them have arrived, then lets them all
+// through (later submissions pass straight through). DESIGN §8 allows two
+// shards on one backend: the least-loaded picker only spreads shards whose
+// dispatches overlap. Holding the submissions makes them overlap, so a
+// test that wants one shard per backend gets it without timing luck.
+func jobBarrier(n int32) func(http.Handler) http.Handler {
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+				if arrived.Add(1) == n {
+					close(all)
+				}
+				select {
+				case <-all:
+				case <-r.Context().Done():
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+}
+
 // TestSweepTracePropagatesAcrossBackends is the observability e2e: a
 // coordinator pcmd shards a sweep across two real backend daemons and the
 // coordinator's trace ring must hold ONE trace whose span tree stitches
@@ -55,9 +82,10 @@ func countType(types []string, want string) int {
 func TestSweepTracePropagatesAcrossBackends(t *testing.T) {
 	var backendURLs []string
 	var backendServers []*Server
+	hold := jobBarrier(2)
 	for i := 0; i < 2; i++ {
 		b := New(Config{Workers: 2, QueueDepth: 32, JobTimeout: time.Minute, CacheEntries: -1})
-		ts := httptest.NewServer(b)
+		ts := httptest.NewServer(hold(b))
 		t.Cleanup(ts.Close)
 		backendURLs = append(backendURLs, ts.URL)
 		backendServers = append(backendServers, b)
@@ -69,10 +97,9 @@ func TestSweepTracePropagatesAcrossBackends(t *testing.T) {
 	ts := httptest.NewServer(coord)
 	t.Cleanup(ts.Close)
 
-	// Two shards, both dispatched concurrently at sweep start: the
-	// least-loaded picker sends one to each backend. ~150k trials keeps a
-	// shard in flight long enough that neither finishes before the other
-	// is picked.
+	// Two shards, both dispatched concurrently at sweep start. The barrier
+	// keeps the first shard in flight until the second is submitted, so
+	// the least-loaded picker sends one to each backend.
 	body := `{"kind":"failure-probability","params":{"scheme":"ecp","window":16,"max_errors":8,"trials":150000},"seed_count":2}`
 	doc, code := postSweep(t, ts, body)
 	if code != http.StatusAccepted {

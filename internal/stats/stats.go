@@ -50,9 +50,6 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n)
 }
 
-// StdDev returns the population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
 // Min returns the smallest observation (0 if empty).
 func (r *Running) Min() float64 { return r.min }
 

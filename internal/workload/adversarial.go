@@ -26,9 +26,6 @@ var adversarialProfile = Profile{
 	adversarial: true,
 }
 
-// Adversarial returns the stress preset's profile.
-func Adversarial() Profile { return adversarialProfile }
-
 // nextAdversarial produces the stress stream: each sampled line alternates
 // between an all-ones and an all-zeros payload, starting with all-ones.
 // The line's current content carries the parity, so no extra per-line

@@ -59,7 +59,7 @@ fetch() {
 # and breaches the impossible SLO.
 "$work/pcmctl" sweep -kind failure-probability \
   -params '{"scheme":"ecp","window":16,"max_errors":8,"trials":20000}' \
-  -seeds 4 -submit "http://$coord" -quiet >"$work/sweep.json"
+  -seeds 4 -server "http://$coord" -quiet >"$work/sweep.json"
 grep -q '"state": "done"' "$work/sweep.json" || {
   echo "sweep did not finish done:"; cat "$work/sweep.json"; exit 1
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Observability smoke: boot a real pcmd, drive a sweep through pcmctl's
-# -submit path, then assert the introspection surfaces — /metrics, the
+# sweep -server path, then assert the introspection surfaces — /metrics, the
 # /debug/traces ring, the job listing, and the pcmctl trace renderer —
 # answer 200 with real content. Exercises the same binaries and flags an
 # operator would use, so a wiring regression (route dropped, ring never
@@ -33,7 +33,7 @@ curl -fsS "http://$addr/healthz" >/dev/null || {
 # A server-side sweep: POST /v1/sweeps via pcmctl, polled to completion.
 "$work/pcmctl" sweep -kind failure-probability \
   -params '{"scheme":"ecp","window":16,"max_errors":8,"trials":2000}' \
-  -seeds 2 -submit "http://$addr" -quiet >"$work/sweep.json"
+  -seeds 2 -server "http://$addr" -quiet >"$work/sweep.json"
 grep -q '"state": "done"' "$work/sweep.json" || {
   echo "sweep did not finish done:"; cat "$work/sweep.json"; exit 1
 }

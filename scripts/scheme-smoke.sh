@@ -46,7 +46,7 @@ grep -q '"wire"' "$work/schemes.json" || { echo "/v1/schemes: no wire encoder"; 
 specs='baseline;comp;comp+w;comp+wf;comp=bdi+fpc,ecc=ecp6,enc=coset4,wl=startgap;comp=bdi+fpc,ecc=ecp6,enc=wire,wl=startgap'
 "$work/pcmctl" sweep -kind lifetime \
   -params '{"app":"milc","scale":"quick","max_demand_writes":20000}' \
-  -seeds 1 -schemes "$specs" -submit "http://$addr" -quiet >"$work/sweep.json"
+  -seeds 1 -schemes "$specs" -server "http://$addr" -quiet >"$work/sweep.json"
 grep -q '"state": "done"' "$work/sweep.json" || {
   echo "scheme-matrix sweep did not finish done:"; cat "$work/sweep.json"; exit 1
 }

@@ -73,7 +73,7 @@ grep -q "$digest" "$work/reupload.json" || {
 # crosses the wire; backends fetch the bytes from -advertise on first use.
 "$work/pcmctl" sweep -kind failure-probability \
   -params '{"scheme":"ecp","max_errors":4,"trials":2000}' \
-  -seeds 2 -trace "$digest" -submit "http://$coord" -quiet >"$work/sweep.json"
+  -seeds 2 -trace "$digest" -server "http://$coord" -quiet >"$work/sweep.json"
 grep -q '"state": "done"' "$work/sweep.json" || {
   echo "trace sweep did not finish done:"; cat "$work/sweep.json" "$work"/*.log; exit 1
 }
