@@ -8,7 +8,10 @@
 // which are modeled separately (see internal/pcm and internal/core).
 package block
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Size is the memory line size in bytes (one LLC cache line).
 const Size = 64
@@ -20,25 +23,10 @@ const Bits = Size * 8
 type Block [Size]byte
 
 // Word returns the i-th 64-bit little-endian word of the block (i in [0,8)).
-func (b *Block) Word(i int) uint64 {
-	off := i * 8
-	return uint64(b[off]) | uint64(b[off+1])<<8 | uint64(b[off+2])<<16 |
-		uint64(b[off+3])<<24 | uint64(b[off+4])<<32 | uint64(b[off+5])<<40 |
-		uint64(b[off+6])<<48 | uint64(b[off+7])<<56
-}
+func (b *Block) Word(i int) uint64 { return binary.LittleEndian.Uint64(b[i*8:]) }
 
 // SetWord stores w as the i-th 64-bit little-endian word of the block.
-func (b *Block) SetWord(i int, w uint64) {
-	off := i * 8
-	b[off] = byte(w)
-	b[off+1] = byte(w >> 8)
-	b[off+2] = byte(w >> 16)
-	b[off+3] = byte(w >> 24)
-	b[off+4] = byte(w >> 32)
-	b[off+5] = byte(w >> 40)
-	b[off+6] = byte(w >> 48)
-	b[off+7] = byte(w >> 56)
-}
+func (b *Block) SetWord(i int, w uint64) { binary.LittleEndian.PutUint64(b[i*8:], w) }
 
 // Bit returns the value of bit i (0 <= i < Bits). Bit 0 is the least
 // significant bit of byte 0.

@@ -175,6 +175,19 @@ func (r *SweepRequest) shards() ([]shard, error) {
 	return out, nil
 }
 
+// FirstShardParams returns the params of the request's first shard, the
+// bytes a backend's job route will decode. Shards differ only in seed and
+// (on scheme-matrix sweeps) in a scheme Normalize already parsed, so a
+// front door can validate this one before it queues the sweep. The request
+// must be normalized.
+func (r *SweepRequest) FirstShardParams() (json.RawMessage, error) {
+	shards, err := r.shards()
+	if err != nil {
+		return nil, err
+	}
+	return shards[0].params, nil
+}
+
 // ShardResult is one shard's slice of the merged result.
 type ShardResult struct {
 	Seed uint64 `json:"seed"`

@@ -165,8 +165,10 @@ func (c *Controller) writePhysical(bank, row int, data *block.Block, pre *compre
 
 		// Write-verify: if the cells that died during this write leave the
 		// window uncorrectable, the data is not safely stored; try again
-		// elsewhere in the line.
-		if c.cfg.Scheme.Correctable(line.Faults(), origin, size) {
+		// elsewhere in the line. A write that killed no cell needs no check:
+		// place accepted this origin against the same fault set, or against
+		// an empty one, which every scheme corrects.
+		if len(res.NewFaults) == 0 || c.cfg.Scheme.Correctable(line.Faults(), origin, size) {
 			if meta.written() && int(meta.start) != origin {
 				c.stats.StartPointerUpdates++
 			}
@@ -323,16 +325,14 @@ func (c *Controller) place(bs *bankState, meta *lineMeta, faults *ecc.FaultSet, 
 // logical payload.
 func (c *Controller) writeWindow(line *pcm.Line, payload []byte, origin int) pcm.WriteResult {
 	size := len(payload)
-	target := *line.Data()
-	for i, b := range payload {
-		target[(origin+i)%block.Size] = b
-	}
-
 	head := size
 	if origin+size > block.Size {
 		head = block.Size - origin
 	}
 	tail := size - head
+	target := *line.Data()
+	copy(target[origin:], payload[:head])
+	copy(target[:tail], payload[head:])
 
 	if c.cfg.UseFNW {
 		flips := block.HammingDistanceWindow(line.Data(), &target, origin, head)

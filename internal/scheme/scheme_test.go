@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"pcmcomp/internal/block"
+	"pcmcomp/internal/ecc"
 	"pcmcomp/internal/pcm"
 )
 
@@ -220,6 +222,28 @@ func TestECCByName(t *testing.T) {
 	}
 	if _, err := Parse("ecc=ecp"); err == nil {
 		t.Error(`Parse("ecc=ecp") accepted the CLI alias into the spec grammar`)
+	}
+}
+
+// TestEmptyFaultSetAlwaysCorrectable pins the precondition two write-path
+// shortcuts rest on: core's place accepts any origin of a fault-free line
+// without asking the scheme, and its write-verify skips the check when a
+// write killed no cell. Both hold only if every registered scheme corrects
+// every window of a line without faults.
+func TestEmptyFaultSetAlwaysCorrectable(t *testing.T) {
+	var none ecc.FaultSet
+	for _, e := range ECCs() {
+		_, s, err := ECCByName(e.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		for origin := 0; origin < block.Size; origin++ {
+			for size := 1; size <= block.Size; size++ {
+				if !s.Correctable(&none, origin, size) {
+					t.Fatalf("%s: empty fault set uncorrectable at origin %d size %d", e.Name, origin, size)
+				}
+			}
+		}
 	}
 }
 

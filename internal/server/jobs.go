@@ -181,6 +181,20 @@ func (p *jobProgress) snapshot() *Progress {
 // to the cluster coordinator, so a sweep degrades gracefully to local
 // execution with bit-identical results.
 func ExecuteLocal(ctx context.Context, kind Kind, raw json.RawMessage) (json.RawMessage, error) {
+	p, err := decodeParams(kind, raw)
+	if err != nil {
+		return nil, err
+	}
+	result, err := p.run(ctx, &jobProgress{})
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(result)
+}
+
+// decodeParams decodes and normalizes one job's raw params, as a backend
+// does before it runs them.
+func decodeParams(kind Kind, raw json.RawMessage) (params, error) {
 	factory, ok := paramsFor[kind]
 	if !ok {
 		return nil, fmt.Errorf("unknown job kind %q", kind)
@@ -196,11 +210,7 @@ func ExecuteLocal(ctx context.Context, kind Kind, raw json.RawMessage) (json.Raw
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	result, err := p.run(ctx, &jobProgress{})
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(result)
+	return p, nil
 }
 
 // cacheKey derives the content address of a job: the SHA-256 of the kind

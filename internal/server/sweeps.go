@@ -251,6 +251,23 @@ func (s *sweepStore) restore(sweeps []SweepStatus, events map[string][]obs.Event
 	s.registry.restore(docs, events, seq)
 }
 
+// normalizeSweep normalizes a sweep request and decodes its first shard's
+// params as the shards' job route will, so params a backend would reject
+// (an unknown scheme, a malformed trace digest) get their 400 now instead
+// of failing the first shard of a queued sweep. It leaves the request as
+// Normalize does, so the sweep's cache key does not change.
+func normalizeSweep(req *cluster.SweepRequest) error {
+	if err := req.Normalize(); err != nil {
+		return err
+	}
+	shard, err := req.FirstShardParams()
+	if err != nil {
+		return err
+	}
+	_, err = decodeParams(Kind(req.Kind), shard)
+	return err
+}
+
 // sweepCacheKey content-addresses a normalized sweep request, so an
 // identical sweep — sharded or not — is answered from the result cache.
 func sweepCacheKey(req cluster.SweepRequest) (string, error) {
@@ -282,7 +299,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
-	if err := req.Normalize(); err != nil {
+	if err := normalizeSweep(&req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}

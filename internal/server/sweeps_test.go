@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pcmcomp/internal/cluster"
 )
 
 // postSweep POSTs /v1/sweeps and returns the decoded sweep document.
@@ -178,6 +180,66 @@ func TestSweepValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET unknown sweep: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSweepRejectsBadShardParams: params the job route rejects get the
+// same 400, with the same error text, on the sweep route, and no sweep is
+// queued for them.
+func TestSweepRejectsBadShardParams(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, params := range []string{
+		`{"scheme":"bogus"}`,
+		`{"scheme":"ecp","trace":"sha256:00","max_errors":4}`,
+	} {
+		job, err := http.Post(ts.URL+"/v1/jobs/failure-probability", "application/json", strings.NewReader(params))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobErr, _ := io.ReadAll(job.Body)
+		job.Body.Close()
+		if job.StatusCode != http.StatusBadRequest {
+			t.Fatalf("job route accepted %s: %d", params, job.StatusCode)
+		}
+		doc, code := postSweep(t, ts, `{"kind":"failure-probability","params":`+params+`,"seed_count":2}`)
+		if code != http.StatusBadRequest || doc.Error != string(jobErr) {
+			t.Errorf("sweep with params %s: %d %q, want 400 %q", params, code, doc.Error, jobErr)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/sweeps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Sweeps []SweepStatus `json:"sweeps"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Sweeps) != 0 {
+		t.Fatalf("rejected sweeps were queued: %+v", list.Sweeps)
+	}
+}
+
+// TestSweepCacheKeysUnchangedByValidation pins the cache keys of valid
+// sweeps: validating a shard's params must not rewrite the request.
+func TestSweepCacheKeysUnchangedByValidation(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"kind":"failure-probability","params":{"scheme":"ecp","window":16,"max_errors":8,"trials":2000},"seed_count":3}`: "44e7415d91bc0d8479161787f6b83bb2e7fd018289769cf1688cae715cc8887a",
+		`{"kind":"lifetime","params":{"app":"milc","scale":"quick"},"seed_count":2,"schemes":["comp+w","ecc=safer"]}`:      "bbefcd7db2541b12e16be11612660d1866301e2c83a195d3e39e8055f223b6be",
+		`{"kind":"compression","params":{"apps":["milc"],"scale":"quick"}}`:                                                "5877efb92c5b312d8647691711b8ea7101562dc7574f4ea341074b402b18ff2e",
+	} {
+		var req cluster.SweepRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if err := normalizeSweep(&req); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if got, err := sweepCacheKey(req); err != nil || got != want {
+			t.Errorf("%s: cache key %s (%v), want %s", body, got, err, want)
+		}
 	}
 }
 
