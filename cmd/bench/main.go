@@ -15,9 +15,11 @@
 // MonteCarloCurve must report zero allocations per op and be at least 2x
 // faster than their recorded baselines, and FleetSweeps (one distributed
 // sweep through a real in-process pcmd per op) must stay within its
-// regression ceiling. CI runs `bench -quick -check` as a smoke test and
-// archives the JSON as a build artifact; see EXPERIMENTS.md ("Benchmark
-// pipeline") for interpreting the output.
+// regression ceiling. Those three gated benchmarks run gateSamples times
+// each; the JSON lists every sample, ns/op gates on their median and
+// allocs/op must be 0 in every sample. CI runs `bench -quick -check` as a
+// smoke test and archives the JSON as a build artifact; see EXPERIMENTS.md
+// ("Benchmark pipeline") for interpreting the output.
 package main
 
 import (
@@ -27,6 +29,9 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,10 +42,51 @@ import (
 // ...) on flag.CommandLine so flag.Set can drive testing.Benchmark.
 func testingInit() { testing.Init() }
 
-// runBenchmark measures one registry entry with the standard benchmark
-// machinery (respecting the configured test.benchtime).
-func runBenchmark(e benchmarks.Entry) testing.BenchmarkResult {
-	return testing.Benchmark(e.F)
+// gatedKernels are the kernel benchmarks -check holds to 0 allocs/op and
+// 2x their pre-rewrite baselines; FleetSweeps is gated on its ceiling.
+var gatedKernels = []string{"WriteHot", "MonteCarloCurve"}
+
+// gateSamples is how many times each gated benchmark runs. On a shared
+// 2-vCPU host a single short WriteHot run read anywhere from 829 to 1469
+// ns/op within minutes, so one sample measures the host more than the
+// code; the median of five does not move with one slow sample.
+const gateSamples = 5
+
+// measure runs one registry entry with the standard benchmark machinery
+// (respecting the configured test.benchtime): once, or gateSamples times
+// for a gated entry. The result's top-level numbers are the median-ns/op
+// sample; a gated entry also keeps every sample, in run order.
+func measure(e benchmarks.Entry) result {
+	n := 1
+	if e.Name == "FleetSweeps" || slices.Contains(gatedKernels, e.Name) {
+		n = gateSamples
+	}
+	samples := make([]sample, n)
+	for i := range samples {
+		br := testing.Benchmark(e.F)
+		samples[i] = sample{
+			Iterations:  br.N,
+			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
+			BytesPerOp:  br.AllocedBytesPerOp(),
+			AllocsPerOp: br.AllocsPerOp(),
+		}
+	}
+	byNs := slices.Clone(samples)
+	sort.Slice(byNs, func(i, j int) bool { return byNs[i].NsPerOp < byNs[j].NsPerOp })
+	r := result{Name: e.Name, Micro: e.Micro, sample: byNs[n/2]}
+	if n > 1 {
+		r.Samples = samples
+	}
+	return r
+}
+
+// nsList formats the samples' ns/op in run order.
+func nsList(samples []sample) string {
+	parts := make([]string, len(samples))
+	for i, smp := range samples {
+		parts[i] = fmt.Sprintf("%.0f", smp.NsPerOp)
+	}
+	return strings.Join(parts, " ")
 }
 
 // baselineEntry is a recorded pre-rewrite measurement.
@@ -81,13 +127,22 @@ var serviceBaseline = map[string]baselineEntry{
 // serialization, a lost fast path), not scheduling jitter.
 const fleetSlack = 3.0
 
-type result struct {
-	Name        string  `json:"name"`
-	Micro       bool    `json:"micro"`
+// sample is one testing.Benchmark run of an entry.
+type sample struct {
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"nsPerOp"`
 	BytesPerOp  int64   `json:"bytesPerOp"`
 	AllocsPerOp int64   `json:"allocsPerOp"`
+}
+
+type result struct {
+	Name  string `json:"name"`
+	Micro bool   `json:"micro"`
+	// sample is the run with the median ns/op (the only run for an
+	// ungated entry).
+	sample
+	// Samples lists every run of a gated entry, in run order.
+	Samples []sample `json:"samples,omitempty"`
 	// SpeedupVsBaseline is baseline ns/op divided by current ns/op, for
 	// entries with a recorded baseline (0 otherwise).
 	SpeedupVsBaseline float64 `json:"speedupVsBaseline,omitempty"`
@@ -175,20 +230,16 @@ func run(args []string) error {
 			continue
 		}
 		fmt.Fprintf(os.Stderr, "running %-20s ", e.Name)
-		br := runBenchmark(e)
-		r := result{
-			Name:        e.Name,
-			Micro:       e.Micro,
-			Iterations:  br.N,
-			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
-			BytesPerOp:  br.AllocedBytesPerOp(),
-			AllocsPerOp: br.AllocsPerOp(),
-		}
+		r := measure(e)
 		if base, ok := baselines[e.Name]; ok && r.NsPerOp > 0 {
 			r.SpeedupVsBaseline = base.NsPerOp / r.NsPerOp
 		}
-		fmt.Fprintf(os.Stderr, "%12.1f ns/op %8d B/op %6d allocs/op\n",
+		fmt.Fprintf(os.Stderr, "%12.1f ns/op %8d B/op %6d allocs/op",
 			r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		if len(r.Samples) > 0 {
+			fmt.Fprintf(os.Stderr, " (median of %s)", nsList(r.Samples))
+		}
+		fmt.Fprintln(os.Stderr)
 		rep.Results = append(rep.Results, r)
 	}
 	if len(rep.Results) == 0 {
@@ -228,39 +279,43 @@ type checkMsg struct {
 }
 
 // runChecks enforces the pipeline invariants: the allocation-free kernels
-// (WriteHot, MonteCarloCurve) must stay at 0 allocs/op and at least 2x
-// their pre-rewrite baselines, and the fleet benchmark (FleetSweeps) must
-// stay under fleetSlack times its recorded service baseline. Every gated
-// benchmark must be present — -check is the CI gate and CI runs the full
-// registry, so an absent entry means the run was filtered and proves
-// nothing.
+// (gatedKernels) must report 0 allocs/op in every sample and a median at
+// least 2x faster than their pre-rewrite baselines, and the fleet
+// benchmark (FleetSweeps) must keep its median under fleetSlack times its
+// recorded service baseline. Every gated benchmark must be present —
+// -check is the CI gate and CI runs the full registry, so an absent entry
+// means the run was filtered and proves nothing.
 func runChecks(results []result) []checkMsg {
 	byName := make(map[string]*result, len(results))
 	for i := range results {
 		byName[results[i].Name] = &results[i]
 	}
 	var msgs []checkMsg
-	for _, name := range []string{"WriteHot", "MonteCarloCurve"} {
+	for _, name := range gatedKernels {
 		r, ok := byName[name]
 		if !ok {
 			msgs = append(msgs, checkMsg{false, fmt.Sprintf(
 				"check FAIL: %s not among results (run without -bench filters)", name)})
 			continue
 		}
-		if r.AllocsPerOp == 0 {
-			msgs = append(msgs, checkMsg{true, fmt.Sprintf("check ok: %s allocs/op = 0", name)})
+		var allocs []int64
+		for _, smp := range r.Samples {
+			allocs = append(allocs, smp.AllocsPerOp)
+		}
+		if slices.Max(allocs) == 0 {
+			msgs = append(msgs, checkMsg{true, fmt.Sprintf("check ok: %s allocs/op = 0 in all %d samples", name, len(allocs))})
 		} else {
 			msgs = append(msgs, checkMsg{false, fmt.Sprintf(
-				"check FAIL: %s allocs/op = %d, want 0", name, r.AllocsPerOp)})
+				"check FAIL: %s allocs/op per sample = %v, want 0 in each", name, allocs)})
 		}
 		base := preRewriteBaseline[name]
 		if r.NsPerOp*2 <= base.NsPerOp {
 			msgs = append(msgs, checkMsg{true, fmt.Sprintf(
-				"check ok: %s %.1f ns/op is %.2fx the %.0f ns/op baseline",
+				"check ok: %s median %.1f ns/op is %.2fx the %.0f ns/op baseline",
 				name, r.NsPerOp, base.NsPerOp/r.NsPerOp, base.NsPerOp)})
 		} else {
 			msgs = append(msgs, checkMsg{false, fmt.Sprintf(
-				"check FAIL: %s %.1f ns/op, need <= %.1f (2x over the %.0f ns/op baseline)",
+				"check FAIL: %s median %.1f ns/op, need <= %.1f (2x over the %.0f ns/op baseline)",
 				name, r.NsPerOp, base.NsPerOp/2, base.NsPerOp)})
 		}
 	}
@@ -274,11 +329,11 @@ func runChecks(results []result) []checkMsg {
 	ceiling := base.NsPerOp * fleetSlack
 	if fleet.NsPerOp <= ceiling {
 		msgs = append(msgs, checkMsg{true, fmt.Sprintf(
-			"check ok: FleetSweeps %.2fms/sweep (%.1f sweeps/sec) within %.0fx of the %.2fms baseline",
+			"check ok: FleetSweeps median %.2fms/sweep (%.1f sweeps/sec) within %.0fx of the %.2fms baseline",
 			fleet.NsPerOp/1e6, 1e9/fleet.NsPerOp, fleetSlack, base.NsPerOp/1e6)})
 	} else {
 		msgs = append(msgs, checkMsg{false, fmt.Sprintf(
-			"check FAIL: FleetSweeps %.2fms/sweep, ceiling %.2fms (%.0fx over the %.2fms baseline)",
+			"check FAIL: FleetSweeps median %.2fms/sweep, ceiling %.2fms (%.0fx over the %.2fms baseline)",
 			fleet.NsPerOp/1e6, ceiling/1e6, fleetSlack, base.NsPerOp/1e6)})
 	}
 	return msgs

@@ -37,9 +37,9 @@
 //
 // sweep prints shard progress to stderr and the finished sweep document
 // (the merged result under "result", plus the trace ID to feed `pcmctl
-// trace`) as JSON on stdout. The pcmd's -peers, -sweep-retries,
-// -hedge-after and -job-timeout decide where and how shards run; a
-// peerless pcmd runs them in-process with the same merged result.
+// trace`) as JSON on stdout. The pcmd's -peers and -job-timeout decide
+// where and how shards run; a peerless pcmd runs them in-process with the
+// same merged result.
 //
 // trace renders a completed trace from the server's /debug/traces ring as
 // an ASCII span tree — without -id it lists the retained traces.

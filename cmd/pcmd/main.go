@@ -8,16 +8,13 @@
 //
 //	pcmd [-addr :8080] [-workers N] [-queue 64] [-cache 256]
 //	     [-job-timeout 15m] [-job-ttl 1h] [-max-jobs 4096]
-//	     [-snapshot path.json] [-snapshot-interval 1m]
-//	     [-drain-timeout 30s]
+//	     [-snapshot path.json] [-drain-timeout 30s]
 //	     [-api-keys file|spec,...] [-anon-rate 0] [-anon-burst 0]
-//	     [-sse-heartbeat 15s]
-//	     [-trace-dir dir] [-trace-ttl 168h] [-trace-max-bytes 1073741824]
+//	     [-trace-dir dir] [-trace-max-bytes 1073741824]
 //	     [-trace-byte-rate 0] [-trace-byte-burst 0] [-advertise URL]
-//	     [-peers http://b1:8080,http://b2:8080] [-sweep-retries 2]
-//	     [-hedge-after 30s] [-health-interval 15s]
+//	     [-peers http://b1:8080,http://b2:8080] [-health-interval 15s]
 //	     [-slo 'jobs:p95<2s,err<1%;http:p99<500ms'] [-slo-windows 1m,5m]
-//	     [-scrape-interval 5s] [-max-incidents 8] [-incident-cpu-profile 5s]
+//	     [-scrape-interval 5s] [-incident-cpu-profile 5s]
 //	     [-log-sample 0] [-log-format text|json] [-log-level info]
 //	     [-pprof] [-version]
 //
@@ -33,8 +30,9 @@
 // With -peers, POST /v1/sweeps shards seed sweeps across the listed pcmd
 // backends (coordinator mode); without it, sweeps run on an in-process
 // loopback backend, so a single node still serves the full API. This is
-// the fleet's only sweep coordinator: `pcmctl sweep -server` submits here,
-// and -sweep-retries, -hedge-after and -job-timeout set its shard policy.
+// the fleet's only sweep coordinator: `pcmctl sweep -server` submits here.
+// A failed shard is re-dispatched up to twice, a shard still running after
+// 30s is hedged onto a second peer, and -job-timeout bounds each shard.
 // Every -health-interval the coordinator probes each peer's /healthz; a
 // failed probe (a drained peer answers 503) opens that peer's circuit
 // breaker, and the next good probe closes it.
@@ -45,7 +43,7 @@
 // status` and `pcmctl top`). -slo configures burn-rate-evaluated
 // objectives over -slo-windows; a breach captures an incident bundle
 // (fleet snapshot, recent traces, goroutine dump, -incident-cpu-profile
-// seconds of CPU profile) into a ring of -max-incidents, served under
+// seconds of CPU profile) into a ring of the 8 most recent, served under
 // /debug/incidents. -log-sample rate-limits per-route access-log lines;
 // error responses always log.
 //
@@ -55,9 +53,9 @@
 //
 // SIGINT/SIGTERM begin a graceful drain: new submissions get 503, running
 // and queued jobs finish (up to -drain-timeout), the final snapshot (when
-// -snapshot is set) is written, then the process exits. On the next start
-// the snapshot restores finished jobs and the result cache, so a restart
-// does not forget completed sweeps.
+// -snapshot is set; it is also written every minute) is written, then the
+// process exits. On the next start the snapshot restores finished jobs and
+// the result cache, so a restart does not forget completed sweeps.
 package main
 
 import (
@@ -103,26 +101,20 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	jobTTL := fs.Duration("job-ttl", time.Hour, "how long finished job and sweep handles stay pollable")
 	maxJobs := fs.Int("max-jobs", 4096, "job store bound (terminal jobs evicted beyond it)")
 	snapshot := fs.String("snapshot", "", "crash-safety snapshot file (empty disables persistence)")
-	snapshotInterval := fs.Duration("snapshot-interval", time.Minute, "periodic snapshot cadence")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "shutdown drain deadline")
 	apiKeys := fs.String("api-keys", "", "tenant API keys: a keys file path, @path, or inline name:key[:rate[:burst[:weight]]] specs (comma-separated)")
 	anonRate := fs.Float64("anon-rate", 0, "anonymous-tenant submissions per second (0 = unlimited)")
 	anonBurst := fs.Float64("anon-burst", 0, "anonymous-tenant burst size (0 = rate)")
-	sseHeartbeat := fs.Duration("sse-heartbeat", 15*time.Second, "SSE heartbeat cadence (negative disables)")
 	traceDir := fs.String("trace-dir", "", "uploaded-trace spool directory (empty: traces stay in memory only)")
-	traceTTL := fs.Duration("trace-ttl", 7*24*time.Hour, "evict traces unused for this long (negative disables)")
 	traceMaxBytes := fs.Int64("trace-max-bytes", 1<<30, "trace store capacity in canonical bytes")
 	traceByteRate := fs.Float64("trace-byte-rate", 0, "per-tenant trace-upload bytes per second (0 = unlimited)")
 	traceByteBurst := fs.Float64("trace-byte-burst", 0, "per-tenant trace-upload burst bytes (0 = rate)")
 	advertise := fs.String("advertise", "", "this coordinator's own base URL, sent to backends so they can fetch trace digests")
 	peers := fs.String("peers", "", "comma-separated pcmd base URLs for coordinator mode (empty: sweeps run locally)")
-	sweepRetries := fs.Int("sweep-retries", 2, "per-shard re-dispatch budget for sweeps")
-	hedgeAfter := fs.Duration("hedge-after", 30*time.Second, "straggler-shard hedging delay (negative disables)")
 	healthInterval := fs.Duration("health-interval", 15*time.Second, "peer health-probe cadence")
 	sloSpec := fs.String("slo", "", "SLO spec, e.g. 'jobs:p95<2s,err<1%;http:p99<500ms' (empty: no SLO evaluation)")
 	sloWindows := fs.String("slo-windows", "1m,5m", "burn-rate evaluation windows, comma-separated durations")
 	scrapeInterval := fs.Duration("scrape-interval", 5*time.Second, "fleet health-plane scrape cadence (negative disables /v1/fleet/status)")
-	maxIncidents := fs.Int("max-incidents", 8, "SLO-breach incident ring capacity")
 	incidentCPU := fs.Duration("incident-cpu-profile", 5*time.Second, "per-incident CPU profile duration (negative disables)")
 	logSample := fs.Float64("log-sample", 0, "max access-log lines per second per route (0 logs everything; errors always log)")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
@@ -179,15 +171,10 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		JobTTL:             *jobTTL,
 		MaxJobs:            *maxJobs,
 		SnapshotPath:       *snapshot,
-		SnapshotInterval:   *snapshotInterval,
 		Peers:              peerList,
-		SweepRetries:       *sweepRetries,
-		SweepHedgeAfter:    *hedgeAfter,
 		HealthInterval:     *healthInterval,
 		Tenants:            tenants,
-		SSEHeartbeat:       *sseHeartbeat,
 		TraceDir:           *traceDir,
-		TraceTTL:           *traceTTL,
 		TraceMaxBytes:      *traceMaxBytes,
 		TraceByteRate:      *traceByteRate,
 		TraceByteBurst:     *traceByteBurst,
@@ -195,7 +182,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		ScrapeInterval:     *scrapeInterval,
 		SLOs:               slos,
 		SLOWindows:         windows,
-		MaxIncidents:       *maxIncidents,
 		IncidentCPUProfile: *incidentCPU,
 		LogSampleQPS:       *logSample,
 		Logger:             logger,

@@ -16,9 +16,6 @@ import (
 type Backend interface {
 	// Name identifies the backend in metrics and errors.
 	Name() string
-	// Weight is the backend's relative capacity for least-loaded selection
-	// (a weight-2 backend receives ~2x the shards of a weight-1 one).
-	Weight() float64
 	// RunJob executes one job of the given kind and returns its raw result
 	// payload. Cancellation of ctx must stop the work (for a remote
 	// backend, by canceling the submitted job).
@@ -36,21 +33,16 @@ type RunFunc func(ctx context.Context, kind string, params json.RawMessage) (jso
 // Loopback is an in-process backend: shards run in the coordinator's own
 // process through a RunFunc. It is always healthy.
 type Loopback struct {
-	name   string
-	weight float64
-	run    RunFunc
+	name string
+	run  RunFunc
 }
 
-// NewLoopback builds an in-process backend (weight <= 0 selects 1).
-func NewLoopback(name string, weight float64, run RunFunc) *Loopback {
-	if weight <= 0 {
-		weight = 1
-	}
-	return &Loopback{name: name, weight: weight, run: run}
+// NewLoopback builds an in-process backend.
+func NewLoopback(name string, run RunFunc) *Loopback {
+	return &Loopback{name: name, run: run}
 }
 
-func (l *Loopback) Name() string    { return l.name }
-func (l *Loopback) Weight() float64 { return l.weight }
+func (l *Loopback) Name() string { return l.name }
 
 func (l *Loopback) RunJob(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 	return l.run(ctx, kind, params)
@@ -67,20 +59,14 @@ type HTTPBackend struct {
 	// poll knobs before the first RunJob.
 	Client *pcmclient.Client
 	name   string
-	weight float64
 }
 
-// NewHTTPBackend builds a backend for the pcmd daemon at baseURL
-// (weight <= 0 selects 1).
-func NewHTTPBackend(baseURL string, weight float64) *HTTPBackend {
-	if weight <= 0 {
-		weight = 1
-	}
-	return &HTTPBackend{Client: pcmclient.New(baseURL), name: baseURL, weight: weight}
+// NewHTTPBackend builds a backend for the pcmd daemon at baseURL.
+func NewHTTPBackend(baseURL string) *HTTPBackend {
+	return &HTTPBackend{Client: pcmclient.New(baseURL), name: baseURL}
 }
 
-func (h *HTTPBackend) Name() string    { return h.name }
-func (h *HTTPBackend) Weight() float64 { return h.weight }
+func (h *HTTPBackend) Name() string { return h.name }
 
 func (h *HTTPBackend) RunJob(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 	j, err := h.Client.Submit(ctx, kind, params)

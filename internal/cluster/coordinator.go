@@ -108,7 +108,7 @@ func (bs *backendState) forceOpen(cooldown time.Duration, now time.Time) bool {
 }
 
 // Coordinator dispatches sweep shards across a fleet of backends with
-// weighted least-loaded selection, per-shard retry, hedged duplicates for
+// least-loaded selection, per-shard retry, hedged duplicates for
 // stragglers, and per-backend circuit breaking. It is safe for concurrent
 // SweepWithHooks calls; the backends' load and health are shared across
 // sweeps.
@@ -144,7 +144,6 @@ func (c *Coordinator) Backends() []BackendStatus {
 		bs.mu.Lock()
 		out[i] = BackendStatus{
 			Name:             bs.b.Name(),
-			Weight:           bs.b.Weight(),
 			Inflight:         bs.inflight,
 			Healthy:          bs.openUntil.IsZero(),
 			ConsecutiveFails: bs.consecFails,
@@ -154,12 +153,12 @@ func (c *Coordinator) Backends() []BackendStatus {
 	return out
 }
 
-// pick acquires the least-loaded available backend (load = (inflight+1) /
-// weight), skipping exclude. When every circuit is open it falls back to
-// the least-loaded backend anyway — a degraded fleet should limp, not
-// deadlock. Returns nil only when exclusion leaves no candidate. The
-// returned backend's inflight count is already incremented; release it
-// with c.release.
+// pick acquires the available backend with the fewest shards in flight
+// (ties go to the first registered), skipping exclude. When every circuit
+// is open it falls back to the least-loaded backend anyway — a degraded
+// fleet should limp, not deadlock. Returns nil only when exclusion leaves
+// no candidate. The returned backend's inflight count is already
+// incremented; release it with c.release.
 func (c *Coordinator) pick(exclude *backendState) *backendState {
 	now := time.Now()
 	c.mu.Lock()
@@ -176,7 +175,6 @@ func (c *Coordinator) pick(exclude *backendState) *backendState {
 
 func (c *Coordinator) pickLocked(exclude *backendState, needAvailable bool, now time.Time) *backendState {
 	var best *backendState
-	var bestLoad float64
 	for _, bs := range c.backends {
 		if bs == exclude {
 			continue
@@ -184,9 +182,8 @@ func (c *Coordinator) pickLocked(exclude *backendState, needAvailable bool, now 
 		if needAvailable && !bs.available(now) {
 			continue
 		}
-		load := float64(bs.inflight+1) / bs.b.Weight()
-		if best == nil || load < bestLoad {
-			best, bestLoad = bs, load
+		if best == nil || bs.inflight < best.inflight {
+			best = bs
 		}
 	}
 	return best

@@ -145,7 +145,7 @@ func TestSweepMergesInSeedOrder(t *testing.T) {
 		time.Sleep(time.Duration(8-p.Seed) * 5 * time.Millisecond)
 		return echoRun(ctx, kind, params)
 	}
-	c, err := New([]Backend{NewLoopback("a", 1, slow), NewLoopback("b", 1, slow)}, Options{Concurrency: 8})
+	c, err := New([]Backend{NewLoopback("a", slow), NewLoopback("b", slow)}, Options{Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestReduceCurvesMeanAndThreshold(t *testing.T) {
 
 func TestRetryMovesToHealthyBackend(t *testing.T) {
 	var aCalls, bCalls atomic.Int64
-	flaky := NewLoopback("flaky", 1, func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+	flaky := NewLoopback("flaky", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 		aCalls.Add(1)
 		return nil, errors.New("transient backend blowup")
 	})
-	good := NewLoopback("good", 1, func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+	good := NewLoopback("good", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 		bCalls.Add(1)
 		return echoRun(ctx, kind, params)
 	})
@@ -250,7 +250,7 @@ func TestRetryMovesToHealthyBackend(t *testing.T) {
 }
 
 func TestRetriesExhaustedFailsSweep(t *testing.T) {
-	bad := NewLoopback("bad", 1, func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+	bad := NewLoopback("bad", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 		return nil, errors.New("kaboom")
 	})
 	c, err := New([]Backend{bad}, Options{MaxRetries: 1, Concurrency: 1})
@@ -268,11 +268,11 @@ func TestRetriesExhaustedFailsSweep(t *testing.T) {
 
 func TestPermanentErrorSkipsRetry(t *testing.T) {
 	var calls atomic.Int64
-	bad := NewLoopback("bad", 1, func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+	bad := NewLoopback("bad", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 		calls.Add(1)
 		return nil, fmt.Errorf("wrapped: %w", &pcmclient.APIError{StatusCode: 400, Message: "bad params"})
 	})
-	c, err := New([]Backend{bad, NewLoopback("other", 1, echoRun)}, Options{MaxRetries: 3, Concurrency: 1})
+	c, err := New([]Backend{bad, NewLoopback("other", echoRun)}, Options{MaxRetries: 3, Concurrency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,11 @@ func TestPermanentErrorSkipsRetry(t *testing.T) {
 
 	// A terminal remote job failure (JobFailed) is permanent too.
 	var jfCalls atomic.Int64
-	jf := NewLoopback("jf", 1, func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+	jf := NewLoopback("jf", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 		jfCalls.Add(1)
 		return nil, fmt.Errorf("backend x: %w", &pcmclient.JobFailed{Job: pcmclient.Job{ID: "j1", State: "failed", Error: "sim diverged"}})
 	})
-	c2, _ := New([]Backend{jf, NewLoopback("other", 1, echoRun)}, Options{MaxRetries: 3, Concurrency: 1})
+	c2, _ := New([]Backend{jf, NewLoopback("other", echoRun)}, Options{MaxRetries: 3, Concurrency: 1})
 	_, err = c2.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 1}, SweepHooks{})
 	if !errors.Is(err, pcmclient.ErrJobFailed) {
 		t.Fatalf("err = %v, want ErrJobFailed", err)
@@ -314,13 +314,13 @@ func TestPermanentErrorSkipsRetry(t *testing.T) {
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
-	flappy := NewLoopback("flappy", 1, func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+	flappy := NewLoopback("flappy", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 		if failing.Load() {
 			return nil, errors.New("down")
 		}
 		return echoRun(ctx, kind, params)
 	})
-	good := NewLoopback("good", 1, echoRun)
+	good := NewLoopback("good", echoRun)
 	c, err := New([]Backend{flappy, good}, Options{
 		MaxRetries: 3, Concurrency: 1, BreakerThreshold: 2, BreakerCooldown: time.Hour,
 	})
@@ -374,8 +374,8 @@ type probed struct {
 func (p *probed) Check(context.Context) error { return p.checkErr }
 
 func TestHealthProbeDrivesBreaker(t *testing.T) {
-	a := &probed{Loopback: NewLoopback("a", 1, echoRun)}
-	b := NewLoopback("b", 1, echoRun)
+	a := &probed{Loopback: NewLoopback("a", echoRun)}
+	b := NewLoopback("b", echoRun)
 	c, err := New([]Backend{a, b}, Options{BreakerCooldown: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +413,7 @@ func TestHealthProbeDrivesBreaker(t *testing.T) {
 func TestAllCircuitsOpenStillDispatches(t *testing.T) {
 	// A fully-open fleet must limp along (half-open fallback), not deadlock.
 	var calls atomic.Int64
-	b := NewLoopback("only", 1, func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+	b := NewLoopback("only", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 		if calls.Add(1) <= 3 {
 			return nil, errors.New("down")
 		}
@@ -430,12 +430,12 @@ func TestAllCircuitsOpenStillDispatches(t *testing.T) {
 
 func TestHedgeDuplicateCancelsLoser(t *testing.T) {
 	primaryCanceled := make(chan struct{})
-	slow := NewLoopback("slow", 1, func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+	slow := NewLoopback("slow", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 		<-ctx.Done() // never finishes on its own; only the hedge cancel frees it
 		close(primaryCanceled)
 		return nil, ctx.Err()
 	})
-	fast := NewLoopback("fast", 1, echoRun)
+	fast := NewLoopback("fast", echoRun)
 	// slow is first in registration order, so with equal load it is the
 	// primary pick; the hedge then fires on fast.
 	c, err := New([]Backend{slow, fast}, Options{
@@ -483,7 +483,7 @@ func TestHedgeDuplicateCancelsLoser(t *testing.T) {
 
 func TestSweepCanceledMidFlight(t *testing.T) {
 	started := make(chan struct{}, 8)
-	block := NewLoopback("block", 1, func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+	block := NewLoopback("block", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -510,34 +510,45 @@ func TestSweepCanceledMidFlight(t *testing.T) {
 	}
 }
 
-func TestWeightedPickPrefersHeavierBackend(t *testing.T) {
-	var light, heavy atomic.Int64
-	count := func(n *atomic.Int64) RunFunc {
-		return func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
-			n.Add(1)
-			time.Sleep(2 * time.Millisecond) // hold the slot so load matters
-			return echoRun(ctx, kind, params)
+// TestPickLeastInflight pins the selection rule: fewest shards in flight,
+// ties to the first registered backend. Backend a holds its shard until b
+// has run one, so a 2-seed sweep at Concurrency 2 must place one shard on
+// each; a picker that stacked both on a would time out.
+func TestPickLeastInflight(t *testing.T) {
+	var onA, onB atomic.Int64
+	bRan := make(chan struct{}, 2)
+	a := NewLoopback("a", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+		onA.Add(1)
+		select {
+		case <-bRan:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-	}
-	c, err := New([]Backend{
-		NewLoopback("light", 1, count(&light)),
-		NewLoopback("heavy", 3, count(&heavy)),
-	}, Options{Concurrency: 4})
+		return echoRun(ctx, kind, params)
+	})
+	b := NewLoopback("b", func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
+		onB.Add(1)
+		bRan <- struct{}{}
+		return echoRun(ctx, kind, params)
+	})
+	c, err := New([]Backend{a, b}, Options{Concurrency: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SweepWithHooks(context.Background(), SweepRequest{Kind: KindLifetime, SeedCount: 24}, SweepHooks{}); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.SweepWithHooks(ctx, SweepRequest{Kind: KindLifetime, SeedCount: 2}, SweepHooks{}); err != nil {
 		t.Fatal(err)
 	}
-	if heavy.Load() <= light.Load() {
-		t.Errorf("weight-3 backend ran %d shards vs weight-1's %d; want more", heavy.Load(), light.Load())
+	if onA.Load() != 1 || onB.Load() != 1 {
+		t.Errorf("shards ran a=%d b=%d, want one on each", onA.Load(), onB.Load())
 	}
 }
 
 // TestConcurrentSweepsRace exercises shared coordinator state from parallel
 // sweeps; run with -race to validate the locking.
 func TestConcurrentSweepsRace(t *testing.T) {
-	c, err := New([]Backend{NewLoopback("a", 1, echoRun), NewLoopback("b", 2, echoRun)}, Options{Concurrency: 8})
+	c, err := New([]Backend{NewLoopback("a", echoRun), NewLoopback("b", echoRun)}, Options{Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

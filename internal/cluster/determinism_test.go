@@ -17,7 +17,7 @@ import (
 func localBackends(n int) []cluster.Backend {
 	out := make([]cluster.Backend, n)
 	for i := range out {
-		out[i] = cluster.NewLoopback(fmt.Sprintf("local-%d", i), 1,
+		out[i] = cluster.NewLoopback(fmt.Sprintf("local-%d", i),
 			func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 				return server.ExecuteLocal(ctx, server.Kind(kind), params)
 			})

@@ -50,7 +50,7 @@ func TestKillBackendMidSweepRedispatches(t *testing.T) {
 			defer cancel()
 			_ = s.Shutdown(ctx)
 		}()
-		b := cluster.NewHTTPBackend(tss[i].URL, 1)
+		b := cluster.NewHTTPBackend(tss[i].URL)
 		// Fail fast on the killed backend so the coordinator's retry, not the
 		// client's transport retry, does the recovering.
 		b.Client.PollInterval = 2 * time.Millisecond

@@ -44,9 +44,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 
 // BackendStatus is one backend's health and load as seen by the picker.
 type BackendStatus struct {
-	Name             string  `json:"name"`
-	Weight           float64 `json:"weight"`
-	Inflight         int64   `json:"inflight"`
-	Healthy          bool    `json:"healthy"`
-	ConsecutiveFails int     `json:"consecutive_fails"`
+	Name             string `json:"name"`
+	Inflight         int64  `json:"inflight"`
+	Healthy          bool   `json:"healthy"`
+	ConsecutiveFails int    `json:"consecutive_fails"`
 }

@@ -23,12 +23,6 @@ type LifetimeOptions struct {
 	// MaxDemandWrites caps every run of every lifetime table, Baseline
 	// included (0 = none); quick modes set it.
 	MaxDemandWrites uint64
-	// BaselineCapFactor caps non-baseline runs at this multiple of the
-	// app's baseline lifetime (0 = default 40). Zero-dominated workloads
-	// under Comp+WF approach the 50%-dead criterion asymptotically; the
-	// paper's largest reported gain is ~13x, so a 40x cap bounds runtime
-	// without censoring any realistic ratio.
-	BaselineCapFactor uint64
 	// Concurrency bounds the per-application worker fan-out of every
 	// lifetime table, the ablations included (0 = CPU count). Results are
 	// identical at any width — the determinism tests sweep this knob to
@@ -36,12 +30,11 @@ type LifetimeOptions struct {
 	Concurrency int
 }
 
-func (o LifetimeOptions) capFactor() uint64 {
-	if o.BaselineCapFactor == 0 {
-		return 40
-	}
-	return o.BaselineCapFactor
-}
+// baselineCapFactor caps non-baseline runs at this multiple of the app's
+// baseline lifetime. Zero-dominated workloads under Comp+WF approach the
+// 50%-dead criterion asymptotically; the paper's largest reported gain is
+// ~13x, so a 40x cap bounds runtime without censoring any realistic ratio.
+const baselineCapFactor = 40
 
 // appTrace builds the per-app replay trace at the option's scale.
 func (o LifetimeOptions) appTrace(app string) ([]trace.Event, workload.Profile, error) {
@@ -109,9 +102,9 @@ func (o LifetimeOptions) lifetimeRuns(apps []string, variants []variant) ([]appR
 		if r.base, err = lifetime.Run(o.runConfig(variant{sys: core.Baseline}, o.MaxDemandWrites), events); err != nil {
 			return err
 		}
-		// The cap rule: the option cap, tightened to capFactor times the
-		// Baseline's lifetime.
-		capWrites := r.base.DemandWrites * o.capFactor()
+		// The cap rule: the option cap, tightened to baselineCapFactor
+		// times the Baseline's lifetime.
+		capWrites := r.base.DemandWrites * baselineCapFactor
 		if capWrites == 0 || (o.MaxDemandWrites > 0 && o.MaxDemandWrites < capWrites) {
 			capWrites = o.MaxDemandWrites
 		}

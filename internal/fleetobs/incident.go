@@ -53,12 +53,7 @@ type incidentRing struct {
 	incidents []*Incident
 }
 
-func newIncidentRing(max int) *incidentRing {
-	if max <= 0 {
-		max = 8
-	}
-	return &incidentRing{max: max}
-}
+func newIncidentRing(max int) *incidentRing { return &incidentRing{max: max} }
 
 // add assigns the incident an ID, appends it, and evicts the oldest
 // beyond the bound. Returns the assigned ID.

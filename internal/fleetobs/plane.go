@@ -49,19 +49,9 @@ type Config struct {
 	// CollectTraces, when set, returns the most recent completed traces
 	// as JSON for incident bundles.
 	CollectTraces func(n int) json.RawMessage
-	// MaxIncidents bounds the incident ring (default 8).
-	MaxIncidents int
 	// CPUProfileDuration sizes the per-incident CPU profile (default
 	// 5s; negative disables CPU profiling).
 	CPUProfileDuration time.Duration
-	// FetchTimeout bounds one target fetch (default 5s, capped at the
-	// interval when the interval is shorter).
-	FetchTimeout time.Duration
-	// TimelineCap bounds the plane's flight recorder (default 64).
-	TimelineCap int
-	// IncidentTraces is how many recent traces an incident embeds
-	// (default 8).
-	IncidentTraces int
 	// Logger receives scrape errors and incident trips (nil: silent).
 	Logger *slog.Logger
 }
@@ -74,33 +64,27 @@ func (c Config) withDefaults() Config {
 		c.Windows = []time.Duration{time.Minute, 5 * time.Minute}
 	}
 	sort.Slice(c.Windows, func(i, j int) bool { return c.Windows[i] < c.Windows[j] })
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 8
-	}
 	if c.CPUProfileDuration == 0 {
 		c.CPUProfileDuration = 5 * time.Second
 	}
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 5 * time.Second
-	}
-	if c.FetchTimeout > c.Interval {
-		c.FetchTimeout = c.Interval
-	}
-	if c.TimelineCap <= 0 {
-		c.TimelineCap = 64
-	}
-	if c.IncidentTraces <= 0 {
-		c.IncidentTraces = 8
-	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(nopWriter{}, nil))
+		c.Logger = obs.NopLogger()
 	}
 	return c
 }
 
-type nopWriter struct{}
-
-func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+// Fixed plane bounds: each has one value in use, so none is a Config
+// field.
+const (
+	// fetchTimeout bounds one target fetch; a shorter Interval caps it.
+	fetchTimeout = 5 * time.Second
+	// timelineCap bounds the plane's flight recorder.
+	timelineCap = 64
+	// incidentTraces is how many recent traces an incident embeds.
+	incidentTraces = 8
+	// maxIncidents bounds the incident ring.
+	maxIncidents = 8
+)
 
 // scrapeRec is one scrape of one target: when, the digested view (nil
 // on failure), and the error string.
@@ -155,8 +139,8 @@ func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
 	return &Plane{
 		cfg:       cfg,
-		timeline:  obs.NewTimeline(cfg.TimelineCap),
-		incidents: newIncidentRing(cfg.MaxIncidents),
+		timeline:  obs.NewTimeline(timelineCap),
+		incidents: newIncidentRing(maxIncidents),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		history:   make(map[string][]scrapeRec),
@@ -203,7 +187,7 @@ func (p *Plane) loop() {
 // scrapeAll fetches every target in parallel, folds the results into
 // history, rebuilds the snapshot, and evaluates the SLOs.
 func (p *Plane) scrapeAll() {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), min(fetchTimeout, p.cfg.Interval))
 	defer cancel()
 	go func() { // a Close during a slow fetch aborts it
 		select {
@@ -347,7 +331,7 @@ func (p *Plane) trip(now time.Time, st SLOStatus, snap FleetSnapshot) {
 		Snapshot:  snap,
 	}
 	if p.cfg.CollectTraces != nil {
-		inc.Traces = p.cfg.CollectTraces(p.cfg.IncidentTraces)
+		inc.Traces = p.cfg.CollectTraces(incidentTraces)
 	}
 	inc.Timeline = planeTimelineSlice(p.timeline.Events())
 	id := p.incidents.add(inc)

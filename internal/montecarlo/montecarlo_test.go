@@ -3,10 +3,12 @@ package montecarlo
 import (
 	"testing"
 
+	"pcmcomp/internal/block"
 	"pcmcomp/internal/ecc"
 	"pcmcomp/internal/ecc/aegis"
 	"pcmcomp/internal/ecc/ecp"
 	"pcmcomp/internal/ecc/safer"
+	"pcmcomp/internal/rng"
 )
 
 func TestValidate(t *testing.T) {
@@ -116,6 +118,47 @@ func TestSchemeOrderingAtHalfProbability(t *testing.T) {
 	}
 	if aegisTol < 30 || aegisTol > 55 {
 		t.Errorf("Aegis @32B tolerates %d faults at p=0.5; paper ~41", aegisTol)
+	}
+}
+
+// TestLinearOriginsExplainECPGap pins the measurement behind Fig 9
+// residual gap 4 (EXPERIMENTS.md): at 32 B, seed 1 and 1000 trials per
+// point, ECP-6 tolerates 20 faults at p = 0.5 with the kernel's wrapping
+// window origins, and the paper's 18 when the same fault draws may only
+// use the linear origins 0..64-W.
+func TestLinearOriginsExplainECPGap(t *testing.T) {
+	const w, maxErrors, trials, seed = 32, 30, 1000, 1
+	scheme := ecp.New(6)
+	wrapping, err := Curve(scheme, w, maxErrors, trials, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear := make([]float64, 0, maxErrors)
+	var r rng.Rand
+	var draws rng.Batch
+	var faults ecc.FaultSet
+	for e := 1; e <= maxErrors; e++ {
+		r.Reseed(seed + uint64(e)) // Curve's per-point seed
+		draws.Reset(&r)
+		failures := 0
+		for trial := 0; trial < trials; trial++ {
+			faults.Clear()
+			injectUniform(&draws, &faults, e)
+			survived := false
+			for origin := 0; origin <= block.Size-w && !survived; origin++ {
+				survived = scheme.Correctable(&faults, origin, w)
+			}
+			if !survived {
+				failures++
+			}
+		}
+		linear = append(linear, float64(failures)/trials)
+	}
+	if got := TolerableAt(linear, 0.5); got != 18 {
+		t.Errorf("ECP-6 @32B, linear origins: tolerates %d faults at p=0.5, want 18 (the paper's)", got)
+	}
+	if got := TolerableAt(wrapping, 0.5); got != 20 {
+		t.Errorf("ECP-6 @32B, wrapping origins: tolerates %d faults at p=0.5, want 20", got)
 	}
 }
 

@@ -137,6 +137,43 @@ func TestRingEvictsOldestTrace(t *testing.T) {
 	}
 }
 
+// TestDefaultRingBoundsSoak records four rings' worth of traces into a
+// default ring, one of them with twice the per-trace span cap. The ring
+// must hold exactly DefaultMaxTraces traces, the newest ones, and the big
+// trace must keep defaultSpansPerTrace spans and count the rest as dropped.
+func TestDefaultRingBoundsSoak(t *testing.T) {
+	const total, big, bigSpans = 4 * DefaultMaxTraces, 4*DefaultMaxTraces - 10, 1024
+	ring := NewRing(0)
+	id := func(i int) string { return fmt.Sprintf("trace-%04d", i) }
+	now := time.Now()
+	for i := 0; i < total; i++ {
+		n := 1
+		if i == big {
+			n = bigSpans
+		}
+		for j := 0; j < n; j++ {
+			ring.Record(SpanData{TraceID: id(i), SpanID: fmt.Sprintf("span-%04d", j), Name: "op", Start: now, End: now})
+		}
+	}
+	if got := ring.Len(); got != DefaultMaxTraces {
+		t.Fatalf("ring len = %d, want %d", got, DefaultMaxTraces)
+	}
+	for i := 0; i < total; i++ {
+		if _, ok := ring.Trace(id(i)); ok != (i >= total-DefaultMaxTraces) {
+			t.Fatalf("trace %d retained = %v; want only the newest %d", i, ok, DefaultMaxTraces)
+		}
+	}
+	if spans, _ := ring.Trace(id(big)); len(spans) != defaultSpansPerTrace {
+		t.Errorf("big trace kept %d spans, want %d", len(spans), defaultSpansPerTrace)
+	}
+	for _, sum := range ring.Traces() {
+		if sum.TraceID == id(big) && (sum.Spans != defaultSpansPerTrace || sum.Dropped != bigSpans-defaultSpansPerTrace) {
+			t.Errorf("big trace summary: %d spans, %d dropped; want %d and %d",
+				sum.Spans, sum.Dropped, defaultSpansPerTrace, bigSpans-defaultSpansPerTrace)
+		}
+	}
+}
+
 func TestSpanEndIdempotent(t *testing.T) {
 	ring := NewRing(4)
 	_, s := Start(WithRing(context.Background(), ring), "once")

@@ -73,7 +73,6 @@ func (s *Server) initFleet() {
 			}
 			return data
 		},
-		MaxIncidents:       s.cfg.MaxIncidents,
 		CPUProfileDuration: s.cfg.IncidentCPUProfile,
 		Logger:             s.log,
 	})

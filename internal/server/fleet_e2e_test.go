@@ -93,7 +93,6 @@ func TestFleetHealthPlaneEndToEnd(t *testing.T) {
 		ScrapeInterval:     100 * time.Millisecond,
 		SLOWindows:         []time.Duration{3 * time.Second, 9 * time.Second},
 		SLOs:               slos,
-		MaxIncidents:       4,
 		IncidentCPUProfile: 30 * time.Millisecond,
 	})
 	ts := httptest.NewServer(coord)

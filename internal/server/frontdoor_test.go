@@ -266,6 +266,82 @@ func TestServerTwoTenantFairness(t *testing.T) {
 	}
 }
 
+// stallWriter is an SSE ResponseWriter whose second Write blocks until
+// release is closed: a reader too slow to keep up with a burst.
+type stallWriter struct {
+	header  http.Header
+	stalled chan struct{} // closed when the second Write starts blocking
+	release chan struct{}
+
+	mu     sync.Mutex
+	writes int
+	body   bytes.Buffer
+}
+
+func (w *stallWriter) Header() http.Header { return w.header }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Flush()              {}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.writes++
+	stall := w.writes == 2
+	w.mu.Unlock()
+	if stall {
+		close(w.stalled)
+		<-w.release
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(p)
+}
+
+// TestSSEEndsStreamAfterDroppedEvents: a subscriber whose buffer fills
+// loses events, and the lost one may be the terminal "done". The stream
+// must then end, so the client resumes with Last-Event-ID and replays the
+// retained "done", instead of waiting for a frame that never arrives.
+func TestSSEEndsStreamAfterDroppedEvents(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	tl := obs.NewTimeline(0)
+	tl.Add("queued", "")
+	tl.Add("started", "")
+	w := &stallWriter{header: make(http.Header), stalled: make(chan struct{}), release: make(chan struct{})}
+	r := httptest.NewRequest(http.MethodGet, "/v1/jobs/j/events", nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.streamEvents(w, r, tl)
+	}()
+
+	select {
+	case <-w.stalled: // the replay's second frame is stuck in Write
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream never wrote its replay")
+	}
+	for i := 0; i < 300; i++ { // more than the 256-slot subscription buffer
+		tl.Add("progress", "")
+	}
+	tl.Add("done", "")
+	close(w.release)
+
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("stream still open 3s after its terminal event was dropped")
+	}
+	w.mu.Lock()
+	body := w.body.String()
+	w.mu.Unlock()
+	if !strings.HasSuffix(body, ": events dropped\n\n") {
+		t.Errorf("stream did not end with the dropped-events comment; tail %q", body[max(0, len(body)-80):])
+	}
+}
+
 // TestServerSSEStreamAndRelease covers the streaming satellite end to
 // end: a Watch follows a job from replay through live events to the
 // terminal frame, and disconnecting clients release their timeline

@@ -86,21 +86,11 @@ type Config struct {
 	// terminal jobs and result cache are restored from this file on
 	// startup and written back periodically and on shutdown.
 	SnapshotPath string
-	// SnapshotInterval is the cadence of periodic snapshots (default 1
-	// minute; only meaningful with SnapshotPath set).
-	SnapshotInterval time.Duration
 	// Peers lists the base URLs of remote pcmd backends for coordinator
 	// mode: POST /v1/sweeps shards work across them. Empty means local
 	// mode — sweeps run on an in-process loopback backend, so a peerless
 	// pcmd degrades gracefully to single-node execution.
 	Peers []string
-	// SweepRetries bounds per-shard re-dispatches (default 2).
-	SweepRetries int
-	// SweepHedgeAfter is the straggler-shard hedging delay: a shard still
-	// running after this long is duplicated on a second backend and the
-	// first result wins (default 30s with peers; negative disables;
-	// ignored in local mode, where there is no second backend).
-	SweepHedgeAfter time.Duration
 	// HealthInterval is the peer health-probe cadence (default 15s; only
 	// meaningful with peers).
 	HealthInterval time.Duration
@@ -112,27 +102,18 @@ type Config struct {
 	// default — profiles expose internals, so exposure is an explicit
 	// operator decision).
 	EnablePprof bool
-	// TraceRingSize bounds the in-memory ring of completed traces behind
-	// /debug/traces (default obs.DefaultMaxTraces).
-	TraceRingSize int
 	// Tenants is the multi-tenant front door's registry: API keys, per
 	// tenant token-bucket submission quotas, and fair-queueing weights.
 	// Nil builds a registry with only the unlimited anonymous tenant, so
 	// a keyless deployment behaves exactly as before multi-tenancy
 	// existed.
 	Tenants *tenant.Registry
-	// SSEHeartbeat is the idle-comment cadence on streaming /events
-	// responses, keeping proxies from reaping quiet connections (default
-	// 15s; negative disables).
-	SSEHeartbeat time.Duration
 	// TraceDir is the trace store's spool directory; empty keeps uploaded
 	// traces in memory only (they vanish on restart).
 	TraceDir string
 	// TraceMaxBytes bounds the trace store's total canonical bytes
-	// (default 1 GiB); TraceTTL evicts traces unused for that long
-	// (default 7 days, negative disables).
+	// (default 1 GiB); traces unused for the store's 7-day TTL expire.
 	TraceMaxBytes int64
-	TraceTTL      time.Duration
 	// TraceByteRate/TraceByteBurst, when rate > 0, impose a per-tenant
 	// upload byte quota (bytes/sec refill, burst bucket depth) on every
 	// registry tenant, anonymous included.
@@ -157,8 +138,6 @@ type Config struct {
 	// selects the plane's default 1m and 5m). The shortest window is also
 	// the fleet snapshot's display window.
 	SLOWindows []time.Duration
-	// MaxIncidents bounds the /debug/incidents ring (default 8).
-	MaxIncidents int
 	// IncidentCPUProfile sizes the CPU profile captured per incident
 	// (default 5s; negative disables CPU profiling).
 	IncidentCPUProfile time.Duration
@@ -167,6 +146,21 @@ type Config struct {
 	// responses (status >= 400) always log regardless.
 	LogSampleQPS float64
 }
+
+// Fixed service policy: each has one value in use, so none is a Config
+// field.
+const (
+	// snapshotInterval is the periodic snapshot cadence (with
+	// SnapshotPath set).
+	snapshotInterval = time.Minute
+	// sweepHedgeAfter is the straggler-shard hedging delay: a shard still
+	// running after this long is duplicated on a second backend and the
+	// first result wins. Local mode has no second backend and never hedges.
+	sweepHedgeAfter = 30 * time.Second
+	// sseHeartbeat is the idle-comment cadence on streaming /events
+	// responses, keeping proxies from reaping quiet connections.
+	sseHeartbeat = 15 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -187,18 +181,6 @@ func (c Config) withDefaults() Config {
 	if c.JobTTL <= 0 {
 		c.JobTTL = time.Hour
 	}
-	if c.SnapshotInterval <= 0 {
-		c.SnapshotInterval = time.Minute
-	}
-	if c.SweepRetries <= 0 {
-		c.SweepRetries = 2
-	}
-	switch {
-	case c.SweepHedgeAfter == 0:
-		c.SweepHedgeAfter = 30 * time.Second
-	case c.SweepHedgeAfter < 0:
-		c.SweepHedgeAfter = 0 // disabled
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 15 * time.Second
 	}
@@ -206,12 +188,6 @@ func (c Config) withDefaults() Config {
 		// Only the error paths are tenant validation; with no tenants
 		// there is nothing to invalidate.
 		c.Tenants, _ = tenant.NewRegistry(nil, 0, 0)
-	}
-	switch {
-	case c.SSEHeartbeat == 0:
-		c.SSEHeartbeat = 15 * time.Second
-	case c.SSEHeartbeat < 0:
-		c.SSEHeartbeat = 0 // disabled
 	}
 	return c
 }
@@ -268,7 +244,7 @@ func New(cfg Config) *Server {
 		hkStop:  make(chan struct{}),
 		hkDone:  make(chan struct{}),
 		log:     cfg.Logger,
-		ring:    obs.NewRing(cfg.TraceRingSize),
+		ring:    obs.NewRing(0),
 		started: time.Now(),
 		tenants: cfg.Tenants,
 	}
@@ -278,14 +254,12 @@ func New(cfg Config) *Server {
 	s.sweeps = newSweepStore(cfg.JobTTL)
 	s.restoreErr = s.loadSnapshot()
 	traces, err := tracestore.Open(tracestore.Options{
-		Dir: cfg.TraceDir, MaxBytes: cfg.TraceMaxBytes, TTL: cfg.TraceTTL,
+		Dir: cfg.TraceDir, MaxBytes: cfg.TraceMaxBytes,
 	})
 	if err != nil {
 		// A broken spool directory must not keep the service down: fall
 		// back to memory-only and surface the problem via RestoreError.
-		traces, _ = tracestore.Open(tracestore.Options{
-			MaxBytes: cfg.TraceMaxBytes, TTL: cfg.TraceTTL,
-		})
+		traces, _ = tracestore.Open(tracestore.Options{MaxBytes: cfg.TraceMaxBytes})
 		s.restoreErr = errors.Join(s.restoreErr, err)
 	}
 	s.traces = traces
@@ -353,17 +327,17 @@ func New(cfg Config) *Server {
 // backend is sidelined between sweeps.
 func (s *Server) initCoordinator() {
 	var backends []cluster.Backend
-	hedge := s.cfg.SweepHedgeAfter
+	hedge := sweepHedgeAfter
 	if len(s.cfg.Peers) > 0 {
 		for _, peer := range s.cfg.Peers {
-			b := cluster.NewHTTPBackend(peer, 1)
+			b := cluster.NewHTTPBackend(peer)
 			// Shards dispatched over HTTP advertise this coordinator as the
 			// place to fetch trace digests the backend has never seen.
 			b.Client.TraceSource = s.cfg.AdvertiseURL
 			backends = append(backends, b)
 		}
 	} else {
-		backends = append(backends, cluster.NewLoopback("local", 1,
+		backends = append(backends, cluster.NewLoopback("local",
 			func(ctx context.Context, kind string, params json.RawMessage) (json.RawMessage, error) {
 				// The loopback runs in-process: trace digests resolve straight
 				// from this server's own store.
@@ -372,7 +346,6 @@ func (s *Server) initCoordinator() {
 		hedge = 0 // one backend: nothing to hedge onto
 	}
 	coord, err := cluster.New(backends, cluster.Options{
-		MaxRetries:   s.cfg.SweepRetries,
 		ShardTimeout: s.cfg.JobTimeout,
 		HedgeAfter:   hedge,
 		Concurrency:  max(s.cfg.Workers, 2*len(backends)),
@@ -402,7 +375,7 @@ func (s *Server) housekeeping() {
 	// Sweep often enough that a TTL expiry is observed promptly even when
 	// the TTL is much shorter than the snapshot interval (tests use
 	// millisecond TTLs).
-	interval := s.cfg.SnapshotInterval
+	interval := snapshotInterval
 	if s.cfg.JobTTL/4 < interval {
 		interval = s.cfg.JobTTL / 4
 	}
@@ -420,7 +393,7 @@ func (s *Server) housekeeping() {
 			s.store.expire(now)
 			s.sweeps.expire(now)
 			s.traces.Sweep(now)
-			if s.cfg.SnapshotPath != "" && now.Sub(last) >= s.cfg.SnapshotInterval {
+			if s.cfg.SnapshotPath != "" && now.Sub(last) >= snapshotInterval {
 				last = now
 				_ = s.SaveSnapshot() // a failed periodic write retries next tick
 			}

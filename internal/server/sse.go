@@ -33,12 +33,15 @@ func terminalEvent(typ string) bool {
 // streamEvents serves one SSE connection over a flight-recorder
 // timeline: it atomically replays the retained history (trimmed past the
 // client's Last-Event-ID on a resume) and then follows live events, with
-// heartbeat comments at the configured cadence so idle streams survive
-// proxies. Frames carry the event's sequence number as the SSE id, its
-// timeline type as the event name, and the event document as JSON data.
-// The stream ends on a terminal event (done/failed/canceled), on client
-// disconnect, or when the server begins draining; the subscription is
-// released on every exit path, so a vanished client cannot leak.
+// heartbeat comments every sseHeartbeat so idle streams survive proxies.
+// Frames carry the event's sequence number as the SSE id, its timeline
+// type as the event name, and the event document as JSON data. The
+// stream ends on a terminal event (done/failed/canceled), on client
+// disconnect, when the server begins draining, or when the subscription
+// dropped events for a slow reader: the dropped event may be the terminal
+// one, so the client must resume with Last-Event-ID and replay the
+// retained history. The subscription is released on every exit path, so
+// a vanished client cannot leak.
 func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, tl *obs.Timeline) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -86,12 +89,8 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, tl *obs.Ti
 		return
 	}
 
-	var heartbeat <-chan time.Time
-	if s.cfg.SSEHeartbeat > 0 {
-		ticker := time.NewTicker(s.cfg.SSEHeartbeat)
-		defer ticker.Stop()
-		heartbeat = ticker.C
-	}
+	heartbeat := time.NewTicker(sseHeartbeat)
+	defer heartbeat.Stop()
 	for {
 		select {
 		case <-r.Context().Done():
@@ -121,8 +120,13 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, tl *obs.Ti
 					drained = true
 				}
 			}
+			if sub.Missed() > 0 {
+				fmt.Fprint(w, ": events dropped\n\n")
+				fl.Flush()
+				return
+			}
 			fl.Flush()
-		case <-heartbeat:
+		case <-heartbeat.C:
 			fmt.Fprint(w, ": heartbeat\n\n")
 			fl.Flush()
 		}

@@ -457,7 +457,7 @@ func (s *Server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBackends implements GET /v1/backends: the coordinator's view of the
-// fleet — health, weight, and in-flight shards per backend.
+// fleet — health and in-flight shards per backend.
 func (s *Server) handleBackends(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"backends": s.coord.Backends()})
 }
