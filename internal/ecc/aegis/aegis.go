@@ -12,6 +12,11 @@
 // t*(t-1)/2 of the m+1 partitions: with 17x31 (32 partitions), any 8 faults
 // are deterministically separable, and far more probabilistically. As in
 // SAFER, each group carries one flip bit, masking one stuck cell per group.
+//
+// Correctability is decided pairwise from that property: each pair of
+// faulty cells spoils exactly one partition (rho_inf when their x agree,
+// else the slope a with a*dx = -dy mod m), and the line is recoverable iff
+// the pairs leave some partition unspoiled.
 package aegis
 
 import (
@@ -24,6 +29,14 @@ import (
 // Scheme is the Aegis k x m recovery scheme. Construct with New.
 type Scheme struct {
 	k, m int
+	// spoils[δ<<1|w] is the partition (m numbers rho_inf) in which cells i
+	// and i+δ share a group; w is 1 when their x coordinate wraps, i.e.
+	// x[i+δ] < x[i]. all has one bit per partition, and x holds each
+	// cell's x coordinate. All three stay empty for m >= block.Bits, where
+	// Correctable needs none of them.
+	spoils [2 * block.Bits]uint16
+	all    [block.Bits / 64]uint64
+	x      [block.Bits]uint16
 }
 
 var _ ecc.Scheme = (*Scheme)(nil)
@@ -44,7 +57,34 @@ func New(k, m int) (*Scheme, error) {
 	if !isPrime(m) {
 		return nil, fmt.Errorf("aegis: m = %d must be prime", m)
 	}
-	return &Scheme{k: k, m: m}, nil
+	s := &Scheme{k: k, m: m}
+	if m >= block.Bits {
+		return s, nil // Correctable decides without spoils (see there)
+	}
+	var inv [block.Bits]int // inv[a]*a = 1 (mod m)
+	inv[1] = 1
+	for a := 2; a < m; a++ {
+		inv[a] = (m - m/a*inv[m%a]%m) % m
+	}
+	for d := 1; d < block.Bits; d++ {
+		for w := 0; w < 2; w++ {
+			dx := d%k - w*k // x_j - x_i; 0 only for w = 0, d = 0 mod k
+			p := m
+			if dx != 0 {
+				// Slope a puts both cells in one group iff dy + a*dx = 0
+				// (mod m), with dy = d (mod m).
+				p = (m - d%m) * inv[(dx+m)%m] % m
+			}
+			s.spoils[d<<1|w] = uint16(p)
+		}
+	}
+	for cell := range s.x {
+		s.x[cell] = uint16(cell % k)
+	}
+	for p := 0; p <= m; p++ {
+		s.all[p>>6] |= 1 << (p & 63)
+	}
+	return s, nil
 }
 
 // MustNew is New, panicking on invalid geometry; for package-level defaults
@@ -84,7 +124,7 @@ func (s *Scheme) Partitions() int { return s.m + 1 }
 
 // Correctable implements ecc.Scheme. It reports whether some partition in
 // the family places every faulty cell inside the window into a distinct
-// group.
+// group, i.e. whether the faulty pairs leave some partition unspoiled.
 func (s *Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) bool {
 	n := faults.CountInByteWindow(startByte, lengthBytes)
 	if n <= 1 {
@@ -95,67 +135,28 @@ func (s *Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) b
 		// never be separated.
 		return false
 	}
-	// Stack buffers keep every placement-trial call allocation-free; the
-	// geometry checks in New bound n by block.Bits, and the oversized-grid
-	// fallbacks below cover m or k beyond the line size.
-	var idxBuf [block.Bits]int
-	idx := faults.AppendIndicesInWindow(idxBuf[:0], startByte, lengthBytes)
-
 	// Deterministic guarantee: t faults spoil at most t(t-1)/2 of the m+1
-	// partitions.
-	if n*(n-1)/2 < s.m+1 {
+	// partitions. With m >= block.Bits no pair can spoil slope 0, whose
+	// group y = cell mod m is then the cell index itself.
+	if n*(n-1)/2 < s.m+1 || s.m >= block.Bits {
 		return true
 	}
-
-	var xsBuf, ysBuf [block.Bits]int
-	xs, ys := xsBuf[:n], ysBuf[:n]
-	for i, cell := range idx {
-		xs[i] = cell % s.k
-		ys[i] = cell % s.m
-	}
-	var groupsBuf [block.Bits]bool
-	groups := groupsBuf[:]
-	if s.m > len(groupsBuf) {
-		groups = make([]bool, s.m)
-	} else {
-		groups = groups[:s.m]
-	}
-
-	// Slope partitions.
-	for a := 0; a < s.m; a++ {
-		if s.slopeSeparates(a, xs, ys, groups) {
-			return true
+	// Stack buffer: keeps every placement-trial call allocation-free.
+	var idxBuf [block.Bits]int
+	idx := faults.AppendIndicesInWindow(idxBuf[:0], startByte, lengthBytes)
+	var spoiled [block.Bits / 64]uint64
+	for i, a := range idx {
+		for _, b := range idx[i+1:] {
+			d, dx := b-a, int(s.x[b])-int(s.x[a])
+			if d < 0 { // a wrapped window lists the line's tail first
+				d, dx = -d, -dx
+			}
+			p := s.spoils[d<<1|int(uint(dx)>>63)] // wrap = sign of dx
+			spoiled[p>>6] |= 1 << (p & 63)
 		}
-	}
-	// Row partition rho_inf: group = x.
-	var rowsBuf [block.Bits]bool
-	rows := rowsBuf[:]
-	if s.k > len(rowsBuf) {
-		rows = make([]bool, s.k)
-	} else {
-		rows = rows[:s.k]
-	}
-	ok := true
-	for _, x := range xs {
-		if rows[x] {
-			ok = false
-			break
-		}
-		rows[x] = true
-	}
-	return ok
-}
-
-func (s *Scheme) slopeSeparates(a int, xs, ys []int, groups []bool) bool {
-	for i := range groups {
-		groups[i] = false
-	}
-	for i := range xs {
-		g := (ys[i] + a*xs[i]) % s.m
-		if groups[g] {
+		if spoiled == s.all {
 			return false
 		}
-		groups[g] = true
 	}
 	return true
 }

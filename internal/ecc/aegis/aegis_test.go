@@ -187,6 +187,73 @@ func TestMetadataFitsECCChipShare(t *testing.T) {
 	}
 }
 
+// searchOracle is the exhaustive definition of Aegis correctability: some
+// slope partition, or rho_inf, maps every faulty cell to a distinct group.
+func searchOracle(s *Scheme, idx []int) bool {
+	distinct := func(group func(cell int) int) bool {
+		seen := make([]bool, s.m)
+		for _, cell := range idx {
+			g := group(cell)
+			if seen[g] {
+				return false
+			}
+			seen[g] = true
+		}
+		return true
+	}
+	for a := 0; a < s.m; a++ {
+		if distinct(func(cell int) int { return (cell%s.m + a*(cell%s.k)) % s.m }) {
+			return true
+		}
+	}
+	return distinct(func(cell int) int { return cell % s.k })
+}
+
+func TestCorrectableMatchesSearchOracle(t *testing.T) {
+	// The pairwise rule must give the partition search's verdict on every
+	// fault set: uniform draws and runs of consecutive cells, over the full
+	// line and over windows (wrapping ones included), for the paper's grid
+	// and others, including families of more than 64 and more than 512
+	// partitions.
+	r := rng.New(11)
+	for _, g := range []struct{ k, m int }{{17, 31}, {23, 29}, {13, 41}, {9, 61}, {5, 103}, {1, 521}} {
+		s := MustNew(g.k, g.m)
+		always, never := s.CorrectableBounds()
+		verdicts := map[bool]int{}
+		for trial := 0; trial < 600; trial++ {
+			var f ecc.FaultSet
+			n := always + r.Intn(never-always+2)
+			if trial%3 == 2 {
+				base := r.Intn(block.Bits)
+				for i := 0; i < n && i < block.Bits; i++ {
+					f.Add((base + i) % block.Bits)
+				}
+			} else {
+				for f.Count() < n && f.Count() < block.Bits {
+					f.Add(r.Intn(block.Bits))
+				}
+			}
+			start, length := 0, block.Size
+			if trial%2 == 1 {
+				start, length = r.Intn(block.Size), 1+r.Intn(block.Size)
+			}
+			idx := f.AppendIndicesInWindow(nil, start, length)
+			want := searchOracle(s, idx)
+			if got := s.Correctable(&f, start, length); got != want {
+				t.Fatalf("%s faults %v window [%d,+%d): Correctable = %v, search = %v",
+					s.Name(), f.Indices(), start, length, got, want)
+			}
+			if len(idx) > always && len(idx) <= never { // past the count screens
+				verdicts[want]++
+			}
+		}
+		// With m >= 512 slope 0 (group = cell index) separates any set.
+		if verdicts[true] == 0 || (g.m < block.Bits && verdicts[false] == 0) {
+			t.Fatalf("%s: verdicts %v, want both outcomes exercised", s.Name(), verdicts)
+		}
+	}
+}
+
 func BenchmarkCorrectable20Faults(b *testing.B) {
 	s := MustNew(17, 31)
 	r := rng.New(1)
@@ -197,5 +264,15 @@ func BenchmarkCorrectable20Faults(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Correctable(&f, 0, block.Size)
+	}
+}
+
+// newSink keeps BenchmarkNew's constructor call from being optimized away.
+var newSink *Scheme
+
+// BenchmarkNew times the table build; pcmd builds schemes per request.
+func BenchmarkNew(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		newSink = MustNew(17, 31)
 	}
 }

@@ -10,9 +10,14 @@
 // matches). A line is recoverable iff some selection of k index bits puts
 // every faulty data cell into a distinct group. SAFER-32 (k = 5)
 // deterministically corrects 6 faults and probabilistically up to 32.
+//
+// Correctability is decided pairwise: faulty cells i and j share a group
+// under selection S iff (i^j)&S == 0, so each pair spoils a fixed set of
+// selections, and the line is recoverable iff the pairs leave one unspoiled.
 package safer
 
 import (
+	"math/bits"
 	"strconv"
 
 	"pcmcomp/internal/block"
@@ -23,8 +28,12 @@ const indexBits = 9 // 512-cell line => 9-bit cell index
 
 // Scheme is the SAFER-2^k recovery scheme. Construct with New.
 type Scheme struct {
-	k          int
-	selections []uint16 // all k-of-9 bit masks
+	k int
+	// spoils[d] is the set of k-bit selections (numbered in increasing
+	// mask order, at most C(9,4) = 126 of them) under which two cells
+	// whose indices differ by XOR d share a group; all is every selection.
+	spoils [1 << indexBits][2]uint64
+	all    [2]uint64
 }
 
 var _ ecc.Scheme = (*Scheme)(nil)
@@ -35,26 +44,24 @@ func New(k int) *Scheme {
 	if k < 1 || k > indexBits {
 		panic("safer: group-count exponent out of range [1,9]")
 	}
-	return &Scheme{k: k, selections: enumerateMasks(k)}
-}
-
-// enumerateMasks returns every 9-bit mask with exactly k bits set.
-func enumerateMasks(k int) []uint16 {
-	var masks []uint16
-	for m := 0; m < 1<<indexBits; m++ {
-		if popcount9(uint16(m)) == k {
-			masks = append(masks, uint16(m))
+	s := &Scheme{k: k}
+	const full = 1<<indexBits - 1
+	sel := 0
+	for mask := 0; mask <= full; mask++ {
+		if bits.OnesCount(uint(mask)) != k {
+			continue
 		}
+		w, bit := sel>>6, uint64(1)<<(sel&63)
+		s.all[w] |= bit
+		// d spoils mask iff d&mask == 0: every nonzero submask of the
+		// complement (d = 0 would pair a cell with itself).
+		comp := full &^ mask
+		for d := comp; d != 0; d = (d - 1) & comp {
+			s.spoils[d][w] |= bit
+		}
+		sel++
 	}
-	return masks
-}
-
-func popcount9(m uint16) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
+	return s
 }
 
 // Name implements ecc.Scheme.
@@ -65,7 +72,7 @@ func (s *Scheme) Groups() int { return 1 << s.k }
 
 // Correctable implements ecc.Scheme. It reports whether some k-bit index
 // selection separates all faulty cells inside the window into distinct
-// groups.
+// groups, i.e. whether the faulty pairs leave some selection unspoiled.
 func (s *Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) bool {
 	n := faults.CountInByteWindow(startByte, lengthBytes)
 	if n <= 1 {
@@ -79,48 +86,18 @@ func (s *Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) b
 	// Correctable on every placement trial.
 	var buf [block.Bits]int
 	idx := faults.AppendIndicesInWindow(buf[:0], startByte, lengthBytes)
-	return s.separable(idx)
-}
-
-// separable reports whether some selection mask projects all indices to
-// pairwise-distinct values.
-func (s *Scheme) separable(idx []int) bool {
-	for _, mask := range s.selections {
-		if distinctUnderMask(idx, mask) {
-			return true
+	var spoiled [2]uint64
+	for i, a := range idx {
+		for _, b := range idx[i+1:] {
+			d := &s.spoils[a^b]
+			spoiled[0] |= d[0]
+			spoiled[1] |= d[1]
 		}
-	}
-	return false
-}
-
-// distinctUnderMask checks pairwise distinctness of the masked (compacted)
-// index values via a group-occupancy bitset: group ids fit 9 bits, so a
-// 512-bit set (eight uint64 words) covers every k.
-func distinctUnderMask(idx []int, mask uint16) bool {
-	var used [8]uint64
-	for _, v := range idx {
-		g := extract(uint16(v), mask)
-		w, bit := g>>6, uint64(1)<<(g&63)
-		if used[w]&bit != 0 {
+		if spoiled == s.all {
 			return false
 		}
-		used[w] |= bit
 	}
 	return true
-}
-
-// extract gathers the bits of v at the positions set in mask into a dense
-// low-order value (a software PEXT).
-func extract(v, mask uint16) uint16 {
-	var out, bit uint16 = 0, 1
-	for m := mask; m != 0; m &= m - 1 {
-		low := m & -m
-		if v&low != 0 {
-			out |= bit
-		}
-		bit <<= 1
-	}
-	return out
 }
 
 // CorrectableBounds implements ecc.CorrectabilityBounds, mirroring the two

@@ -1,6 +1,7 @@
 package safer
 
 import (
+	"math/bits"
 	"testing"
 
 	"pcmcomp/internal/block"
@@ -173,27 +174,80 @@ func TestInvalidK(t *testing.T) {
 	}
 }
 
-func TestExtract(t *testing.T) {
-	// Bits of v at mask positions, compacted LSB-first.
-	if got := extract(0b101010101, 0b000001111); got != 0b0101 {
-		t.Fatalf("extract = %b", got)
+// searchOracle is the exhaustive definition of SAFER correctability: some
+// k-of-9 index-bit selection maps every faulty cell to a distinct group.
+func searchOracle(k int, idx []int) bool {
+	for mask := 0; mask < 1<<indexBits; mask++ {
+		if bits.OnesCount(uint(mask)) != k {
+			continue
+		}
+		var used [block.Bits / 64]uint64 // group = the cell's masked bits
+		distinct := true
+		for _, cell := range idx {
+			g := cell & mask
+			w, bit := g>>6, uint64(1)<<(g&63)
+			if used[w]&bit != 0 {
+				distinct = false
+				break
+			}
+			used[w] |= bit
+		}
+		if distinct {
+			return true
+		}
 	}
-	if got := extract(0b111111111, 0b101010101); got != 0b11111 {
-		t.Fatalf("extract = %b", got)
-	}
-	if got := extract(0, 0b111110000); got != 0 {
-		t.Fatalf("extract = %b", got)
-	}
+	return false
 }
 
-func TestSelectionEnumeration(t *testing.T) {
-	s := New(5)
-	if len(s.selections) != 126 { // C(9,5)
-		t.Fatalf("got %d masks, want 126", len(s.selections))
-	}
-	for _, m := range s.selections {
-		if popcount9(m) != 5 {
-			t.Fatalf("mask %b has wrong popcount", m)
+func TestCorrectableMatchesSearchOracle(t *testing.T) {
+	// The pairwise rule must give the selection search's verdict on every
+	// fault set: uniform draws, Hamming-ball clusters (the sets that defeat
+	// selections) and runs of consecutive cells, full line and sub-windows.
+	r := rng.New(9)
+	for k := 1; k <= indexBits; k++ {
+		s := New(k)
+		verdicts := map[bool]int{}
+		for trial := 0; trial < 1500; trial++ {
+			var f ecc.FaultSet
+			n := 2 + r.Intn(s.Groups()+2)
+			switch trial % 3 {
+			case 0:
+				for f.Count() < n && f.Count() < block.Bits {
+					f.Add(r.Intn(block.Bits))
+				}
+			case 1:
+				base := r.Intn(block.Bits)
+				for try := 0; f.Count() < n && try < 4*n; try++ {
+					v := base ^ 1<<uint(r.Intn(indexBits))
+					if r.Intn(2) == 0 {
+						v ^= 1 << uint(r.Intn(indexBits))
+					}
+					f.Add(v)
+				}
+			default:
+				base := r.Intn(block.Bits)
+				for i := 0; i < n; i++ {
+					f.Add((base + i) % block.Bits)
+				}
+			}
+			start, length := 0, block.Size
+			if trial%2 == 1 { // any window, wrapping ones included
+				start, length = r.Intn(block.Size), 1+r.Intn(block.Size)
+			}
+			idx := f.AppendIndicesInWindow(nil, start, length)
+			want := searchOracle(k, idx)
+			if got := s.Correctable(&f, start, length); got != want {
+				t.Fatalf("k=%d faults %v window [%d,+%d): Correctable = %v, search = %v",
+					k, f.Indices(), start, length, got, want)
+			}
+			if len(idx) > 1 && len(idx) <= s.Groups() { // past the count screens
+				verdicts[want]++
+			}
+		}
+		// Past the count screens SAFER-2 (two faults always differ in some
+		// bit) and SAFER-512 (a group per cell) cannot fail.
+		if verdicts[true] == 0 || (k > 1 && k < indexBits && verdicts[false] == 0) {
+			t.Fatalf("k=%d: verdicts %v, want both outcomes exercised", k, verdicts)
 		}
 	}
 }
@@ -208,5 +262,15 @@ func BenchmarkCorrectable20Faults(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Correctable(&f, 0, block.Size)
+	}
+}
+
+// newSink keeps BenchmarkNew's constructor call from being optimized away.
+var newSink *Scheme
+
+// BenchmarkNew times the table build; pcmd builds schemes per request.
+func BenchmarkNew(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		newSink = New(5)
 	}
 }

@@ -80,7 +80,6 @@ type Store struct {
 	mu       sync.Mutex
 	dir      string // "" = memory-only
 	maxBytes int64
-	ttl      time.Duration
 	now      func() time.Time
 
 	entries map[string]*entry
@@ -98,6 +97,9 @@ type entry struct {
 	elem     *list.Element
 }
 
+// ttl is how long a trace may go unused before Sweep evicts it.
+const ttl = 7 * 24 * time.Hour
+
 // Options configures a Store. The zero value is a memory-only store with
 // default bounds.
 type Options struct {
@@ -106,9 +108,6 @@ type Options struct {
 	// MaxBytes bounds the sum of canonical trace sizes (default 1 GiB).
 	// Adding a trace evicts least-recently-used traces until it fits.
 	MaxBytes int64
-	// TTL evicts traces unused for this long on Sweep (default 7 days;
-	// negative disables TTL eviction).
-	TTL time.Duration
 	// Now injects the clock (tests); defaults to time.Now.
 	Now func() time.Time
 }
@@ -121,16 +120,12 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{
 		dir:      opts.Dir,
 		maxBytes: opts.MaxBytes,
-		ttl:      opts.TTL,
 		now:      opts.Now,
 		entries:  make(map[string]*entry),
 		order:    list.New(),
 	}
 	if s.maxBytes == 0 {
 		s.maxBytes = 1 << 30
-	}
-	if s.ttl == 0 {
-		s.ttl = 7 * 24 * time.Hour
 	}
 	if s.now == nil {
 		s.now = time.Now
@@ -408,19 +403,16 @@ func (s *Store) List() []Meta {
 	return out
 }
 
-// Sweep evicts traces unused for longer than the TTL and returns how many
-// it dropped.
+// Sweep evicts traces unused for at least ttl and returns how many it
+// dropped.
 func (s *Store) Sweep(now time.Time) int {
-	if s.ttl < 0 {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dropped := 0
 	for el := s.order.Front(); el != nil; {
 		e := el.Value.(*entry)
 		next := el.Next()
-		if now.Sub(e.lastUsed) >= s.ttl {
+		if now.Sub(e.lastUsed) >= ttl {
 			s.dropLocked(e)
 			dropped++
 		}

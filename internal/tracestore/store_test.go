@@ -196,11 +196,11 @@ func TestCapacityEviction(t *testing.T) {
 
 func TestTTLSweep(t *testing.T) {
 	clock := newFakeClock()
-	s := mustOpen(t, Options{TTL: time.Hour, Now: clock.now})
+	s := mustOpen(t, Options{Now: clock.now})
 	m1, _, _ := s.PutEvents(testEvents(5, 1))
-	clock.advance(30 * time.Minute)
+	clock.advance(4 * 24 * time.Hour)
 	m2, _, _ := s.PutEvents(testEvents(5, 50))
-	clock.advance(45 * time.Minute) // m1 idle 75min, m2 idle 45min
+	clock.advance(4 * 24 * time.Hour) // m1 idle 8 days, m2 idle 4 days
 	if dropped := s.Sweep(clock.now()); dropped != 1 {
 		t.Fatalf("Sweep dropped %d, want 1", dropped)
 	}

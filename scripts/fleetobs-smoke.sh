@@ -55,6 +55,17 @@ fetch() {
   fi
 }
 
+# The coordinator starts scraping before the backends listen, so its first
+# scrape of a backend can be refused. A backend first scraped only after
+# its jobs finished shows no windowed job delta, so wait for all three
+# targets to be up before driving traffic.
+ok=""
+for _ in $(seq 1 100); do
+  curl -fsS "http://$coord/v1/fleet/status" 2>/dev/null | grep -q '"up": 3' && { ok=1; break; }
+  sleep 0.1
+done
+[ -n "$ok" ] || { echo "fleet never reported 3 targets up"; cat "$work/coord.log"; exit 1; }
+
 # A sweep sharded across both backends gives every target job traffic —
 # and breaches the impossible SLO.
 "$work/pcmctl" sweep -kind failure-probability \
