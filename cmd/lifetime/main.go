@@ -14,9 +14,12 @@
 // a pcmd lifetime job uses, so both report the same demand writes for the
 // same app, scale and seed. Rows are labeled with the preset name.
 //
-// -trace replays a recorded trace instead of generating one; the encoding
-// is sniffed from its contents (binary .pcmt, PCMS stream, gzip of either,
-// or NDJSON), as trace.Decode describes.
+// -trace replays a recorded trace instead of generating one. The encoding
+// is sniffed from its contents (binary .pcmt, gzip-wrapped .pcmt, or
+// NDJSON), as trace.Decode describes. Addresses are densified by first
+// appearance (workload.NewReplay), the rule a pcmd lifetime job applies
+// to an uploaded trace, so the CLI and a job on that trace's digest
+// report the same demand writes.
 //
 // Ctrl-C (or SIGTERM) interrupts the replay at the next check interval and
 // prints the statistics accumulated so far before exiting.
@@ -27,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -41,18 +45,18 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lifetime:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("lifetime", flag.ContinueOnError)
 	app := fs.String("app", "gcc", "workload profile name")
 	system := fs.String("system", "all", "baseline, comp, comp+w, comp+wf, or all")
 	scaleName := fs.String("scale", "quick", "substrate scale: quick, default, or large")
-	traceFile := fs.String("trace", "", "replay a trace file (binary, stream, gzip, or NDJSON) instead of generating one")
+	traceFile := fs.String("trace", "", "replay a trace file (binary, gzip-wrapped binary, or NDJSON) instead of generating one")
 	seed := fs.Uint64("seed", 1, "seed")
 	eccName := fs.String("ecc", "ecp", "hard-error scheme: ecp, safer, aegis, or secded")
 	useFNW := fs.Bool("fnw", false, "use Flip-N-Write instead of plain differential writes")
@@ -82,9 +86,15 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		defer f.Close()
-		if events, err = trace.Decode(f); err != nil {
+		raw, err := trace.Decode(f)
+		if err != nil {
 			return err
 		}
+		rep, err := workload.NewReplay(raw)
+		if err != nil {
+			return err
+		}
+		events = rep.Events()
 	} else {
 		gen, err := workload.NewGenerator(prof, scale.TraceLines, *seed)
 		if err != nil {
@@ -106,19 +116,19 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		tm := lifetime.DefaultTimeModel(prof.WPKI, scale.EnduranceScale(), scale.CapacityScale())
-		fmt.Printf("%-9s demand writes %12d  replays %6d  projected %7.1f months",
+		fmt.Fprintf(stdout, "%-9s demand writes %12d  replays %6d  projected %7.1f months",
 			sys.name, res.DemandWrites, res.Replays, tm.Months(res.DemandWrites))
 		switch {
 		case interrupted:
-			fmt.Printf("  (interrupted)\n")
+			fmt.Fprintf(stdout, "  (interrupted)\n")
 		case i == 0:
 			baseline = res
-			fmt.Printf("  (reference)\n")
+			fmt.Fprintf(stdout, "  (reference)\n")
 		default:
-			fmt.Printf("  %5.2fx\n", res.Normalized(baseline))
+			fmt.Fprintf(stdout, "  %5.2fx\n", res.Normalized(baseline))
 		}
 		s := res.Stats
-		fmt.Printf("          flips %d, uncorrectable %d, resurrections %d, gap moves %d, rotations %d\n",
+		fmt.Fprintf(stdout, "          flips %d, uncorrectable %d, resurrections %d, gap moves %d, rotations %d\n",
 			s.BitFlips, s.UncorrectableErrors, s.Resurrections, s.GapMovements, s.Rotations)
 		if interrupted {
 			return fmt.Errorf("interrupted, stats above are partial: %w", err)

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"pcmcomp/internal/core"
@@ -15,12 +21,14 @@ import (
 	"pcmcomp/internal/ecc/secded"
 	"pcmcomp/internal/lifetime"
 	"pcmcomp/internal/pcm"
+	"pcmcomp/internal/server"
 	"pcmcomp/internal/trace"
+	"pcmcomp/internal/tracestore"
 	"pcmcomp/internal/workload"
 )
 
 func TestSingleSystemRun(t *testing.T) {
-	if err := run(context.Background(), []string{"-app", "milc", "-system", "baseline", "-scale", "quick"}); err != nil {
+	if err := run(context.Background(), []string{"-app", "milc", "-system", "baseline", "-scale", "quick"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -29,7 +37,7 @@ func TestAllSystemsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four lifetime runs")
 	}
-	if err := run(context.Background(), []string{"-app", "sjeng", "-system", "all", "-scale", "quick"}); err != nil {
+	if err := run(context.Background(), []string{"-app", "sjeng", "-system", "all", "-scale", "quick"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -54,31 +62,31 @@ func TestTraceReplay(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-app", "gcc", "-system", "comp+wf", "-scale", "quick", "-trace", path}); err != nil {
+	if err := run(context.Background(), []string{"-app", "gcc", "-system", "comp+wf", "-scale", "quick", "-trace", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBadArgs(t *testing.T) {
-	if err := run(context.Background(), []string{"-system", "bogus"}); err == nil {
+	if err := run(context.Background(), []string{"-system", "bogus"}, io.Discard); err == nil {
 		t.Fatal("bogus system accepted")
 	}
-	if err := run(context.Background(), []string{"-scale", "bogus"}); err == nil {
+	if err := run(context.Background(), []string{"-scale", "bogus"}, io.Discard); err == nil {
 		t.Fatal("bogus scale accepted")
 	}
-	if err := run(context.Background(), []string{"-app", "bogus"}); err == nil {
+	if err := run(context.Background(), []string{"-app", "bogus"}, io.Discard); err == nil {
 		t.Fatal("bogus app accepted")
 	}
-	if err := run(context.Background(), []string{"-trace", "/nonexistent/file.pcmt"}); err == nil {
+	if err := run(context.Background(), []string{"-trace", "/nonexistent/file.pcmt"}, io.Discard); err == nil {
 		t.Fatal("missing trace accepted")
 	}
 }
 
 func TestSchemeAndFNWFlags(t *testing.T) {
-	if err := run(context.Background(), []string{"-app", "milc", "-system", "comp+wf", "-scale", "quick", "-ecc", "safer", "-fnw"}); err != nil {
+	if err := run(context.Background(), []string{"-app", "milc", "-system", "comp+wf", "-scale", "quick", "-ecc", "safer", "-fnw"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-ecc", "bogus"}); err == nil {
+	if err := run(context.Background(), []string{"-ecc", "bogus"}, io.Discard); err == nil {
 		t.Fatal("bogus ECC scheme accepted")
 	}
 }
@@ -201,11 +209,13 @@ func TestNDJSONTraceReplay(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-app", "gcc", "-system", "comp", "-scale", "quick", "-trace", path}); err != nil {
+	if err := run(context.Background(), []string{"-app", "gcc", "-system", "comp", "-scale", "quick", "-trace", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestGzipTraceReplay replays a gzip-wrapped PCMT file, the form tracegen
+// writes for .gz paths.
 func TestGzipTraceReplay(t *testing.T) {
 	p, err := workload.ByName("sjeng")
 	if err != nil {
@@ -220,22 +230,93 @@ func TestGzipTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := trace.NewStreamWriter(f, true)
-	if err != nil {
+	zw := gzip.NewWriter(f)
+	if err := trace.Write(zw, g.GenerateTrace(1500)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1500; i++ {
-		if err := sw.Append(g.Next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
+	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-app", "sjeng", "-system", "comp", "-scale", "quick", "-trace", path}); err != nil {
+	if err := run(context.Background(), []string{"-app", "sjeng", "-system", "comp", "-scale", "quick", "-trace", path}, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// demandWritesRE matches a system row of run's report.
+var demandWritesRE = regexp.MustCompile(`(?m)^(\S+)\s+demand writes\s+(\d+)`)
+
+// TestTraceReplayMatchesLifetimeJob replays one trace file through -trace
+// and through a pcmd lifetime job on the file's store digest. Both must
+// apply the same replay rule, so both report the same demand writes. The
+// trace's raw addresses span more lines than the quick substrate holds,
+// so folding them instead of densifying gives different numbers.
+func TestTraceReplayMatchesLifetimeJob(t *testing.T) {
+	prof, err := workload.ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(prof, 4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw bytes.Buffer
+	if err := trace.Write(&raw, gen.GenerateTrace(4096)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "milc.pcmt")
+	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	systems := []string{"baseline", "comp+wf"}
+	cli := map[string]uint64{}
+	for _, sys := range systems {
+		var out bytes.Buffer
+		if err := run(context.Background(), []string{"-app", "milc", "-system", sys, "-scale", "quick", "-trace", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range demandWritesRE.FindAllStringSubmatch(out.String(), -1) {
+			n, err := strconv.ParseUint(m[2], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli[m[1]] = n
+		}
+	}
+
+	store, err := tracestore.Open(tracestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, _, err := store.Put(bytes.NewReader(raw.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := json.Marshal(server.LifetimeParams{App: "milc", Trace: meta.Digest, Scale: "quick", Systems: systems, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := server.ExecuteLocal(tracestore.WithResolver(context.Background(), store), server.KindLifetime, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job server.LifetimeResult
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	if len(job.Systems) != len(systems) {
+		t.Fatalf("job ran %d systems, want %d", len(job.Systems), len(systems))
+	}
+	for _, r := range job.Systems {
+		got, ok := cli[r.System]
+		switch {
+		case !ok:
+			t.Errorf("-trace printed no %s row", r.System)
+		case got != r.DemandWrites:
+			t.Errorf("%s: -trace reports %d demand writes, the job %d", r.System, got, r.DemandWrites)
+		}
 	}
 }

@@ -10,16 +10,24 @@
 //	tracegen -list
 //
 // -format picks the on-disk encoding: binary is the PCMT container,
-// ndjson is one JSON record per line, and auto (the default) writes a
-// gzip stream for .gz paths and binary otherwise. All encodings decode
-// to the same events, so the pcmd trace store assigns them the same
-// content digest.
+// ndjson is one JSON record per line, and auto (the default) writes the
+// PCMT container wrapped in gzip for .gz and .pcmtz paths and plain
+// binary otherwise. All encodings decode through trace.Decode to the same
+// events, so the pcmd trace store assigns them the same content digest.
+//
+// .gz traces written before the gzip form was PCMT used a separate
+// "PCMS" stream container that trace.Decode no longer reads. Generation
+// is deterministic, so rerunning tracegen with the same flags rewrites
+// such a file in the current form, with the same events.
 package main
 
 import (
+	"compress/gzip"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"pcmcomp/internal/cachesim"
 	"pcmcomp/internal/trace"
@@ -41,7 +49,7 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "generator seed")
 	useCache := fs.Bool("cachesim", false, "filter through the 16-core L1/L2 hierarchy")
 	out := fs.String("o", "", "output file (default stdout summary only)")
-	format := fs.String("format", "auto", "output encoding: auto (gzip stream for .gz paths, else binary), binary, or ndjson")
+	format := fs.String("format", "auto", "output encoding: auto (gzip-wrapped binary for .gz paths, else binary), binary, or ndjson")
 	list := fs.Bool("list", false, "list available workload profiles")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -106,42 +114,40 @@ func run(args []string) error {
 // through trace.Decode to the same events — and so to the same content
 // digest when uploaded to a pcmd trace store.
 func writeTrace(path, format string, evs []trace.Event) error {
+	encode := trace.Write
+	switch format {
+	case "auto", "binary":
+	case "ndjson":
+		encode = trace.WriteNDJSON
+	default:
+		return fmt.Errorf("unknown -format %q (want auto, binary, or ndjson)", format)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("create output: %w", err)
 	}
 	defer f.Close()
-	switch format {
-	case "auto":
-		if trace.IsGzipPath(path) {
-			sw, err := trace.NewStreamWriter(f, true)
-			if err != nil {
-				return err
-			}
-			for i := range evs {
-				if err := sw.Append(evs[i]); err != nil {
-					return err
-				}
-			}
-			if err := sw.Close(); err != nil {
-				return err
-			}
-		} else if err := trace.Write(f, evs); err != nil {
-			return err
+	var w io.Writer = f
+	var zw *gzip.Writer
+	if format == "auto" && isGzipPath(path) {
+		zw = gzip.NewWriter(f)
+		w = zw
+	}
+	if err := encode(w, evs); err != nil {
+		return err
+	}
+	if zw != nil {
+		if err := zw.Close(); err != nil {
+			return fmt.Errorf("close gzip: %w", err)
 		}
-	case "binary":
-		if err := trace.Write(f, evs); err != nil {
-			return err
-		}
-	case "ndjson":
-		if err := trace.WriteNDJSON(f, evs); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown -format %q (want auto, binary, or ndjson)", format)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("close output: %w", err)
 	}
 	return nil
+}
+
+// isGzipPath reports whether an output path requests gzip by suffix.
+func isGzipPath(path string) bool {
+	return strings.HasSuffix(path, ".gz") || strings.HasSuffix(path, ".pcmtz")
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,30 +56,58 @@ func TestCachesimGeneration(t *testing.T) {
 	}
 }
 
+// TestGzipOutput writes a .gz path under -format auto: the file must be
+// gzip-wrapped PCMT that decodes to the same events as -format binary,
+// and gzip must actually shrink it (write-back payloads are
+// value-structured: zero lines, repeated words).
 func TestGzipOutput(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "t.pcmt.gz")
-	if err := run([]string{"-app", "sjeng", "-events", "300", "-lines", "64", "-o", out}); err != nil {
+	dir := t.TempDir()
+	gz := filepath.Join(dir, "t.pcmt.gz")
+	bin := filepath.Join(dir, "t.pcmt")
+	args := []string{"-app", "sjeng", "-events", "300", "-lines", "64"}
+	if err := run(append(args, "-o", gz)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
+	if err := run(append(args, "-o", bin, "-format", "binary")); err != nil {
+		t.Fatal(err)
+	}
+	zipped, err := os.ReadFile(gz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	sr, err := trace.NewStreamReader(f, true)
+	plain, err := os.ReadFile(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sr.Close()
-	n := 0
-	for {
-		if _, err := sr.Next(); err != nil {
-			break
-		}
-		n++
+	r, err := gzip.NewReader(bytes.NewReader(zipped))
+	if err != nil {
+		t.Fatalf("not a gzip file: %v", err)
 	}
-	if n != 300 {
-		t.Fatalf("gz trace has %d events, want 300", n)
+	inner, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(inner, plain) {
+		t.Fatal("gzip payload is not the -format binary PCMT bytes")
+	}
+	evs, err := trace.Decode(bytes.NewReader(zipped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 300 {
+		t.Fatalf("gz trace has %d events, want 300", len(evs))
+	}
+	if len(zipped) >= len(plain)/2 {
+		t.Fatalf("gzip saved too little: %d vs %d bytes", len(zipped), len(plain))
+	}
+}
+
+func TestIsGzipPath(t *testing.T) {
+	if !isGzipPath("a.pcmt.gz") || !isGzipPath("b.pcmtz") {
+		t.Error("gz suffixes not detected")
+	}
+	if isGzipPath("a.pcmt") {
+		t.Error("plain suffix misdetected")
 	}
 }
 
@@ -95,13 +125,15 @@ func TestUnknownFormat(t *testing.T) {
 }
 
 // TestFormatRoundTrip pins the cross-format dedup contract end to end:
-// the same generator stream written as binary and as NDJSON must decode
-// to identical events and land in a trace store under one digest.
+// the same generator stream written as binary, as NDJSON and as gzip
+// must decode to identical events and land in a trace store under one
+// digest.
 func TestFormatRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "t.pcmt")
 	nd := filepath.Join(dir, "t.ndjson")
-	for _, f := range []struct{ path, format string }{{bin, "binary"}, {nd, "ndjson"}} {
+	gz := filepath.Join(dir, "t.pcmt.gz")
+	for _, f := range []struct{ path, format string }{{bin, "binary"}, {nd, "ndjson"}, {gz, "auto"}} {
 		if err := run([]string{"-app", "milc", "-events", "400", "-lines", "128", "-seed", "7",
 			"-o", f.path, "-format", f.format}); err != nil {
 			t.Fatalf("%s: %v", f.format, err)
@@ -113,7 +145,7 @@ func TestFormatRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var metas []tracestore.Meta
-	for _, path := range []string{bin, nd} {
+	for _, path := range []string{bin, nd, gz} {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -124,8 +156,10 @@ func TestFormatRoundTrip(t *testing.T) {
 		}
 		metas = append(metas, meta)
 	}
-	if metas[0].Digest != metas[1].Digest {
-		t.Fatalf("binary and ndjson encodings hashed differently: %s vs %s", metas[0].Digest, metas[1].Digest)
+	for i, path := range []string{nd, gz} {
+		if metas[i+1].Digest != metas[0].Digest {
+			t.Fatalf("%s hashed to %s, binary to %s", filepath.Base(path), metas[i+1].Digest, metas[0].Digest)
+		}
 	}
 	if n := len(store.List()); n != 1 {
 		t.Fatalf("store holds %d traces after cross-format upload, want 1", n)

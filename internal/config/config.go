@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"pcmcomp/internal/block"
-	"pcmcomp/internal/cachesim"
 	"pcmcomp/internal/pcm"
 )
 
@@ -32,9 +31,6 @@ func PaperGeometry() pcm.Geometry {
 	g.LinesPerBank = PaperLines / g.Banks()
 	return g
 }
-
-// PaperCacheConfig mirrors Table II's hierarchy.
-func PaperCacheConfig() cachesim.Config { return cachesim.DefaultConfig() }
 
 // Scale is one experiment-size preset.
 type Scale struct {

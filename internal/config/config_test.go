@@ -3,6 +3,7 @@ package config
 import (
 	"testing"
 
+	"pcmcomp/internal/cachesim"
 	"pcmcomp/internal/core"
 )
 
@@ -19,8 +20,10 @@ func TestPaperGeometryMatchesTableII(t *testing.T) {
 	}
 }
 
+// TestPaperCacheConfig pins cachesim.DefaultConfig to Table II's
+// hierarchy.
 func TestPaperCacheConfig(t *testing.T) {
-	c := PaperCacheConfig()
+	c := cachesim.DefaultConfig()
 	if c.Cores != 16 || c.L1Size != 32<<10 || c.L2Size != 4<<20 {
 		t.Fatalf("cache config %+v does not match Table II", c)
 	}

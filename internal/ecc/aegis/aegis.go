@@ -31,11 +31,9 @@ type Scheme struct {
 	k, m int
 	// spoils[δ<<1|w] is the partition (m numbers rho_inf) in which cells i
 	// and i+δ share a group; w is 1 when their x coordinate wraps, i.e.
-	// x[i+δ] < x[i]. all has one bit per partition, and x holds each
-	// cell's x coordinate. All three stay empty for m >= block.Bits, where
-	// Correctable needs none of them.
+	// x[i+δ] < x[i], and x holds each cell's x coordinate. Both stay
+	// empty for m >= block.Bits, where Correctable needs neither.
 	spoils [2 * block.Bits]uint16
-	all    [block.Bits / 64]uint64
 	x      [block.Bits]uint16
 }
 
@@ -80,9 +78,6 @@ func New(k, m int) (*Scheme, error) {
 	}
 	for cell := range s.x {
 		s.x[cell] = uint16(cell % k)
-	}
-	for p := 0; p <= m; p++ {
-		s.all[p>>6] |= 1 << (p & 63)
 	}
 	return s, nil
 }
@@ -145,6 +140,7 @@ func (s *Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) b
 	var idxBuf [block.Bits]int
 	idx := faults.AppendIndicesInWindow(idxBuf[:0], startByte, lengthBytes)
 	var spoiled [block.Bits / 64]uint64
+	left := s.m + 1 // partitions no pair has spoiled yet
 	for i, a := range idx {
 		for _, b := range idx[i+1:] {
 			d, dx := b-a, int(s.x[b])-int(s.x[a])
@@ -152,10 +148,12 @@ func (s *Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) b
 				d, dx = -d, -dx
 			}
 			p := s.spoils[d<<1|int(uint(dx)>>63)] // wrap = sign of dx
-			spoiled[p>>6] |= 1 << (p & 63)
-		}
-		if spoiled == s.all {
-			return false
+			if bit := uint64(1) << (p & 63); spoiled[p>>6]&bit == 0 {
+				spoiled[p>>6] |= bit
+				if left--; left == 0 {
+					return false
+				}
+			}
 		}
 	}
 	return true

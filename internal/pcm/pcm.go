@@ -87,10 +87,6 @@ type Endurance struct {
 	CoV  float64
 }
 
-// DefaultEndurance mirrors Table II (mean 1e7 writes, variance 0.15). Real
-// experiments scale Mean down (see internal/lifetime) for tractability.
-func DefaultEndurance() Endurance { return Endurance{Mean: 1e7, CoV: 0.15} }
-
 // sample draws one cell's endurance.
 func (e Endurance) sample(r *rng.Rand) uint32 {
 	v := e.Mean * (1 + e.CoV*r.NormFloat64())

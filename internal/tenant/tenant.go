@@ -9,9 +9,10 @@
 //
 // — comma-separated on a flag, or one per line in a file (# comments and
 // blank lines ignored). rate is submissions per second (0 = unlimited),
-// burst the bucket depth, weight the DRR share (>= 1). Requests without
-// an X-Api-Key header map to the built-in anonymous tenant, so a
-// single-user deployment keeps working with no keys configured.
+// burst the bucket depth (>= 1; 0 = max(1, rate)), weight the DRR share
+// (>= 1). Requests without an X-Api-Key header map to the built-in
+// anonymous tenant, so a single-user deployment keeps working with no
+// keys configured.
 package tenant
 
 import (
@@ -148,8 +149,10 @@ type Registry struct {
 // NewRegistry builds a registry from the configured tenants plus the
 // built-in anonymous tenant (anonRate <= 0 leaves it unlimited, so a
 // keyless deployment behaves exactly as before multi-tenancy existed).
-// Duplicate names or keys, empty fields, and use of the reserved
-// anonymous name are errors.
+// Duplicate names or keys, empty fields, use of the reserved anonymous
+// name, and a burst below 1 on any tenant (the anonymous one included)
+// are errors: a bucket shallower than one token refuses every
+// submission forever.
 func NewRegistry(tenants []*Tenant, anonRate, anonBurst float64) (*Registry, error) {
 	r := &Registry{
 		byKey: make(map[string]*Tenant, len(tenants)),
@@ -179,6 +182,11 @@ func NewRegistry(tenants []*Tenant, anonRate, anonBurst float64) (*Registry, err
 		r.names = append(r.names, name)
 	}
 	sort.Strings(r.names)
+	for _, name := range r.names {
+		if _, burst, limited := r.all[name].Quota(); limited && burst < 1 {
+			return nil, fmt.Errorf("tenant %q: burst %g is below 1, so no submission could ever be admitted", name, burst)
+		}
+	}
 	return r, nil
 }
 

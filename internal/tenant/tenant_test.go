@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +153,22 @@ func TestRegistry(t *testing.T) {
 	}
 	if !r2.Anonymous().Limited() {
 		t.Fatal("anonymous tenant should be limited when anonRate > 0")
+	}
+}
+
+// TestRegistryRejectsSubOneBurst: a burst below 1 can never admit a
+// submission of one token, so the registry refuses it, keyed or
+// anonymous, naming the tenant.
+func TestRegistryRejectsSubOneBurst(t *testing.T) {
+	low, err := ParseSpec("low:k1:1:0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRegistry([]*Tenant{low}, 0, 0); err == nil || !strings.Contains(err.Error(), `"low"`) {
+		t.Errorf("NewRegistry(burst 0.5) = %v, want an error naming tenant low", err)
+	}
+	if _, err := NewRegistry(nil, 1, 0.5); err == nil || !strings.Contains(err.Error(), AnonymousName) {
+		t.Errorf("NewRegistry(anon burst 0.5) = %v, want an error naming the anonymous tenant", err)
 	}
 }
 

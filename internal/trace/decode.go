@@ -11,15 +11,13 @@ import (
 // from the leading bytes:
 //
 //   - "PCMT": the sized binary format (Write/Read)
-//   - "PCMS": the streamed binary format (StreamWriter), read to the end
-//     marker
 //   - gzip magic: decompressed, then sniffed again (one level — gzip of
 //     gzip is rejected as bad magic by the inner pass)
 //   - anything starting with '{': NDJSON, one event per line
 //
 // It is the single ingestion point for uploaded traces, so every producer
-// — cmd/tracegen binaries, gzip-compressed spools, script-generated NDJSON
-// — lands in the same []Event. Unrecognized leading bytes return
+// — cmd/tracegen binaries and their gzip-wrapped .gz form,
+// script-generated NDJSON — lands in the same []Event. Unrecognized leading bytes return
 // ErrBadMagic; an input with no events returns ErrEmptyTrace.
 func Decode(r io.Reader) ([]Event, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
@@ -62,36 +60,9 @@ func decodeUncompressed(br *bufio.Reader) ([]Event, error) {
 			return nil, ErrEmptyTrace
 		}
 		return events, nil
-	case string(head) == streamMagic:
-		return readStreamAll(br)
 	case head[0] == '{':
 		return ReadNDJSON(br)
 	default:
 		return nil, ErrBadMagic
 	}
-}
-
-// readStreamAll drains a PCMS stream (already positioned at its magic)
-// into a slice.
-func readStreamAll(br *bufio.Reader) ([]Event, error) {
-	sr, err := NewStreamReader(br, false)
-	if err != nil {
-		return nil, err
-	}
-	defer sr.Close()
-	var events []Event
-	for {
-		ev, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, ev)
-	}
-	if len(events) == 0 {
-		return nil, ErrEmptyTrace
-	}
-	return events, nil
 }

@@ -17,38 +17,37 @@ func FuzzDecode(f *testing.F) {
 			events[i].Data[b] = byte(i*64 + b)
 		}
 	}
-	var bin, ndjson, stream bytes.Buffer
+	var bin, ndjson bytes.Buffer
 	if err := Write(&bin, events); err != nil {
 		f.Fatal(err)
 	}
 	if err := WriteNDJSON(&ndjson, events); err != nil {
 		f.Fatal(err)
 	}
-	sw, err := NewStreamWriter(&stream, false)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, e := range events {
-		if err := sw.Append(e); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	for _, seed := range [][]byte{bin.Bytes(), ndjson.Bytes(), stream.Bytes()} {
-		f.Add(seed)
+	gzipped := func(b []byte) []byte {
 		var gz bytes.Buffer
 		zw := gzip.NewWriter(&gz)
-		zw.Write(seed)
+		zw.Write(b)
 		zw.Close()
-		f.Add(gz.Bytes())
+		return gz.Bytes()
+	}
+	for _, seed := range [][]byte{bin.Bytes(), ndjson.Bytes()} {
+		f.Add(seed)
+		f.Add(gzipped(seed))
 		f.Add(seed[:len(seed)/2])
 	}
-	for _, s := range []string{"", "PCMT", "PCMS\x01", "PCMT\x01\xff\xff\xff\x03", "{",
-		"PCMT\x01\x01\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01" + string(make([]byte, 64)),
-		"PCMS\x01\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01" + string(make([]byte, 64)) + "\x00", "{\"addr\":-1}\n", "\x1f\x8b"} {
+	overflow := "PCMT\x01\x01\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01" + string(make([]byte, 64))
+	for _, s := range []string{"", "PCMT", "PCMT\x01\xff\xff\xff\x03", "{", overflow,
+		"{\"addr\":-1}\n", "\x1f\x8b"} {
 		f.Add([]byte(s))
+	}
+	// gzip-wrapped PCMT, the compressed container: cut short, with an
+	// implausible count, with an address that overflows int, with no
+	// events, and wrapped twice.
+	gzBin := gzipped(bin.Bytes())
+	for _, seed := range [][]byte{gzBin[:len(gzBin)/2], gzipped([]byte("PCMT\x01\xff\xff\xff\x03")),
+		gzipped([]byte(overflow)), gzipped([]byte("PCMT\x01\x00")), gzipped(gzBin)} {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		got, err := Decode(bytes.NewReader(in))

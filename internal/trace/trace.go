@@ -9,6 +9,10 @@
 //
 //	magic "PCMT" | uvarint version | uvarint event count |
 //	events: uvarint address | 64 data bytes
+//
+// That container is the only binary one. Compressed traces are the same
+// bytes wrapped in gzip, and NDJSON (one JSON event per line) is the text
+// interchange form; Decode sniffs and reads all three.
 package trace
 
 import (

@@ -6,8 +6,8 @@
 // The digest convention mirrors the result cache: the address is the hex
 // SHA-256 of canonical bytes, prefixed "sha256:". Canonical bytes are the
 // sized binary encoding (trace.Write) of the decoded events, so the same
-// trace uploaded as NDJSON, as a gzip-compressed stream, or as a tracegen
-// binary always lands on one digest and is stored once.
+// trace uploaded as NDJSON, as a tracegen binary, or as that binary
+// gzip-wrapped always lands on one digest and is stored once.
 package tracestore
 
 import (

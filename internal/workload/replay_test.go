@@ -6,12 +6,8 @@ import (
 	"pcmcomp/internal/trace"
 )
 
-// Both stream kinds satisfy Source.
-var (
-	_ Source = (*Generator)(nil)
-	_ Source = (*Replay)(nil)
-)
-
+// TestReplayDensifiesAndCycles checks the densify rule; cycling through
+// the events is lifetime.Run's, over whatever Events returns.
 func TestReplayDensifiesAndCycles(t *testing.T) {
 	mk := func(addr int, fill byte) trace.Event {
 		ev := trace.Event{Addr: addr}
@@ -20,21 +16,20 @@ func TestReplayDensifiesAndCycles(t *testing.T) {
 		}
 		return ev
 	}
-	// Sparse physical addresses: 900, 17, 900 again, 5000.
-	src, err := NewReplay([]trace.Event{mk(900, 1), mk(17, 2), mk(900, 3), mk(5000, 4)})
+	// Sparse physical addresses: 900, 17, 900 again, 5000. Each event
+	// keeps its payload; only the address is renumbered.
+	rep, err := NewReplay([]trace.Event{mk(900, 1), mk(17, 2), mk(900, 3), mk(5000, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Lines() != 3 || src.Len() != 4 {
-		t.Fatalf("Lines=%d Len=%d, want 3, 4", src.Lines(), src.Len())
-	}
+	got := rep.Events()
 	wantAddrs := []int{0, 1, 0, 2} // first-appearance order
-	for cycle := 0; cycle < 2; cycle++ {
-		for i, want := range wantAddrs {
-			ev := src.Next()
-			if ev.Addr != want {
-				t.Fatalf("cycle %d event %d: addr %d, want %d", cycle, i, ev.Addr, want)
-			}
+	if len(got) != len(wantAddrs) {
+		t.Fatalf("%d events, want %d", len(got), len(wantAddrs))
+	}
+	for i, want := range wantAddrs {
+		if got[i].Addr != want || got[i].Data[0] != byte(i+1) {
+			t.Fatalf("event %d: addr %d fill %d, want addr %d fill %d", i, got[i].Addr, got[i].Data[0], want, i+1)
 		}
 	}
 	if _, err := NewReplay(nil); err == nil {

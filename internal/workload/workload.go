@@ -157,9 +157,6 @@ func NewGenerator(prof Profile, numLines int, seed uint64) (*Generator, error) {
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.prof }
 
-// Lines returns the size of the generator's address space.
-func (g *Generator) Lines() int { return len(g.lines) }
-
 func (g *Generator) sampleClass() contentClass {
 	u := g.r.Float64()
 	for i, c := range g.cumMix {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Trace-ingestion smoke: generate a real trace with tracegen, upload it
 # through pcmctl to a coordinator fronting two real backend daemons,
-# prove the content address dedups a re-upload, then run a trace-driven
+# prove the content address dedups a re-upload and the same trace in
+# another encoding (gzip-wrapped PCMT), then run a trace-driven
 # Monte-Carlo sweep sharded across the fleet — the backends must fetch
 # the digest from the coordinator (X-Trace-Source) and the merged sweep
 # must finish done. Exercises the exact operator path end to end, so a
@@ -47,7 +48,7 @@ done
 
 # Generate a trace in NDJSON (the store must canonicalize it to the same
 # digest a binary upload would get).
-"$work/tracegen" -app milc -events 2000 -lines 256 -format ndjson \
+"$work/tracegen" -app milc -events 2000 -lines 256 -seed 1 -format ndjson \
   -o "$work/milc.ndjson" >/dev/null
 
 "$work/pcmctl" trace upload -server "http://$coord" "$work/milc.ndjson" >"$work/upload.json"
@@ -64,6 +65,18 @@ grep -q '"stored": false' "$work/reupload.json" || {
 }
 grep -q "$digest" "$work/reupload.json" || {
   echo "re-upload digest changed:"; cat "$work/reupload.json"; exit 1
+}
+
+# The same trace as gzip-wrapped PCMT (tracegen's .gz form): another
+# encoding of the same events, so the NDJSON upload's digest, not stored.
+"$work/tracegen" -app milc -events 2000 -lines 256 -seed 1 \
+  -o "$work/milc.pcmt.gz" >/dev/null
+"$work/pcmctl" trace upload -server "http://$coord" "$work/milc.pcmt.gz" >"$work/gzupload.json"
+grep -q '"stored": false' "$work/gzupload.json" || {
+  echo "gzip upload of the same trace was stored again:"; cat "$work/gzupload.json"; exit 1
+}
+grep -q "$digest" "$work/gzupload.json" || {
+  echo "gzip upload hashed to another digest:"; cat "$work/gzupload.json"; exit 1
 }
 "$work/pcmctl" trace ls -server "http://$coord" | grep -q "$digest" || {
   echo "trace ls does not list $digest"; exit 1
