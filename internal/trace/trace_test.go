@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
 	"strings"
 	"testing"
 
@@ -66,6 +67,50 @@ func TestTruncatedStream(t *testing.T) {
 	for _, cut := range []int{3, 5, 6, 10, len(data) - 1} {
 		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
+		}
+	}
+}
+
+func TestGzipActuallyCompresses(t *testing.T) {
+	// Write-back traces are value-structured (zero lines, repeated words);
+	// gzip-wrapped PCMT should shrink them a lot and still decode.
+	r := rng.New(3)
+	events := make([]Event, 2000)
+	for i := range events {
+		events[i].Addr = r.Intn(256)
+		if i%3 != 0 { // most lines zero or repeated, like real traces
+			v := uint64(r.Intn(4))
+			for w := 0; w < 8; w++ {
+				events[i].Data.SetWord(w, v)
+			}
+		} else {
+			events[i].Data.SetWord(0, r.Uint64())
+		}
+	}
+	var plain, zipped bytes.Buffer
+	if err := Write(&plain, events); err != nil {
+		t.Fatal(err)
+	}
+	zw := gzip.NewWriter(&zipped)
+	if err := Write(zw, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if zipped.Len() >= plain.Len()/2 {
+		t.Fatalf("gzip saved too little: %d vs %d bytes", zipped.Len(), plain.Len())
+	}
+	got, err := Decode(&zipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(events) {
+		t.Fatalf("decoded %d events, want %d", len(got), len(events))
+	}
+	for i := range events {
+		if got[i] != events[i] {
+			t.Fatalf("event %d differs after gzip round trip", i)
 		}
 	}
 }
