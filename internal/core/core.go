@@ -241,6 +241,9 @@ func New(cfg Config) (*Controller, error) {
 		energy: pcm.DefaultEnergyModel(),
 	}
 	logicalRows := g.LinesPerBank - 1 // one physical row is the Start-Gap spare
+	// Every row's payload buffer holds a full line from the start, so no
+	// later write grows one: the steady-state write path never allocates.
+	payloads := make([]byte, g.TotalLines()*block.Size)
 	for i := range c.banks {
 		sg, err := wear.NewStartGap(logicalRows, cfg.StartGapPsi)
 		if err != nil {
@@ -250,11 +253,12 @@ func New(cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.banks[i] = bankState{
-			sg:   sg,
-			rot:  rot,
-			meta: make([]lineMeta, g.LinesPerBank),
+		meta := make([]lineMeta, g.LinesPerBank)
+		for r := range meta {
+			off := (i*g.LinesPerBank + r) * block.Size
+			meta[r].payload = payloads[off : off : off+block.Size]
 		}
+		c.banks[i] = bankState{sg: sg, rot: rot, meta: meta}
 	}
 	return c, nil
 }

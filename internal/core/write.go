@@ -36,7 +36,9 @@ type Outcome struct {
 // decision (Fig 8), window placement and sliding (Fig 4), the differential
 // write, and death/resurrection accounting.
 func (c *Controller) Write(addr int, data *block.Block) Outcome {
-	return c.write(addr, data, nil)
+	var out Outcome
+	c.write(addr, data, nil, &out)
+	return out
 }
 
 // Compress returns the compression result Write would compute for data,
@@ -58,12 +60,16 @@ func (c *Controller) Compress(data *block.Block) (compress.Result, bool) {
 // and Start-Gap copies still recompress the data they move. A controller
 // that does not compress ignores res.
 func (c *Controller) WriteCompressed(addr int, data *block.Block, res compress.Result) Outcome {
-	return c.write(addr, data, &res)
+	var out Outcome
+	c.write(addr, data, &res, &out)
+	return out
 }
 
 // write is the body of Write and WriteCompressed; pre, when non-nil, is the
-// demand write's precomputed compression.
-func (c *Controller) write(addr int, data *block.Block, pre *compress.Result) Outcome {
+// demand write's precomputed compression. It fills out, which the caller
+// passes zeroed: the result travels by pointer so that no frame of the hot
+// path copies it.
+func (c *Controller) write(addr int, data *block.Block, pre *compress.Result, out *Outcome) {
 	bank, lrow := c.locate(addr)
 	bs := &c.banks[bank]
 
@@ -87,7 +93,7 @@ func (c *Controller) write(addr int, data *block.Block, pre *compress.Result) Ou
 	}
 
 	row := bs.sg.Map(lrow)
-	return c.writePhysical(bank, row, data, pre, false)
+	c.writePhysical(bank, row, data, pre, false, out)
 }
 
 // moveLine relocates the content of physical row mv.From into mv.To as part
@@ -119,14 +125,16 @@ func (c *Controller) moveLine(bank int, mv wear.Movement) {
 
 	to := &bs.meta[mv.To]
 	to.sc, to.prevCompSize = sc, prev
-	c.writePhysical(bank, mv.To, &logical, nil, true)
+	var out Outcome
+	c.writePhysical(bank, mv.To, &logical, nil, true, &out)
 }
 
 // writePhysical stores data into the given physical row, applying the
 // compression decision and window placement. pre, when non-nil, is data's
 // precomputed compression (see WriteCompressed). isMove marks Start-Gap
 // copies: in Comp+WF these are the only writes allowed to retry a dead line.
-func (c *Controller) writePhysical(bank, row int, data *block.Block, pre *compress.Result, isMove bool) Outcome {
+// It fills out, which the caller passes zeroed.
+func (c *Controller) writePhysical(bank, row int, data *block.Block, pre *compress.Result, isMove bool, out *Outcome) {
 	bs := &c.banks[bank]
 	meta := &bs.meta[row]
 	c.stats.Writes++
@@ -134,7 +142,7 @@ func (c *Controller) writePhysical(bank, row int, data *block.Block, pre *compre
 	if meta.dead && !(c.cfg.Resurrect && isMove) {
 		c.stats.UncorrectableErrors++
 		c.stats.DroppedWrites++
-		return Outcome{}
+		return
 	}
 	wasDead := meta.dead
 
@@ -143,7 +151,6 @@ func (c *Controller) writePhysical(bank, row int, data *block.Block, pre *compre
 	size := len(payload)
 
 	line := c.mem.Line(c.physAddr(bank, row))
-	var out Outcome
 	out.Size = size
 	out.Compressed = enc.IsCompressed()
 
@@ -153,22 +160,23 @@ func (c *Controller) writePhysical(bank, row int, data *block.Block, pre *compre
 		if !ok {
 			break
 		}
-		res := c.writeWindow(line, payload, origin)
+		var res pcm.WriteResult
+		c.writeWindow(line, payload, origin, &res)
 		out.FlipsNeeded += res.FlipsNeeded
 		out.FlipsWritten += res.FlipsWritten
 		out.StuckFlips += res.StuckFlips
-		out.NewFaults += len(res.NewFaults)
+		out.NewFaults += res.NewFaults
 		c.stats.BitFlips += uint64(res.FlipsWritten)
 		c.stats.SetPulses += uint64(res.Sets)
 		c.stats.ResetPulses += uint64(res.Resets)
-		c.stats.NewFaults += uint64(len(res.NewFaults))
+		c.stats.NewFaults += uint64(res.NewFaults)
 
 		// Write-verify: if the cells that died during this write leave the
 		// window uncorrectable, the data is not safely stored; try again
 		// elsewhere in the line. A write that killed no cell needs no check:
 		// place accepted this origin against the same fault set, or against
 		// an empty one, which every scheme corrects.
-		if len(res.NewFaults) == 0 || c.cfg.Scheme.Correctable(line.Faults(), origin, size) {
+		if res.NewFaults == 0 || c.cfg.Scheme.Correctable(line.Faults(), origin, size) {
 			if meta.written() && int(meta.start) != origin {
 				c.stats.StartPointerUpdates++
 			}
@@ -190,7 +198,7 @@ func (c *Controller) writePhysical(bank, row int, data *block.Block, pre *compre
 			if out.Compressed {
 				c.stats.CompressedWrites++
 			}
-			return out
+			return
 		}
 	}
 
@@ -203,7 +211,6 @@ func (c *Controller) writePhysical(bank, row int, data *block.Block, pre *compre
 		c.stats.DeathFaultCells.Add(float64(line.Faults().Count()))
 		out.Died = true
 	}
-	return out
 }
 
 // chooseRepresentation applies the Fig 8 flow: small compressed sizes are
@@ -322,8 +329,8 @@ func (c *Controller) place(bs *bankState, meta *lineMeta, faults *ecc.FaultSet, 
 // transforms the window word-by-word against the current cell content (the
 // per-word selectors model auxiliary metadata, like FNW's flip bit), so the
 // cells receive the cheaper encoded image while reads keep returning the
-// logical payload.
-func (c *Controller) writeWindow(line *pcm.Line, payload []byte, origin int) pcm.WriteResult {
+// logical payload. The write's tallies are added into res.
+func (c *Controller) writeWindow(line *pcm.Line, payload []byte, origin int, res *pcm.WriteResult) {
 	size := len(payload)
 	head := size
 	if origin+size > block.Size {
@@ -368,15 +375,8 @@ func (c *Controller) writeWindow(line *pcm.Line, payload []byte, origin int) pcm
 			c.energy.WriteEnergyPJ(sets1, resets1)
 	}
 
-	res := line.WriteWindow(&target, origin, head)
+	line.WriteWindow(&target, origin, head, res)
 	if tail > 0 {
-		res2 := line.WriteWindow(&target, 0, tail)
-		res.FlipsNeeded += res2.FlipsNeeded
-		res.FlipsWritten += res2.FlipsWritten
-		res.Sets += res2.Sets
-		res.Resets += res2.Resets
-		res.StuckFlips += res2.StuckFlips
-		res.NewFaults = append(res.NewFaults, res2.NewFaults...)
+		line.WriteWindow(&target, 0, tail, res)
 	}
-	return res
 }

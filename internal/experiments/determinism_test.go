@@ -3,9 +3,11 @@ package experiments
 import (
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"pcmcomp/internal/config"
+	"pcmcomp/internal/core"
 	"pcmcomp/internal/stats"
 )
 
@@ -60,6 +62,50 @@ func TestLifetimeDeterministicAcrossParallelism(t *testing.T) {
 								widths[0], ref.Value(r, c), rb)
 						}
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestLifetimeRunsErrorsAcrossParallelism pins lifetimeRuns' error rule:
+// at any worker width the error returned is the one of the lowest (app,
+// run) in table order, the Baseline before the variants, even though the
+// scheduler starts the highest variant first; and an app whose Baseline
+// fails queues no variant runs.
+func TestLifetimeRunsErrorsAcrossParallelism(t *testing.T) {
+	base := LifetimeOptions{Scale: config.ScaleQuick, Seed: 3, MaxDemandWrites: 2000}
+	var tweaked atomic.Int32
+	counted := compWF(func(*core.Config) { tweaked.Add(1) })
+	badT1 := compWF(func(c *core.Config) { c.Threshold1 = 0 })
+	badT2 := compWF(func(c *core.Config) { c.Threshold2 = 0 })
+	_, _, errApp := base.appTrace("bogus")
+	_, errT2 := core.New(base.runConfig(badT2, 0).Controller)
+	if errApp == nil || errT2 == nil {
+		t.Fatal("the failing inputs do not fail")
+	}
+	for _, tc := range []struct {
+		name     string
+		apps     []string
+		variants []variant
+		want     error
+		tweaked  int32 // calls of counted's tweak: one per app whose Baseline ran
+	}{
+		// milc's second variant precedes bogus's Baseline in table order.
+		{"variant before later baseline", []string{"milc", "bogus", "gcc"}, []variant{counted, badT2, badT1}, errT2, 2},
+		{"unknown app first", []string{"bogus", "milc"}, []variant{badT1, counted}, errApp, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, width := range []int{1, 2, 4} {
+				tweaked.Store(0)
+				o := base
+				o.Concurrency = width
+				_, err := o.lifetimeRuns(tc.apps, tc.variants)
+				if err == nil || err.Error() != tc.want.Error() {
+					t.Fatalf("width %d: error %v, want %v", width, err, tc.want)
+				}
+				if got := tweaked.Load(); got != tc.tweaked {
+					t.Fatalf("width %d: %d runs of the counted variant, want %d", width, got, tc.tweaked)
 				}
 			}
 		})

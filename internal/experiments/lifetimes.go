@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"pcmcomp/internal/config"
 	"pcmcomp/internal/core"
 	"pcmcomp/internal/lifetime"
-	"pcmcomp/internal/parallel"
 	"pcmcomp/internal/pcm"
 	"pcmcomp/internal/stats"
 	"pcmcomp/internal/trace"
@@ -23,10 +23,10 @@ type LifetimeOptions struct {
 	// MaxDemandWrites caps every run of every lifetime table, Baseline
 	// included (0 = none); quick modes set it.
 	MaxDemandWrites uint64
-	// Concurrency bounds the per-application worker fan-out of every
-	// lifetime table, the ablations included (0 = CPU count). Results are
-	// identical at any width — the determinism tests sweep this knob to
-	// prove it.
+	// Concurrency bounds the worker pool that runs the lifetime runs of
+	// every lifetime table, the ablations included (0 = CPU count).
+	// Results are identical at any width — the determinism tests sweep
+	// this knob to prove it.
 	Concurrency int
 }
 
@@ -85,38 +85,125 @@ func (r appRuns) normalized() []float64 {
 	return out
 }
 
-// lifetimeRuns is the runner behind every lifetime table. For each app,
-// concurrently up to o.Concurrency workers, it runs the Baseline under the
-// option cap alone, then each variant under the cap rule below.
-// Runs are independent and internally seeded, so the results are
-// deterministic regardless of scheduling or worker count; the first error
-// wins.
+// lifetimeRuns is the runner behind every lifetime table. Each app's runs
+// are its Baseline, under the option cap alone, then each variant under
+// the cap rule below. It schedules single runs, not whole apps, with up to
+// o.Concurrency in flight, so a heavy app's variants spread over the
+// workers:
+//
+//   - an app's trace is generated once, by its Baseline run, and dropped
+//     after its last run;
+//   - a Baseline's success makes the app's variants ready, and a free
+//     slot takes a ready variant, the highest variant index first (the
+//     longest-lived system), before it starts the next app's Baseline.
+//
+// So about o.Concurrency+1 traces are live at once. Runs are independent
+// and internally seeded, so the results are deterministic regardless of
+// scheduling or worker count. Every run is attempted, except the variants
+// of an app whose Baseline failed; the error returned is the one of the
+// lowest (app, run) in table order, the Baseline first.
 func (o LifetimeOptions) lifetimeRuns(apps []string, variants []variant) ([]appRuns, error) {
 	out := make([]appRuns, len(apps))
-	err := parallel.ForEach(len(apps), o.Concurrency, func(i int) error {
-		events, prof, err := o.appTrace(apps[i])
+	perApp := 1 + len(variants)
+	errs := make([]error, len(apps)*perApp) // [app*perApp + run], run 0 the Baseline
+	events := make([][]trace.Event, len(apps))
+	left := make([]int, len(apps))         // variant runs of each app not yet finished
+	capWrites := make([]uint64, len(apps)) // each app's variant cap
+
+	type run struct{ app, v int } // v = -1 for the Baseline
+	var ready []run               // variant runs whose Baseline has finished
+	nextApp := 0                  // the next app whose Baseline has not started
+	// next returns the run to start now, if there is one.
+	next := func() (run, bool) {
+		if len(ready) > 0 {
+			best := 0
+			for i, r := range ready {
+				if r.v > ready[best].v || (r.v == ready[best].v && r.app < ready[best].app) {
+					best = i
+				}
+			}
+			r := ready[best]
+			ready = append(ready[:best], ready[best+1:]...)
+			return r, true
+		}
+		if nextApp < len(apps) {
+			nextApp++
+			return run{nextApp - 1, -1}, true
+		}
+		return run{}, false
+	}
+	// exec performs r on its own goroutine. What a Baseline stores for its
+	// variants reaches them through the finished channel.
+	exec := func(r run) error {
+		if r.v >= 0 {
+			res, err := lifetime.Run(o.runConfig(variants[r.v], capWrites[r.app]), events[r.app])
+			out[r.app].runs[r.v] = res
+			return err
+		}
+		ev, prof, err := o.appTrace(apps[r.app])
 		if err != nil {
 			return err
 		}
-		r := appRuns{app: apps[i], prof: prof, runs: make([]lifetime.Result, len(variants))}
-		if r.base, err = lifetime.Run(o.runConfig(variant{sys: core.Baseline}, o.MaxDemandWrites), events); err != nil {
+		base, err := lifetime.Run(o.runConfig(variant{sys: core.Baseline}, o.MaxDemandWrites), ev)
+		if err != nil {
 			return err
 		}
 		// The cap rule: the option cap, tightened to baselineCapFactor
 		// times the Baseline's lifetime.
-		capWrites := r.base.DemandWrites * baselineCapFactor
-		if capWrites == 0 || (o.MaxDemandWrites > 0 && o.MaxDemandWrites < capWrites) {
-			capWrites = o.MaxDemandWrites
+		c := base.DemandWrites * baselineCapFactor
+		if c == 0 || (o.MaxDemandWrites > 0 && o.MaxDemandWrites < c) {
+			c = o.MaxDemandWrites
 		}
-		for j, v := range variants {
-			if r.runs[j], err = lifetime.Run(o.runConfig(v, capWrites), events); err != nil {
-				return err
+		events[r.app], capWrites[r.app] = ev, c
+		out[r.app] = appRuns{app: apps[r.app], prof: prof, base: base, runs: make([]lifetime.Result, len(variants))}
+		return nil
+	}
+
+	workers := o.Concurrency
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	type done struct {
+		r   run
+		err error
+	}
+	finished := make(chan done)
+	// This goroutine alone schedules: it keeps up to workers runs in
+	// flight and books each one as it finishes.
+	running := 0
+	for {
+		for running < workers {
+			r, ok := next()
+			if !ok {
+				break
+			}
+			running++
+			go func() { finished <- done{r, exec(r)} }()
+		}
+		if running == 0 {
+			break
+		}
+		d := <-finished
+		running--
+		errs[d.r.app*perApp+d.r.v+1] = d.err
+		if d.r.v >= 0 {
+			left[d.r.app]--
+		} else if d.err == nil {
+			left[d.r.app] = len(variants)
+			for v := range variants {
+				ready = append(ready, run{d.r.app, v})
 			}
 		}
-		out[i] = r
-		return nil
-	})
-	return out, err
+		if left[d.r.app] == 0 {
+			events[d.r.app] = nil // the app's last run is done
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // lifetimeTable describes a table of one row per application over

@@ -1,7 +1,7 @@
-// Package parallel provides the bounded-concurrency helper shared by the
-// experiment drivers (one goroutine per application) and the pcmd service
-// worker pool. It exists so the fan-out/semaphore/first-error pattern lives
-// in exactly one place.
+// Package parallel provides the bounded-concurrency helper behind the pcmd
+// service worker pool, the public ForEach and pcmbench's per-application
+// traced Fig 10 loop. It exists so the fan-out/semaphore/first-error
+// pattern lives in exactly one place.
 package parallel
 
 import (

@@ -12,12 +12,14 @@ func TestSetResetAccounting(t *testing.T) {
 	l := m.Line(0)
 	var d block.Block
 	d[0] = 0xff // 8 cells programmed 0->1
-	res := l.Write(&d)
+	var res WriteResult
+	l.WriteWindow(&d, 0, block.Size, &res)
 	if res.Sets != 8 || res.Resets != 0 {
 		t.Fatalf("sets/resets = %d/%d, want 8/0", res.Sets, res.Resets)
 	}
 	var zero block.Block
-	res = l.Write(&zero) // 8 cells programmed 1->0
+	res = WriteResult{}
+	l.WriteWindow(&zero, 0, block.Size, &res) // 8 cells programmed 1->0
 	if res.Sets != 0 || res.Resets != 8 {
 		t.Fatalf("sets/resets = %d/%d, want 0/8", res.Sets, res.Resets)
 	}
@@ -32,7 +34,8 @@ func TestSetsPlusResetsEqualsFlips(t *testing.T) {
 		for w := 0; w < 8; w++ {
 			d.SetWord(w, r.Uint64())
 		}
-		res := l.Write(&d)
+		var res WriteResult
+		l.WriteWindow(&d, 0, block.Size, &res)
 		if res.Sets+res.Resets != res.FlipsWritten {
 			t.Fatalf("sets %d + resets %d != flips %d", res.Sets, res.Resets, res.FlipsWritten)
 		}

@@ -161,8 +161,9 @@ type WriteResult struct {
 	// StuckFlips is the number of differing bits that landed on stuck
 	// cells (they retain their old value; ECC must cover them).
 	StuckFlips int
-	// NewFaults lists cells that wore out during this write.
-	NewFaults []int
+	// NewFaults is the number of cells that wore out during this write;
+	// the line's FaultSet records which.
+	NewFaults int
 }
 
 // WriteWindow performs a differential write of newData's byte window
@@ -176,8 +177,10 @@ type WriteResult struct {
 //
 // Cells outside the window are untouched, which is exactly what confining
 // writes to a compression window buys (paper §III).
-func (l *Line) WriteWindow(newData *block.Block, startByte, lengthBytes int) WriteResult {
-	var res WriteResult
+//
+// The write's tallies are added into res, so a caller splitting one
+// logical write into several windows accumulates them in one result.
+func (l *Line) WriteWindow(newData *block.Block, startByte, lengthBytes int, res *WriteResult) {
 	l.writes++
 	// Whole 64-bit words at a time: the RMW circuit's compare is a XOR and
 	// the flip/stuck/SET/RESET tallies are popcounts over masked words, and
@@ -224,19 +227,12 @@ func (l *Line) WriteWindow(newData *block.Block, startByte, lengthBytes int) Wri
 			}
 		}
 		// A borrow out of the top plane means remaining−1 was 0: the cell
-		// wore out. Ascending order keeps NewFaults sorted by cell.
+		// wore out.
 		for ; borrow != 0; borrow &= borrow - 1 {
-			cell := lo + bits.TrailingZeros64(borrow)
-			l.faults.Add(cell)
-			res.NewFaults = append(res.NewFaults, cell)
+			l.faults.Add(lo + bits.TrailingZeros64(borrow))
+			res.NewFaults++
 		}
 	}
-	return res
-}
-
-// Write performs a full-line differential write.
-func (l *Line) Write(newData *block.Block) WriteResult {
-	return l.WriteWindow(newData, 0, block.Size)
 }
 
 // Memory is a lazily materialized array of lines. Lines are allocated (and

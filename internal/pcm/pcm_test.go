@@ -148,12 +148,14 @@ func TestDifferentialWriteOnlyFlipsDiffering(t *testing.T) {
 	l := m.Line(0)
 	var d1 block.Block
 	d1[0] = 0xff
-	res := l.Write(&d1)
+	var res WriteResult
+	l.WriteWindow(&d1, 0, block.Size, &res)
 	if res.FlipsNeeded != 8 || res.FlipsWritten != 8 || res.StuckFlips != 0 {
 		t.Fatalf("unexpected result %+v", res)
 	}
 	// Rewriting identical data programs nothing.
-	res = l.Write(&d1)
+	res = WriteResult{}
+	l.WriteWindow(&d1, 0, block.Size, &res)
 	if res.FlipsNeeded != 0 || res.FlipsWritten != 0 {
 		t.Fatalf("identical rewrite flipped %d cells", res.FlipsWritten)
 	}
@@ -172,7 +174,8 @@ func TestWriteWindowRestriction(t *testing.T) {
 	for i := range full {
 		full[i] = 0xff
 	}
-	res := l.WriteWindow(&full, 8, 4) // only bytes 8..11
+	var res WriteResult
+	l.WriteWindow(&full, 8, 4, &res) // only bytes 8..11
 	if res.FlipsWritten != 32 {
 		t.Fatalf("flips = %d, want 32", res.FlipsWritten)
 	}
@@ -198,11 +201,11 @@ func TestCellWearAndDeath(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		var res WriteResult
 		if i%2 == 0 {
-			res = l.Write(&b)
+			l.WriteWindow(&b, 0, block.Size, &res)
 		} else {
-			res = l.Write(&a)
+			l.WriteWindow(&a, 0, block.Size, &res)
 		}
-		deaths += len(res.NewFaults)
+		deaths += res.NewFaults
 	}
 	if deaths != 1 {
 		t.Fatalf("expected exactly one cell death, got %d", deaths)
@@ -222,13 +225,15 @@ func TestStuckCellRetainsValue(t *testing.T) {
 	l := m.Line(0)
 	var one block.Block
 	one[0] = 0x01
-	res := l.Write(&one) // budget 1: this write programs and kills cell 0
-	if len(res.NewFaults) != 1 || res.NewFaults[0] != 0 {
-		t.Fatalf("unexpected faults %v", res.NewFaults)
+	var res WriteResult
+	l.WriteWindow(&one, 0, block.Size, &res) // budget 1: this write programs and kills cell 0
+	if res.NewFaults != 1 || !l.Faults().Contains(0) {
+		t.Fatalf("new faults %d, fault set %v; want 1, [0]", res.NewFaults, l.Faults().Indices())
 	}
 	// Cell 0 is stuck at 1 now; writing zero must not change it.
 	var zero block.Block
-	res = l.Write(&zero)
+	res = WriteResult{}
+	l.WriteWindow(&zero, 0, block.Size, &res)
 	if res.StuckFlips != 1 || res.FlipsWritten != 0 {
 		t.Fatalf("unexpected result %+v", res)
 	}
@@ -244,7 +249,8 @@ func TestWearOnlyOnFlips(t *testing.T) {
 	l := m.Line(0)
 	var d block.Block
 	d[5] = 0xaa
-	l.Write(&d)
+	var res WriteResult
+	l.WriteWindow(&d, 0, block.Size, &res)
 	// Cells never flipped keep full budget.
 	if l.Remaining(0) != 100 {
 		t.Fatalf("untouched cell wore out: %d", l.Remaining(0))
@@ -275,7 +281,8 @@ func BenchmarkDifferentialWrite(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
+	var res WriteResult
 	for i := 0; i < b.N; i++ {
-		l.Write(&data[i%len(data)])
+		l.WriteWindow(&data[i%len(data)], 0, block.Size, &res)
 	}
 }
