@@ -61,7 +61,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -123,9 +122,10 @@ func splitSchemes(s string) []string {
 	return out
 }
 
-// runSweep submits a sweep to a pcmd (POST /v1/sweeps) and polls it until
-// terminal. The server owns sharding, retries, and hedging; this side
-// validates the request, uploads a -trace file, and watches progress.
+// runSweep submits a sweep to a pcmd (POST /v1/sweeps) and follows its
+// event stream until terminal. The server owns sharding, retries, and
+// hedging; this side validates the request, uploads a -trace file, and
+// watches progress.
 func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pcmctl sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -191,12 +191,21 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if !*quiet {
 		fmt.Fprintf(stderr, "sweep %s accepted (trace %s)\n", sw.ID, sw.TraceID)
 	}
-	onProgress := func(done, total int) {
+	// Shard progress comes off the sweep's event stream: every shard_done
+	// event is one more merged shard of the total the submission reported.
+	done, total := sw.ShardsDone, sw.ShardsTotal
+	progress := func() {
 		if !*quiet && total > 0 {
 			fmt.Fprintf(stderr, "\rshards %d/%d", done, total)
 		}
 	}
-	sw, err = c.WaitSweep(ctx, sw.ID, onProgress)
+	progress()
+	sw, err = c.WatchSweep(ctx, sw.ID, func(ev pcmclient.TimelineEvent) {
+		if ev.Type == cluster.EventShardDone {
+			done++
+			progress()
+		}
+	})
 	if err != nil {
 		return err
 	}
@@ -265,14 +274,7 @@ func runEvents(ctx context.Context, args []string, stdout, stderr io.Writer) err
 
 	printEvent := func(ev obs.Event) {
 		fmt.Fprintf(stdout, "%s  %-10s %s", ev.Time.Format(time.RFC3339Nano), ev.Type, ev.Msg)
-		keys := make([]string, 0, len(ev.Fields))
-		for k := range ev.Fields {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(stdout, " %s=%s", k, ev.Fields[k])
-		}
+		printPairs(stdout, ev.Fields)
 		fmt.Fprintln(stdout)
 	}
 
@@ -447,16 +449,7 @@ func runObsTrace(ctx context.Context, args []string, stdout io.Writer) error {
 	obs.Walk(tree, func(n *obs.SpanNode, depth int) {
 		indent := strings.Repeat("  ", depth+1)
 		fmt.Fprintf(stdout, "%s%s  %s", indent, n.Name, n.Duration().Round(time.Microsecond))
-		if len(n.Attrs) > 0 {
-			keys := make([]string, 0, len(n.Attrs))
-			for k := range n.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(stdout, " %s=%s", k, n.Attrs[k])
-			}
-		}
+		printPairs(stdout, n.Attrs)
 		if n.Error != "" {
 			fmt.Fprintf(stdout, " error=%q", n.Error)
 		}
@@ -483,4 +476,12 @@ func runCancel(ctx context.Context, args []string, stdout io.Writer) error {
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(j)
+}
+
+// printPairs writes fields as " k=v" in key order.
+func printPairs(w io.Writer, p obs.Pairs) {
+	p = p.Sorted()
+	for i := 0; i < len(p); i += 2 {
+		fmt.Fprintf(w, " %s=%s", p[i], p[i+1])
+	}
 }

@@ -50,13 +50,14 @@ func (l *Loopback) RunJob(ctx context.Context, kind string, params json.RawMessa
 
 func (l *Loopback) Check(context.Context) error { return nil }
 
-// HTTPBackend runs shards on a remote pcmd daemon: submit, wait, and — when
-// the shard's context is canceled (hedge lost, sweep canceled) — a
-// best-effort DELETE /v1/jobs/{id} so the remote worker is freed instead of
-// burning CPU on a result nobody wants.
+// HTTPBackend runs shards on a remote pcmd daemon: submit, wait on the
+// job's event stream (so a shard completes the moment its terminal event
+// arrives), and — when the shard's context is canceled (hedge lost, sweep
+// canceled) — a best-effort DELETE /v1/jobs/{id} so the remote worker is
+// freed instead of burning CPU on a result nobody wants.
 type HTTPBackend struct {
-	// Client is the underlying pcmd client; callers may tune its retry and
-	// poll knobs before the first RunJob.
+	// Client is the underlying pcmd client; callers may tune its retry
+	// knobs before the first RunJob.
 	Client *pcmclient.Client
 	name   string
 }
@@ -74,12 +75,9 @@ func (h *HTTPBackend) RunJob(ctx context.Context, kind string, params json.RawMe
 		return nil, fmt.Errorf("backend %s: submit: %w", h.name, err)
 	}
 	id := j.ID
-	if !j.Terminal() {
-		w, werr := h.Client.Wait(ctx, j.ID)
-		if w != nil {
-			j = w
-		}
-		err = werr
+	w, err := h.Client.Watch(ctx, id, nil)
+	if w != nil {
+		j = w
 	}
 	// Graft the backend's execution spans into the caller's trace: the
 	// remote job ran under the trace ID we propagated, so its reported
@@ -89,8 +87,8 @@ func (h *HTTPBackend) RunJob(ctx context.Context, kind string, params json.RawMe
 		if ctx.Err() != nil {
 			// The coordinator abandoned this attempt (hedge lost, sweep
 			// canceled); release the remote job under a fresh context (ours
-			// is already dead). Wait returns a nil job on a canceled poll,
-			// so the DELETE targets the ID captured at submission.
+			// is already dead). Watch returns a nil job on a canceled
+			// stream, so the DELETE targets the ID captured at submission.
 			h.cancelJob(id)
 		}
 		return nil, fmt.Errorf("backend %s: %w", h.name, err)

@@ -53,7 +53,6 @@ func TestKillBackendMidSweepRedispatches(t *testing.T) {
 		b := cluster.NewHTTPBackend(tss[i].URL)
 		// Fail fast on the killed backend so the coordinator's retry, not the
 		// client's transport retry, does the recovering.
-		b.Client.PollInterval = 2 * time.Millisecond
 		b.Client.MaxRetries = 1
 		b.Client.BaseBackoff = 2 * time.Millisecond
 		b.Client.MaxBackoff = 10 * time.Millisecond

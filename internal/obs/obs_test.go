@@ -54,7 +54,7 @@ func TestSpanTreeParentage(t *testing.T) {
 	if len(tree) != 1 || tree[0].Name != "root" {
 		t.Fatalf("tree roots = %+v, want single root", tree)
 	}
-	if tree[0].Attrs["kind"] != "test" {
+	if tree[0].Attrs.Get("kind") != "test" {
 		t.Errorf("root attrs = %v", tree[0].Attrs)
 	}
 	if len(tree[0].Children) != 1 || tree[0].Children[0].Name != "child" {

@@ -19,7 +19,6 @@ type traceEntry struct {
 	id      string
 	spans   []SpanData
 	dropped uint64
-	first   time.Time // first span arrival, for eviction order
 }
 
 // Ring is a bounded in-memory store of completed traces: spans are
@@ -56,7 +55,7 @@ func (r *Ring) Record(d SpanData) {
 	defer r.mu.Unlock()
 	e := r.traces[d.TraceID]
 	if e == nil {
-		e = &traceEntry{id: d.TraceID, first: time.Now()}
+		e = &traceEntry{id: d.TraceID}
 		r.traces[d.TraceID] = e
 		r.order = append(r.order, d.TraceID)
 		for len(r.traces) > r.maxTraces && len(r.order) > 0 {
@@ -69,7 +68,10 @@ func (r *Ring) Record(d SpanData) {
 		e.dropped++
 		return
 	}
-	e.spans = append(e.spans, d)
+	// Every span of the entry carries the entry's trace ID: share the
+	// string, so a span decoded from a remote report holds no copy.
+	d.TraceID = e.id
+	e.spans = appendTight(e.spans, d)
 }
 
 // RecordAll stores a batch of spans (a remote backend's report-back).

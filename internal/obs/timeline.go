@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,10 +16,10 @@ const DefaultTimelineCap = 256
 // Event is one entry of a flight-recorder timeline: what happened, when,
 // and any small string fields that qualify it (backend, seed, cause...).
 type Event struct {
-	Time   time.Time         `json:"time"`
-	Type   string            `json:"type"`
-	Msg    string            `json:"msg,omitempty"`
-	Fields map[string]string `json:"fields,omitempty"`
+	Time   time.Time `json:"time"`
+	Type   string    `json:"type"`
+	Msg    string    `json:"msg,omitempty"`
+	Fields Pairs     `json:"fields,omitempty"`
 }
 
 // SubEvent is one event as delivered to a live subscriber, tagged with
@@ -38,8 +40,39 @@ type Timeline struct {
 	cap     int
 	dropped uint64
 	total   uint64 // events ever appended; the latest event's Seq
-	events  []Event
+	events  []record
 	subs    map[*Subscription]struct{}
+}
+
+// record is how a timeline keeps an Event: the type and message share
+// one string, so a retained event takes 64 bytes instead of 80. Finished
+// jobs and sweeps keep their timelines, and most events carry no
+// message, so the type alone is the common form.
+type record struct {
+	at     time.Time
+	label  string // the type when the message is empty; see pack
+	fields Pairs
+}
+
+// pack stores ev. A type with no NUL and no message is the label itself;
+// anything else is NUL, the type's length, NUL, the type and the message.
+func pack(ev Event) record {
+	label := ev.Type
+	if ev.Msg != "" || strings.IndexByte(label, 0) >= 0 {
+		label = "\x00" + strconv.Itoa(len(ev.Type)) + "\x00" + ev.Type + ev.Msg
+	}
+	return record{at: ev.Time, label: label, fields: ev.Fields}
+}
+
+// event restores the Event a record was packed from.
+func (r record) event() Event {
+	ev := Event{Time: r.at, Type: r.label, Fields: r.fields}
+	if strings.HasPrefix(r.label, "\x00") {
+		n, rest, _ := strings.Cut(r.label[1:], "\x00")
+		size, _ := strconv.Atoi(n)
+		ev.Type, ev.Msg = rest[:size], rest[size:]
+	}
+	return ev
 }
 
 // Subscription is one live listener on a timeline. Events arrive on C;
@@ -65,24 +98,24 @@ func NewTimeline(capEvents int) *Timeline {
 }
 
 // Add appends an event stamped now. fields are alternating key, value
-// pairs; a trailing odd key is ignored.
+// pairs; a trailing odd key is ignored. The event keeps fields as its
+// Pairs without copying them: a caller that passes a slice must not
+// modify it afterwards, and may share one slice between events.
 func (t *Timeline) Add(typ, msg string, fields ...string) {
 	t.AddAt(time.Now(), typ, msg, fields...)
 }
 
 // AddAt appends an event with an explicit timestamp (store transitions
 // reuse the time they already took for the job document, keeping the
-// timeline and the document consistent).
+// timeline and the document consistent). fields are kept as Add keeps
+// them.
 func (t *Timeline) AddAt(at time.Time, typ, msg string, fields ...string) {
 	if t == nil {
 		return
 	}
 	ev := Event{Time: at, Type: typ, Msg: msg}
 	if len(fields) >= 2 {
-		ev.Fields = make(map[string]string, len(fields)/2)
-		for i := 0; i+1 < len(fields); i += 2 {
-			ev.Fields[fields[i]] = fields[i+1]
-		}
+		ev.Fields = fields
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -92,7 +125,7 @@ func (t *Timeline) AddAt(at time.Time, typ, msg string, fields ...string) {
 		t.dropped += uint64(len(t.events) - half)
 		t.events = append(t.events[:0], t.events[len(t.events)-half:]...)
 	}
-	t.events = append(t.events, ev)
+	t.events = appendTight(t.events, pack(ev))
 	t.total++
 	for sub := range t.subs {
 		select {
@@ -103,6 +136,21 @@ func (t *Timeline) AddAt(at time.Time, typ, msg string, fields ...string) {
 	}
 }
 
+// Grow makes room for n more events without reallocating, up to the
+// bound: a timeline whose length is known ahead of time is kept at
+// exactly that size.
+func (t *Timeline) Grow(n int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n = min(n, t.cap-len(t.events))
+	if n > cap(t.events)-len(t.events) {
+		t.events = append(make([]record, 0, len(t.events)+n), t.events...)
+	}
+}
+
 // Events snapshots the timeline in append order.
 func (t *Timeline) Events() []Event {
 	if t == nil {
@@ -110,7 +158,11 @@ func (t *Timeline) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	out := make([]Event, len(t.events))
+	for i, r := range t.events {
+		out[i] = r.event()
+	}
+	return out
 }
 
 // Dropped reports how many events the bound has discarded.
@@ -135,7 +187,10 @@ func (t *Timeline) Restore(events []Event) {
 		t.dropped += uint64(len(events) - t.cap)
 		events = events[len(events)-t.cap:]
 	}
-	t.events = append([]Event(nil), events...)
+	t.events = make([]record, len(events))
+	for i, ev := range events {
+		t.events[i] = pack(ev)
+	}
 	t.total = uint64(len(t.events))
 }
 
@@ -158,12 +213,12 @@ func (t *Timeline) SubscribeReplay(afterSeq uint64, buffer int) (replay []SubEve
 	// The retained window is the last len(events) of total appends, so
 	// the first retained event carries Seq total-len+1.
 	firstSeq := t.total - uint64(len(t.events)) + 1
-	for i, ev := range t.events {
+	for i, r := range t.events {
 		seq := firstSeq + uint64(i)
 		if seq <= afterSeq {
 			continue
 		}
-		replay = append(replay, SubEvent{Seq: seq, Event: ev})
+		replay = append(replay, SubEvent{Seq: seq, Event: r.event()})
 	}
 	if t.subs == nil {
 		t.subs = make(map[*Subscription]struct{})
@@ -198,4 +253,19 @@ func (t *Timeline) Subscribers() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.subs)
+}
+
+// appendTight appends like append, but grows a full slice by a quarter
+// plus three instead of doubling it. Finished traces and timelines stay
+// retained at whatever capacity they last grew to, and most hold a few
+// to a few dozen entries: a job's three events fit the first allocation,
+// and a six-shard sweep's nineteen spans leave two slots spare, not
+// thirteen.
+func appendTight[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), len(s)+len(s)/4+3)
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, v)
 }

@@ -53,14 +53,14 @@ func (sc SpanContext) Valid() bool { return sc.TraceID != "" && sc.SpanID != "" 
 // span. It is what the Ring stores, what /debug/traces returns, and what
 // a remote backend reports back in its job document.
 type SpanData struct {
-	TraceID  string            `json:"trace_id"`
-	SpanID   string            `json:"span_id"`
-	ParentID string            `json:"parent_id,omitempty"`
-	Name     string            `json:"name"`
-	Start    time.Time         `json:"start"`
-	End      time.Time         `json:"end"`
-	Attrs    map[string]string `json:"attrs,omitempty"`
-	Error    string            `json:"error,omitempty"`
+	TraceID  string    `json:"trace_id"`
+	SpanID   string    `json:"span_id"`
+	ParentID string    `json:"parent_id,omitempty"`
+	Name     string    `json:"name"`
+	Start    time.Time `json:"start"`
+	End      time.Time `json:"end"`
+	Attrs    Pairs     `json:"attrs,omitempty"`
+	Error    string    `json:"error,omitempty"`
 }
 
 // Duration is the span's wall-clock extent.
@@ -85,28 +85,32 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{TraceID: s.data.TraceID, SpanID: s.data.SpanID}
 }
 
-// SetAttr sets one string attribute.
+// SetAttr sets one string attribute, replacing the value of a key
+// already set. A no-op once the span has ended: the recorded span is
+// immutable.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.data.Attrs == nil {
-		s.data.Attrs = make(map[string]string, 4)
+	if !s.ended {
+		s.data.Attrs.set(key, value)
 	}
-	s.data.Attrs[key] = value
 }
 
 // SetError records the span's failure cause (nil clears nothing and is a
-// no-op, so unconditional SetError(err) calls are safe).
+// no-op, so unconditional SetError(err) calls are safe). Like SetAttr, a
+// no-op once the span has ended.
 func (s *Span) SetError(err error) {
 	if s == nil || err == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data.Error = err.Error()
+	if !s.ended {
+		s.data.Error = err.Error()
+	}
 }
 
 // End finalizes the span and records it into its ring. Idempotent: only
@@ -129,8 +133,10 @@ func (s *Span) End() {
 	}
 }
 
-// Data snapshots the span's record. Call after End for a complete record;
-// before End the End time is zero.
+// Data snapshots the span's record. Call after End for a complete record,
+// which shares its attributes with the copy End recorded (an ended span
+// never changes); before End the End time is zero and the attributes are
+// copied.
 func (s *Span) Data() SpanData {
 	if s == nil {
 		return SpanData{}
@@ -138,11 +144,8 @@ func (s *Span) Data() SpanData {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cp := s.data
-	if len(s.data.Attrs) > 0 {
-		cp.Attrs = make(map[string]string, len(s.data.Attrs))
-		for k, v := range s.data.Attrs {
-			cp.Attrs[k] = v
-		}
+	if !s.ended && cp.Attrs != nil {
+		cp.Attrs = append(Pairs(nil), cp.Attrs...)
 	}
 	return cp
 }

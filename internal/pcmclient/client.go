@@ -1,5 +1,5 @@
 // Package pcmclient is the Go client for the pcmd simulation service:
-// submit, poll, wait, and cancel jobs against a running daemon, with
+// submit, poll, watch, and cancel jobs against a running daemon, with
 // retry, exponential backoff, and jitter on transient failures (503s and
 // other 5xx responses, transport errors).
 //
@@ -12,8 +12,9 @@
 //	job, err := c.Run(ctx, pcmclient.KindCompression,
 //	    map[string]any{"apps": []string{"milc"}, "scale": "quick"})
 //
-// Run submits and waits; Submit/Poll/Cancel are the primitives for
-// callers that manage many jobs at once.
+// Run submits and waits on the job's event stream (Watch); Submit, Poll,
+// Watch and Cancel are the primitives for callers that manage many jobs at
+// once.
 package pcmclient
 
 import (
@@ -96,7 +97,7 @@ func (e *APIError) Error() string {
 // body — for callers that need more than a yes/no.
 var ErrJobFailed = errors.New("pcmd: job did not complete")
 
-// JobFailed is returned by Wait/Run when the job reached failed or
+// JobFailed is returned by Watch/Run when the job reached failed or
 // canceled instead of done. Job.Error holds the server's terminal error
 // body (the reason the simulation failed, or the cancellation cause).
 type JobFailed struct {
@@ -129,8 +130,6 @@ type Client struct {
 	// overrides the computed delay when it is longer.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// PollInterval is Wait's cadence (default 250ms).
-	PollInterval time.Duration
 	// APIKey, when set, is sent as X-Api-Key on every request, so the
 	// client acts as that tenant against a multi-tenant pcmd. Empty means
 	// the anonymous tenant.
@@ -161,12 +160,11 @@ func (c *Client) logger() *slog.Logger {
 // New returns a client with the default retry policy.
 func New(baseURL string) *Client {
 	return &Client{
-		BaseURL:      strings.TrimRight(baseURL, "/"),
-		HTTPClient:   http.DefaultClient,
-		MaxRetries:   4,
-		BaseBackoff:  100 * time.Millisecond,
-		MaxBackoff:   5 * time.Second,
-		PollInterval: 250 * time.Millisecond,
+		BaseURL:     strings.TrimRight(baseURL, "/"),
+		HTTPClient:  http.DefaultClient,
+		MaxRetries:  4,
+		BaseBackoff: 100 * time.Millisecond,
+		MaxBackoff:  5 * time.Second,
 	}
 }
 
@@ -184,8 +182,8 @@ func (c *Client) backoff(attempt int) time.Duration {
 func (c *Client) doSleep(ctx context.Context, d time.Duration) error {
 	// Check cancellation before arming the timer: with a short (or zero)
 	// jittered delay and an already-canceled context, the select below
-	// races two ready channels and can let a canceled Wait finish the
-	// pending sleep — and another poll — before noticing.
+	// races two ready channels and can let a canceled Watch finish the
+	// pending sleep — and another reconnect — before noticing.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -390,7 +388,7 @@ func (c *Client) Poll(ctx context.Context, id string) (*Job, error) {
 // Cancel requests cancellation of a queued or running job and returns the
 // job document as of the request. A queued job is canceled synchronously;
 // a running job transitions within one of the server's context-poll
-// intervals — use Wait to observe the final state.
+// intervals — use Watch to observe the final state.
 func (c *Client) Cancel(ctx context.Context, id string) (*Job, error) {
 	c.logger().Info("pcmclient: canceling job", "job_id", id)
 	var j Job
@@ -398,30 +396,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (*Job, error) {
 		return nil, err
 	}
 	return &j, nil
-}
-
-// Wait polls until the job reaches a terminal state. A done job returns
-// (job, nil); failed or canceled returns the job inside a *JobFailed.
-func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	for {
-		j, err := c.Poll(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if j.Terminal() {
-			if j.State != StateDone {
-				return j, &JobFailed{Job: *j}
-			}
-			return j, nil
-		}
-		if err := c.doSleep(ctx, interval); err != nil {
-			return nil, err
-		}
-	}
 }
 
 // Health probes GET /healthz with a single attempt — no retries, so a
@@ -548,30 +522,6 @@ func (c *Client) PollSweep(ctx context.Context, id string) (*Sweep, error) {
 	return &sw, nil
 }
 
-// WaitSweep polls until the sweep reaches a terminal state. onProgress
-// (optional) observes shard progress along the way.
-func (c *Client) WaitSweep(ctx context.Context, id string, onProgress func(done, total int)) (*Sweep, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	for {
-		sw, err := c.PollSweep(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if onProgress != nil {
-			onProgress(sw.ShardsDone, sw.ShardsTotal)
-		}
-		if sw.Terminal() {
-			return sw, nil
-		}
-		if err := c.doSleep(ctx, interval); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // Traces lists the completed traces the server's debug ring retains,
 // newest first (GET /debug/traces).
 func (c *Client) Traces(ctx context.Context) ([]obs.TraceSummary, error) {
@@ -643,17 +593,11 @@ func (c *Client) DeleteTrace(ctx context.Context, digest string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/traces/"+digest, nil, nil)
 }
 
-// Run submits a job and waits for its result.
+// Run submits a job and waits for its result on the job's event stream.
 func (c *Client) Run(ctx context.Context, kind string, params any) (*Job, error) {
 	j, err := c.Submit(ctx, kind, params)
 	if err != nil {
 		return nil, err
 	}
-	if j.Terminal() { // cache hit: born done
-		if j.State != StateDone {
-			return j, &JobFailed{Job: *j}
-		}
-		return j, nil
-	}
-	return c.Wait(ctx, j.ID)
+	return c.Watch(ctx, j.ID, nil)
 }

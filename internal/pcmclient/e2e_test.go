@@ -27,7 +27,6 @@ func TestClientEndToEnd(t *testing.T) {
 	}()
 
 	c := pcmclient.New(ts.URL)
-	c.PollInterval = 10 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 
@@ -60,7 +59,7 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Fatalf("second run not a cache hit: %+v", hit)
 	}
 
-	// Cancel a job that would otherwise run for hours; Wait must surface
+	// Cancel a job that would otherwise run for hours; Watch must surface
 	// the canceled state as a JobFailed.
 	big, err := c.Submit(ctx, pcmclient.KindLifetime,
 		map[string]any{"app": "milc", "scale": "large", "systems": []string{"baseline"}})
@@ -80,7 +79,7 @@ func TestClientEndToEnd(t *testing.T) {
 	if _, err := c.Cancel(ctx, big.ID); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
-	_, err = c.Wait(ctx, big.ID)
+	_, err = c.Watch(ctx, big.ID, nil)
 	var failed *pcmclient.JobFailed
 	if !errors.As(err, &failed) || failed.Job.State != pcmclient.StateCanceled {
 		t.Fatalf("wait after cancel = %v, want canceled JobFailed", err)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -57,7 +58,7 @@ func (c *Client) SweepEvents(ctx context.Context, id string) (*EventsDoc, error)
 // a terminal state. onEvent (optional) observes every event in order.
 // Dropped connections reconnect with Last-Event-ID under the client's
 // retry policy. Returns the final job document; failed or canceled jobs
-// return it inside a *JobFailed, like Wait.
+// return it inside a *JobFailed.
 func (c *Client) Watch(ctx context.Context, id string, onEvent func(TimelineEvent)) (*Job, error) {
 	if err := c.watch(ctx, "/v1/jobs/"+id+"/events", onEvent); err != nil {
 		return nil, err
@@ -73,8 +74,8 @@ func (c *Client) Watch(ctx context.Context, id string, onEvent func(TimelineEven
 }
 
 // WatchSweep streams a sweep's timeline over SSE until the sweep is
-// terminal, then returns the final sweep document (like WaitSweep, a
-// failed sweep is not an error; inspect Sweep.State).
+// terminal, then returns the final sweep document (a failed sweep is not
+// an error; inspect Sweep.State).
 func (c *Client) WatchSweep(ctx context.Context, id string, onEvent func(TimelineEvent)) (*Sweep, error) {
 	if err := c.watch(ctx, "/v1/sweeps/"+id+"/events", onEvent); err != nil {
 		return nil, err
@@ -99,53 +100,43 @@ func (c *Client) watch(ctx context.Context, path string, onEvent func(TimelineEv
 		if delivered > 0 {
 			failures = 0
 		}
-		if err != nil {
-			if _, retryable := err.(*retryableError); !retryable {
-				return err
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			failures++
-			if failures > c.MaxRetries {
-				c.logger().Warn("pcmclient: watch retries exhausted",
-					"path", path, "attempts", failures, "err", err.Error())
-				return err
-			}
-			delay := c.backoff(failures - 1)
-			if hint := lastRetryAfter(err); hint > delay {
-				delay = hint
-			}
-			if c.MaxBackoff > 0 && delay > c.MaxBackoff {
-				delay = c.MaxBackoff
-			}
-			c.logger().Info("pcmclient: watch reconnecting",
-				"path", path, "attempt", failures,
-				"delay", delay.Round(time.Millisecond).String(), "err", err.Error())
-			if err := c.doSleep(ctx, delay); err != nil {
-				return err
-			}
-			continue
+		if _, retryable := err.(*retryableError); !retryable {
+			return err
 		}
-		// Clean close without a terminal event (e.g. the server drained):
-		// reconnect and resume from lastSeq.
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		failures++
 		if failures > c.MaxRetries {
-			return fmt.Errorf("pcmclient: event stream %s closed %d times without a terminal event", path, failures)
+			c.logger().Warn("pcmclient: watch retries exhausted",
+				"path", path, "attempts", failures, "err", err.Error())
+			return err
 		}
-		if err := c.doSleep(ctx, c.backoff(failures-1)); err != nil {
+		delay := c.backoff(failures - 1)
+		if hint := lastRetryAfter(err); hint > delay {
+			delay = hint
+		}
+		if c.MaxBackoff > 0 && delay > c.MaxBackoff {
+			delay = c.MaxBackoff
+		}
+		c.logger().Info("pcmclient: watch reconnecting",
+			"path", path, "attempt", failures,
+			"delay", delay.Round(time.Millisecond).String(), "err", err.Error())
+		if err := c.doSleep(ctx, delay); err != nil {
 			return err
 		}
 	}
 }
 
+// errStreamClosed reports a stream the server closed cleanly before the
+// terminal event (e.g. while draining); watch resumes it like a drop.
+var errStreamClosed = errors.New("pcmclient: event stream closed without a terminal event")
+
 // streamOnce opens one SSE connection and pumps events until the stream
 // ends. It updates lastSeq/haveSeq as events arrive so the caller can
 // resume, reports whether a terminal event was seen and how many events
-// were delivered, and wraps transient failures in *retryableError.
+// were delivered, and wraps transient failures, a clean close among them,
+// in *retryableError.
 func (c *Client) streamOnce(ctx context.Context, path string, lastSeq *uint64, haveSeq *bool, onEvent func(TimelineEvent)) (terminal bool, delivered int, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
@@ -246,8 +237,7 @@ func (c *Client) streamOnce(ctx context.Context, path string, lastSeq *uint64, h
 				return false, delivered, ctx.Err()
 			}
 			if err == io.EOF {
-				// Server closed the stream without a terminal event.
-				return false, delivered, nil
+				err = errStreamClosed
 			}
 			return false, delivered, &retryableError{err: err}
 		}

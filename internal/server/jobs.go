@@ -96,21 +96,25 @@ func schemeLabelsOf(p params) []string {
 	return nil
 }
 
-// traced is the optional params behavior of trace-driven kinds: it names
-// the data-trace digest the job replays (distinct from the observability
-// TraceID). The digest labels the job document and its flight-recorder
-// timeline.
+// traced is the optional params behavior of trace-driven kinds: it points
+// at the data-trace digest the job replays (distinct from the
+// observability TraceID), which labels the job document and its timeline.
 type traced interface {
-	traceDigest() string
+	traceDigest() *string
 }
 
 // traceDigestOf extracts a job's data-trace digest, "" for synthetic jobs.
 func traceDigestOf(p params) string {
 	if t, ok := p.(traced); ok {
-		return t.traceDigest()
+		return *t.traceDigest()
 	}
 	return ""
 }
+
+// progressTickAfter is how long a job must run before its progress reaches
+// the flight recorder: started and done tell a shorter job fully, and ticks
+// inside a ~30 ms sweep shard would only double every finished timeline.
+const progressTickAfter = time.Second
 
 // jobProgress is a job's live progress meter, written atomically by the
 // worker goroutine at the simulation's own check cadence and read by
@@ -125,6 +129,9 @@ type jobProgress struct {
 	// tl is the owning job's timeline; nil for meters without a flight
 	// recorder (ExecuteLocal).
 	tl *obs.Timeline
+	// started is when the job began running, set by claimRunning before
+	// the job's first set.
+	started time.Time
 }
 
 // set publishes the current done/total pair (total 0 = unknown).
@@ -140,7 +147,7 @@ func (p *jobProgress) set(done, total uint64) {
 	}
 	for {
 		old := p.quart.Load()
-		if q <= old {
+		if q <= old || time.Since(p.started) < progressTickAfter {
 			return
 		}
 		if p.quart.CompareAndSwap(old, q) {
@@ -233,11 +240,14 @@ func cacheKey(kind Kind, p params) (string, error) {
 // are guarded by the owning store's mutex; the run closure is invoked by
 // exactly one pool worker.
 type Job struct {
-	ID       string          `json:"id"`
-	Kind     Kind            `json:"kind"`
-	State    State           `json:"state"`
-	CacheKey string          `json:"cache_key"`
-	CacheHit bool            `json:"cache_hit"`
+	ID       string `json:"id"`
+	Kind     Kind   `json:"kind"`
+	State    State  `json:"state"`
+	CacheKey string `json:"cache_key"`
+	CacheHit bool   `json:"cache_hit"`
+	// weight is the tenant's fair-queueing share, captured at add; beside
+	// CacheHit it fills padding, keeping Job in a smaller size class.
+	weight   int32
 	Created  time.Time       `json:"created"`
 	Started  *time.Time      `json:"started,omitempty"`
 	Finished *time.Time      `json:"finished,omitempty"`
@@ -262,22 +272,22 @@ type Job struct {
 	// them into its own trace (cluster.HTTPBackend does).
 	Spans []obs.SpanData `json:"spans,omitempty"`
 
-	run params
-	// progress is the live meter the worker writes through; shared by
-	// every snapshot of this job.
-	progress *jobProgress
-	// cancel aborts the running job's context with errJobCanceled; set by
-	// claimRunning, nil outside the running state.
-	cancel context.CancelCauseFunc
-	// parent is the submitter's span (zero when the submission carried no
-	// propagation headers); the execution span becomes its child.
-	parent obs.SpanContext
-	// weight is the submitting tenant's fair-queueing share, captured at
-	// add so the pool needs no registry lookup.
-	weight int
 	// events is the job's flight-recorder timeline. The pointer is set at
 	// add/restore and never replaced, so reads need no store lock.
 	events *obs.Timeline
+	// live is what only a queued or running job needs (see markTerminal).
+	live *jobRun
+}
+
+// jobRun is the part of a job that matters until it is terminal.
+type jobRun struct {
+	// progress is the live meter the worker writes and snapshots read.
+	progress jobProgress
+	// cancel aborts the running job with errJobCanceled (claimRunning).
+	cancel context.CancelCauseFunc
+	// parentSpan is the submitter's span ID (empty without propagation
+	// headers); the execution span becomes its child.
+	parentSpan string
 	// traceSource is the coordinator base URL the submitter advertised
 	// (X-Trace-Source): where to fetch the job's data trace when the local
 	// store does not hold its digest. Set before the job is submitted to
@@ -294,10 +304,11 @@ var errJobCanceled = errors.New("canceled by client")
 // mutates the job under the registry lock.
 type store struct {
 	*registry[*Job]
+	queued map[string][]string // see queuedFields
 }
 
 func newStore(maxJobs int, ttl time.Duration) *store {
-	return &store{newRegistry[*Job](maxJobs, ttl)}
+	return &store{registry: newRegistry[*Job](maxJobs, ttl), queued: make(map[string][]string)}
 }
 
 func (j *Job) docID() string           { return j.ID }
@@ -305,11 +316,12 @@ func (j *Job) docState() State         { return j.State }
 func (j *Job) docFinished() *time.Time { return j.Finished }
 func (j *Job) timeline() *obs.Timeline { return j.events }
 
-// markTerminal drops a finished job's cancel handle and hands it to the
+// markTerminal drops a finished job's run state (snapshots read the
+// progress meter only while the job runs) and hands the job to the
 // registry's terminal order. Callers hold s.mu and have already set the
 // terminal state.
 func (s *store) markTerminal(j *Job) {
-	j.cancel = nil
+	j.live = nil
 	s.markTerminalLocked(j)
 }
 
@@ -326,8 +338,7 @@ func (s *store) export() ([]Job, map[string][]obs.Event, uint64) {
 func (s *store) restore(jobs []Job, events map[string][]obs.Event, seq uint64) {
 	docs := make([]*Job, len(jobs))
 	for i, j := range jobs {
-		j.run, j.cancel, j.progress, j.Progress = nil, nil, nil, nil
-		j.parent = obs.SpanContext{}
+		j.live, j.Progress = nil, nil
 		j.events = obs.NewTimeline(0)
 		docs[i] = &j
 	}
@@ -351,27 +362,44 @@ func (s *store) add(kind Kind, p params, key string, tn *tenant.Tenant, now time
 		Created:  now,
 		Params:   p,
 		TraceID:  obs.NewTraceID(),
-		run:      p,
 		events:   obs.NewTimeline(0),
 		weight:   1,
+		live:     &jobRun{},
 	}
 	if tn != nil {
 		j.Tenant = tn.Name
-		j.weight = tn.Weight
+		j.weight = int32(tn.Weight)
 	}
-	j.progress = &jobProgress{tl: j.events}
-	fields := []string{"kind", string(kind)}
+	j.live.progress.tl = j.events
+	j.TraceDigest = traceDigestOf(p)
+	j.events.AddAt(now, "queued", "", s.queuedFields(kind, p)...)
+	s.docs[j.ID] = j
+	return j
+}
+
+// queuedFields returns a job's "queued" event fields: kind, schemes and
+// trace. Shard jobs repeat a few combinations and finished jobs keep their
+// timelines, so equal fields share one slice from a cache of at most 64,
+// cleared when full. Callers hold s.mu.
+func (s *store) queuedFields(kind Kind, p params) []string {
+	fields := make([]string, 0, 6)
+	fields = append(fields, "kind", string(kind))
 	if labels := schemeLabelsOf(p); len(labels) > 0 {
 		// Specs contain commas, so the timeline field joins on ";".
 		fields = append(fields, "schemes", strings.Join(labels, ";"))
 	}
 	if digest := traceDigestOf(p); digest != "" {
-		j.TraceDigest = digest
 		fields = append(fields, "trace", digest)
 	}
-	j.events.AddAt(now, "queued", "", fields...)
-	s.docs[j.ID] = j
-	return j
+	key := strings.Join(fields, "\x00")
+	if cached, ok := s.queued[key]; ok {
+		return cached
+	}
+	if len(s.queued) >= 64 {
+		clear(s.queued)
+	}
+	s.queued[key] = fields
+	return fields
 }
 
 // setTraceSource records the coordinator URL a trace-driven job may fetch
@@ -380,7 +408,7 @@ func (s *store) add(kind Kind, p params, key string, tn *tenant.Tenant, now time
 func (s *store) setTraceSource(j *Job, source string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j.traceSource = source
+	j.live.traceSource = source
 }
 
 // adoptTrace joins a just-added job to the submitter's trace (the inbound
@@ -391,7 +419,7 @@ func (s *store) adoptTrace(j *Job, sc obs.SpanContext) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.TraceID = sc.TraceID
-	j.parent = sc
+	j.live.parentSpan = sc.SpanID
 }
 
 // get returns a snapshot of a job (copy, so callers can marshal it without
@@ -405,7 +433,7 @@ func (s *store) get(id string) (Job, bool) {
 	}
 	cp := *j
 	if cp.State == StateRunning {
-		cp.Progress = j.progress.snapshot()
+		cp.Progress = j.live.progress.snapshot()
 	}
 	return cp, true
 }
@@ -428,7 +456,8 @@ func (s *store) claimRunning(j *Job, cancel context.CancelCauseFunc, now time.Ti
 	}
 	j.State = StateRunning
 	j.Started = &now
-	j.cancel = cancel
+	j.live.cancel = cancel
+	j.live.progress.started = now
 	j.events.AddAt(now, "started", "")
 	return true
 }
@@ -535,8 +564,8 @@ func (s *store) cancel(id string, now time.Time) (Job, cancelOutcome) {
 		s.markTerminal(j)
 		return *j, cancelQueued
 	case StateRunning:
-		if j.cancel != nil {
-			j.cancel(errJobCanceled)
+		if j.live.cancel != nil {
+			j.live.cancel(errJobCanceled)
 		}
 		j.events.AddAt(now, "cancel_requested", "client cancel; unwinding at the next context poll")
 		return *j, cancelRunning
@@ -638,7 +667,7 @@ func (p *LifetimeParams) normalize() error {
 }
 
 // traceDigest implements traced.
-func (p *LifetimeParams) traceDigest() string { return p.Trace }
+func (p *LifetimeParams) traceDigest() *string { return &p.Trace }
 
 // schemeLabels returns the canonical scheme specs this job runs — the
 // explicit Schemes axis, or the requested presets (every preset name is a
@@ -703,15 +732,11 @@ func (p *LifetimeParams) run(ctx context.Context, pr *jobProgress) (any, error) 
 	}
 	var events []trace.Event
 	if p.Trace != "" {
-		raw, err := tracestore.ResolveFrom(ctx, p.Trace)
-		if err != nil {
+		// The resolver hands back the densified replay events, shared by
+		// every job on this digest; RunContext only reads them.
+		if events, err = tracestore.ResolveFrom(ctx, p.Trace); err != nil {
 			return nil, err
 		}
-		rep, err := workload.NewReplay(raw)
-		if err != nil {
-			return nil, err
-		}
-		events = rep.Events()
 	} else {
 		prof, err := workload.ByName(p.App)
 		if err != nil {
@@ -858,7 +883,7 @@ func (p *FailureProbabilityParams) normalize() error {
 }
 
 // traceDigest implements traced.
-func (p *FailureProbabilityParams) traceDigest() string { return p.Trace }
+func (p *FailureProbabilityParams) traceDigest() *string { return &p.Trace }
 
 // FailureProbabilityResult is the result payload of a failure-probability
 // job: Curve[i] is P(line unusable) at i+1 injected errors. For a

@@ -174,7 +174,7 @@ func TestSweepTracePropagatesAcrossBackends(t *testing.T) {
 			shards++
 		case "dispatch":
 			dispatches++
-			dispatchBackends[n.Attrs["backend"]] = true
+			dispatchBackends[n.Attrs.Get("backend")] = true
 			if len(n.Children) != 1 || n.Children[0].Name != "job.run" {
 				t.Errorf("dispatch span children = %+v, want one remote job.run", n.Children)
 			}

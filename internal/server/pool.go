@@ -89,7 +89,7 @@ func fromPush(r tenant.PushResult) submitResult {
 // Submit enqueues a job on its tenant's queue without blocking and
 // reports the outcome.
 func (p *pool) Submit(j *Job) submitResult {
-	return fromPush(p.queue.Push(j.Tenant, j.weight, j))
+	return fromPush(p.queue.Push(j.Tenant, int(j.weight), j))
 }
 
 // SubmitBatch enqueues several jobs of one tenant atomically: either the
@@ -99,7 +99,7 @@ func (p *pool) SubmitBatch(jobs []*Job) submitResult {
 	if len(jobs) == 0 {
 		return submitOK
 	}
-	return fromPush(p.queue.PushBatch(jobs[0].Tenant, jobs[0].weight, jobs))
+	return fromPush(p.queue.PushBatch(jobs[0].Tenant, int(jobs[0].weight), jobs))
 }
 
 // Depths reports per-tenant queue occupancy for the /metrics gauges.

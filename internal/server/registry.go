@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,25 +39,31 @@ type registry[D document] struct {
 	capacity int
 	ttl      time.Duration
 	docs     map[string]D
-	terminal *list.List // of D; front = oldest finished, the next to evict
-	evicted  uint64     // documents dropped by either bound, for /metrics
+	// terminal is the eviction order: oldest finished first, the next to
+	// evict. A slice queue costs a pointer per finished document, where a
+	// list element costs six words.
+	terminal []D
+	evicted  uint64 // documents dropped by either bound, for /metrics
 }
 
 func newRegistry[D document](capacity int, ttl time.Duration) *registry[D] {
-	return &registry[D]{capacity: capacity, ttl: ttl, docs: make(map[string]D), terminal: list.New()}
+	return &registry[D]{capacity: capacity, ttl: ttl, docs: make(map[string]D)}
 }
 
 // markTerminalLocked appends d to the terminal order and enforces the
 // capacity bound. Callers hold r.mu and have already set the terminal state.
 func (r *registry[D]) markTerminalLocked(d D) {
-	r.terminal.PushBack(d)
-	for len(r.docs) > r.capacity && r.terminal.Len() > 0 {
+	r.terminal = append(r.terminal, d)
+	for len(r.docs) > r.capacity && len(r.terminal) > 0 {
 		r.dropOldestLocked()
 	}
 }
 
 func (r *registry[D]) dropOldestLocked() {
-	d := r.terminal.Remove(r.terminal.Front()).(D)
+	d := r.terminal[0]
+	var gone D
+	r.terminal[0] = gone // the queue's spent front must not pin the document
+	r.terminal = r.terminal[1:]
 	delete(r.docs, d.docID())
 	r.evicted++
 }
@@ -69,8 +74,8 @@ func (r *registry[D]) expire(now time.Time) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
-	for el := r.terminal.Front(); el != nil; el = r.terminal.Front() {
-		f := el.Value.(D).docFinished()
+	for len(r.terminal) > 0 {
+		f := r.terminal[0].docFinished()
 		if f == nil || now.Sub(*f) < r.ttl {
 			break // the list is finished-ordered; the rest are younger
 		}
@@ -140,9 +145,8 @@ func (r *registry[D]) each(fn func(D)) {
 func (r *registry[D]) export(snap func(D)) (map[string][]obs.Event, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	events := make(map[string][]obs.Event, r.terminal.Len())
-	for el := r.terminal.Front(); el != nil; el = el.Next() {
-		d := el.Value.(D)
+	events := make(map[string][]obs.Event, len(r.terminal))
+	for _, d := range r.terminal {
 		snap(d)
 		if evs := d.timeline().Events(); len(evs) > 0 {
 			events[d.docID()] = evs

@@ -489,7 +489,7 @@ func (s *Server) execute(j *Job) {
 	// span when the submission carried propagation headers, else the root
 	// of the trace minted at submission. Its data is attached to the
 	// terminal job document so a remote caller can graft it into its tree.
-	ctx = obs.WithRemoteParent(ctx, obs.SpanContext{TraceID: j.TraceID, SpanID: j.parent.SpanID})
+	ctx = obs.WithRemoteParent(ctx, obs.SpanContext{TraceID: j.TraceID, SpanID: j.live.parentSpan})
 	ctx, span := obs.Start(ctx, "job.run")
 	span.SetAttr("job_id", j.ID)
 	span.SetAttr("kind", string(j.Kind))
@@ -497,7 +497,7 @@ func (s *Server) execute(j *Job) {
 	ctx = obs.WithLogger(ctx, jobLog)
 	// Trace-driven jobs resolve their digest through the local store,
 	// falling back to a fetch from the submitter's advertised coordinator.
-	ctx = tracestore.WithResolver(ctx, s.resolverFor(j.traceSource))
+	ctx = tracestore.WithResolver(ctx, s.resolverFor(j.live.traceSource))
 	endSpan := func(err error) []obs.SpanData {
 		if span == nil {
 			return nil
@@ -508,7 +508,9 @@ func (s *Server) execute(j *Job) {
 	}
 	jobLog.Info("job started")
 
-	result, err := j.run.run(ctx, j.progress)
+	// Submitted jobs carry their params (restored ones, decoded JSON, never run).
+	p := j.Params.(params)
+	result, err := p.run(ctx, &j.live.progress)
 	finished := time.Now()
 	var buf json.RawMessage
 	if err == nil {
@@ -532,7 +534,7 @@ func (s *Server) execute(j *Job) {
 	s.cache.Put(j.CacheKey, buf)
 	s.store.setDone(j, buf, endSpan(nil), finished)
 	s.metrics.jobFinished(j.Kind, outcomeDone, finished.Sub(start), j.TraceID)
-	s.metrics.jobSchemesDone(j.Kind, schemeLabelsOf(j.run))
+	s.metrics.jobSchemesDone(j.Kind, schemeLabelsOf(p))
 	jobLog.Info("job done", "elapsed", finished.Sub(start))
 }
 
@@ -584,8 +586,12 @@ func (s *Server) throttle(w http.ResponseWriter, tn *tenant.Tenant, hint time.Du
 // names where to fetch the data trace if the local store lacks it; a
 // submitter that propagated a trace (a coordinator's dispatch span, a
 // client's own span) has the job's execution join it instead of rooting
-// its own.
+// its own. A trace-driven job shares the trace store's digest string.
 func (s *Server) addJob(r *http.Request, kind Kind, p params, key string, tn *tenant.Tenant, now time.Time) *Job {
+	if t, ok := p.(traced); ok {
+		d := t.traceDigest()
+		*d = s.traces.Intern(*d)
+	}
 	j := s.store.add(kind, p, key, tn, now)
 	if src := r.Header.Get("X-Trace-Source"); src != "" && j.TraceDigest != "" {
 		s.store.setTraceSource(j, src)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,6 +53,9 @@ type sweepJob struct {
 	// events is the sweep's flight-recorder timeline. Set at add/restore
 	// and never replaced, so reads need no store lock.
 	events *obs.Timeline
+	// shardFields holds each shard's first event fields until the sweep
+	// finishes (see recordShardEvent).
+	shardFields [][]string
 }
 
 // sweepStore is the sweep registry: a registry of *sweepJob under the job
@@ -88,7 +92,11 @@ func (s *sweepStore) add(req cluster.SweepRequest, cancel context.CancelCauseFun
 		cancel: cancel,
 		events: obs.NewTimeline(0),
 	}
-	fields := []string{"kind", req.Kind, "seeds", strconv.Itoa(req.SeedCount)}
+	// A clean run records created, started, a dispatch and a done per
+	// shard, merged and done.
+	sw.events.Grow(2*sw.doc.ShardsTotal + 4)
+	fields := make([]string, 0, 8)
+	fields = append(fields, "kind", req.Kind, "seeds", strconv.Itoa(req.SeedCount))
 	if len(req.Schemes) > 0 {
 		// Specs contain commas, so the timeline field joins on ";".
 		fields = append(fields, "schemes", strings.Join(req.Schemes, ";"))
@@ -102,19 +110,15 @@ func (s *sweepStore) add(req cluster.SweepRequest, cancel context.CancelCauseFun
 }
 
 // recordShardEvent appends one coordinator scheduling decision (dispatch,
-// retry, hedge, completion) to the sweep's timeline.
+// retry, hedge, completion) to the sweep's timeline. A finished sweep keeps
+// its timeline, so an event that only names its shard (shard_done) shares
+// the leading fields of the shard's first event instead of a copy.
 func (s *sweepStore) recordShardEvent(id string, ev cluster.ShardEvent) {
-	sw, ok := s.lookup(id)
-	if !ok {
-		return
-	}
-	fields := []string{
-		"shard", strconv.Itoa(ev.Shard),
-		"seed", strconv.FormatUint(ev.Seed, 10),
-	}
+	fields := []string{"shard", strconv.Itoa(ev.Shard), "seed", strconv.FormatUint(ev.Seed, 10)}
 	if ev.Scheme != "" {
 		fields = append(fields, "scheme", ev.Scheme)
 	}
+	lead := len(fields)
 	if ev.Backend != "" {
 		fields = append(fields, "backend", ev.Backend)
 	}
@@ -124,7 +128,23 @@ func (s *sweepStore) recordShardEvent(id string, ev cluster.ShardEvent) {
 	if ev.Err != "" {
 		fields = append(fields, "cause", ev.Err)
 	}
-	sw.events.AddAt(ev.Time, ev.Type, "", fields...)
+	fields = slices.Clone(fields) // the timeline keeps it: no spare capacity
+	s.mu.Lock()
+	sw, ok := s.docs[id]
+	if ok && ev.Shard >= 0 && ev.Shard < sw.doc.ShardsTotal {
+		if sw.shardFields == nil {
+			sw.shardFields = make([][]string, sw.doc.ShardsTotal)
+		}
+		if first := sw.shardFields[ev.Shard]; first == nil {
+			sw.shardFields[ev.Shard] = fields
+		} else if len(fields) == lead {
+			fields = first[:lead:lead]
+		}
+	}
+	s.mu.Unlock()
+	if ok {
+		sw.events.AddAt(ev.Time, ev.Type, "", fields...)
+	}
 }
 
 func (s *sweepStore) get(id string) (SweepStatus, bool) {
@@ -175,7 +195,7 @@ func (s *sweepStore) finish(id string, result json.RawMessage, err error, cancel
 	if !ok {
 		return
 	}
-	sw.cancel = nil
+	sw.cancel, sw.shardFields = nil, nil
 	sw.doc.Finished = &now
 	switch {
 	case canceled:
@@ -307,6 +327,9 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
+	}
+	if digest, ok := req.Params["trace"].(string); ok {
+		req.Params["trace"] = s.traces.Intern(digest)
 	}
 	now := time.Now()
 	tn := s.tenantFrom(r)

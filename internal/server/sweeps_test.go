@@ -373,7 +373,8 @@ func TestJobListPagination(t *testing.T) {
 }
 
 // progressParams is a test-only job that publishes a progress value and then
-// blocks, so a snapshot deterministically observes a mid-run meter.
+// blocks, so a snapshot deterministically observes a mid-run meter. Once
+// released it reports completion before it returns.
 type progressParams struct {
 	release chan struct{}
 }
@@ -383,6 +384,7 @@ func (p *progressParams) run(ctx context.Context, pr *jobProgress) (any, error) 
 	pr.set(3, 10)
 	select {
 	case <-p.release:
+		pr.set(10, 10)
 		return "released", nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -424,6 +426,40 @@ func TestJobProgressSnapshot(t *testing.T) {
 	done := pollDone(t, ts, j.ID)
 	if _, hasProgress := done["progress"]; hasProgress {
 		t.Error("terminal job document still carries progress")
+	}
+	if err := shutdownServer(s); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProgressTicksOnlyForLongJobs pins the flight recorder's progress
+// rule: a job that finishes within progressTickAfter records no progress
+// event, and one that runs longer records its quartiles from then on.
+func TestProgressTicksOnlyForLongJobs(t *testing.T) {
+	s, ts := newTestServer(t)
+	ticks := func(hold time.Duration) int {
+		release := make(chan struct{})
+		j := s.store.add(KindLifetime, &progressParams{release: release}, "00000000deadbeef", nil, time.Now())
+		if s.pool.Submit(j) != submitOK {
+			t.Fatal("submit rejected")
+		}
+		time.Sleep(hold)
+		close(release)
+		pollDone(t, ts, j.ID)
+		evs, _, _ := s.store.events(j.ID)
+		n := 0
+		for _, ev := range evs {
+			if ev.Type == "progress" {
+				n++
+			}
+		}
+		return n
+	}
+	if n := ticks(0); n != 0 {
+		t.Errorf("job released at once recorded %d progress events, want 0", n)
+	}
+	if n := ticks(progressTickAfter + 100*time.Millisecond); n < 1 || n > 4 {
+		t.Errorf("job held past %v recorded %d progress events, want 1..4", progressTickAfter, n)
 	}
 	if err := shutdownServer(s); err != nil {
 		t.Fatal(err)

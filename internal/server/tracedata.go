@@ -14,6 +14,7 @@ import (
 	"pcmcomp/internal/obs"
 	"pcmcomp/internal/trace"
 	"pcmcomp/internal/tracestore"
+	"pcmcomp/internal/workload"
 )
 
 // maxTraceUpload bounds one POST /v1/traces body (and one coordinator
@@ -138,7 +139,7 @@ func (s *Server) resolverFor(source string) tracestore.Resolver {
 		return s.traces
 	}
 	return tracestore.ResolverFunc(func(ctx context.Context, digest string) ([]trace.Event, error) {
-		if events, err := s.traces.Events(digest); err == nil {
+		if events, err := s.traces.Replay(digest); err == nil {
 			return events, nil
 		}
 		events, err := s.fetchTrace(ctx, source, digest)
@@ -148,8 +149,13 @@ func (s *Server) resolverFor(source string) tracestore.Resolver {
 		if _, _, err := s.traces.PutEvents(events); err != nil {
 			// The job still runs on the fetched copy; only the cache misses.
 			s.log.Warn("fetched trace not cached", "digest", digest, "err", err)
+			rep, err := workload.NewReplay(events)
+			if err != nil {
+				return nil, err
+			}
+			return rep.Events(), nil
 		}
-		return events, nil
+		return s.traces.Replay(digest)
 	})
 }
 

@@ -7,16 +7,17 @@ import (
 	"pcmcomp/internal/trace"
 )
 
-// Resolver turns a trace digest into its events. The local Store is one;
-// the server composes it with a coordinator-fetch fallback so a backend
-// can resolve digests it has never seen.
+// Resolver turns a trace digest into its replay events: decoded and
+// densified (workload.NewReplay), shared read-only. The local Store is
+// one; the server composes it with a coordinator-fetch fallback so a
+// backend can resolve digests it has never seen.
 type Resolver interface {
 	Resolve(ctx context.Context, digest string) ([]trace.Event, error)
 }
 
 // Resolve implements Resolver on the local store.
 func (s *Store) Resolve(_ context.Context, digest string) ([]trace.Event, error) {
-	return s.Events(digest)
+	return s.Replay(digest)
 }
 
 // ResolverFunc adapts a function to the Resolver interface.

@@ -24,8 +24,10 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"pcmcomp/internal/trace"
+	"pcmcomp/internal/workload"
 )
 
 // DigestPrefix is the algorithm tag every trace digest carries.
@@ -40,10 +42,14 @@ var ErrTooLarge = errors.New("tracestore: trace exceeds store capacity")
 
 // ParseDigest validates and canonicalizes a "sha256:<hex>" digest:
 // the hex is lowercased, and anything that is not exactly a 64-digit
-// SHA-256 is rejected.
+// SHA-256 is rejected. A digest that is already canonical is returned as
+// is, without allocating.
 func ParseDigest(s string) (string, error) {
 	if !strings.HasPrefix(s, DigestPrefix) {
 		return "", fmt.Errorf("tracestore: digest %q must start with %q", s, DigestPrefix)
+	}
+	if canonicalHex(s[len(DigestPrefix):]) {
+		return s, nil
 	}
 	hexPart := strings.ToLower(strings.TrimPrefix(s, DigestPrefix))
 	if len(hexPart) != sha256.Size*2 {
@@ -53,6 +59,19 @@ func ParseDigest(s string) (string, error) {
 		return "", fmt.Errorf("tracestore: digest %q is not hex: %v", s, err)
 	}
 	return DigestPrefix + hexPart, nil
+}
+
+// canonicalHex reports whether h is a SHA-256 in lowercase hex.
+func canonicalHex(h string) bool {
+	if len(h) != sha256.Size*2 {
+		return false
+	}
+	for i := 0; i < len(h); i++ {
+		if c := h[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Meta describes one stored trace.
@@ -73,9 +92,19 @@ type Meta struct {
 }
 
 // Store holds traces in memory, mirrored to a spool directory when one is
-// configured. All bytes stay resident — the capacity bound that protects
-// the disk bounds memory identically — so reads never touch the disk
-// after boot.
+// configured. Every trace stays resident — the capacity bound that
+// protects the disk bounds their memory too — so reads never touch the
+// disk after boot.
+//
+// A trace is held in one of two forms. It starts as its canonical bytes.
+// The first Replay decodes and densifies it once per process, rather than
+// once per job, and the replay events (with the table that maps their
+// dense addresses back) then stand in for the bytes, which Bytes
+// re-encodes on demand: the canonical encoding is deterministic, so the
+// bytes come back identical. The replay memos are bounded by the same
+// capacity, counted apart from the canonical bytes: past it, the least
+// recently used entries go back to their bytes (and decode again on their
+// next Replay). A memo leaves with its entry.
 type Store struct {
 	mu       sync.Mutex
 	dir      string // "" = memory-only
@@ -84,17 +113,46 @@ type Store struct {
 
 	entries map[string]*entry
 	// order is the eviction order: front = least recently used.
-	order      *list.List
-	totalBytes int64
-	evictions  uint64
-	fetches    uint64
+	order       *list.List
+	totalBytes  int64
+	replayBytes int64 // memoized replay events, bounded by maxBytes too
+	evictions   uint64
+	fetches     uint64
 }
 
 type entry struct {
-	meta     Meta
-	data     []byte // canonical PCMT bytes
+	meta Meta
+	// data is the canonical PCMT encoding; nil while replay stands in
+	// for it.
+	data []byte
+	// replay is the memoized Replay result (nil until first asked), and
+	// addrs[a] the trace address that replay address a densified.
+	replay   []trace.Event
+	addrs    []int
 	lastUsed time.Time
 	elem     *list.Element
+}
+
+// replaySize is what an entry's replay memo holds.
+func (e *entry) replaySize() int64 {
+	return int64(len(e.replay))*int64(unsafe.Sizeof(trace.Event{})) + int64(len(e.addrs))*int64(unsafe.Sizeof(0))
+}
+
+// canonical returns the entry's canonical bytes, re-encoding them from the
+// replay memo when it stands in for them. Callers hold s.mu.
+func (e *entry) canonical() ([]byte, error) {
+	if e.data != nil {
+		return e.data, nil
+	}
+	raw := make([]trace.Event, len(e.replay))
+	for i, ev := range e.replay {
+		raw[i] = trace.Event{Addr: e.addrs[ev.Addr], Data: ev.Data}
+	}
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, raw); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // ttl is how long a trace may go unused before Sweep evicts it.
@@ -173,6 +231,8 @@ func (s *Store) recover() error {
 		if err != nil {
 			continue
 		}
+		// ReadFile over-allocates; keep exactly what the bound charges.
+		data = append(make([]byte, 0, len(data)), data...)
 		sum := sha256.Sum256(data)
 		digest := DigestPrefix + hex.EncodeToString(sum[:])
 		if s.spoolPath(digest) != full {
@@ -240,7 +300,9 @@ func (s *Store) PutEvents(events []trace.Event) (Meta, bool, error) {
 	if err := trace.Write(&buf, events); err != nil {
 		return Meta{}, false, err
 	}
-	data := buf.Bytes()
+	// The buffer's capacity runs up to twice its length; the entry keeps
+	// an exact-size copy, so the capacity bound charges what it holds.
+	data := append(make([]byte, 0, buf.Len()), buf.Bytes()...)
 	sum := sha256.Sum256(data)
 	digest := DigestPrefix + hex.EncodeToString(sum[:])
 
@@ -315,15 +377,46 @@ func (s *Store) evictLockedFor(need int64) {
 	}
 }
 
-// dropLocked removes one entry and its spool file. Callers hold s.mu.
+// dropLocked evicts one entry. Callers hold s.mu.
 func (s *Store) dropLocked(e *entry) {
+	s.removeLocked(e)
+	s.evictions++
+}
+
+// removeLocked removes one entry, its replay memo and its spool file.
+// Callers hold s.mu.
+func (s *Store) removeLocked(e *entry) {
 	s.order.Remove(e.elem)
 	delete(s.entries, e.meta.Digest)
 	s.totalBytes -= e.meta.Bytes
-	s.evictions++
+	s.replayBytes -= e.replaySize()
 	if s.dir != "" {
 		os.Remove(s.spoolPath(e.meta.Digest))
 	}
+}
+
+// releaseReplayLocked turns an entry back into its canonical bytes and
+// drops its replay memo; jobs still running on the events keep them
+// alive until they finish. Callers hold s.mu.
+func (s *Store) releaseReplayLocked(e *entry) {
+	data, err := e.canonical()
+	if err != nil {
+		return // the memo is the entry's only copy: keep it
+	}
+	s.replayBytes -= e.replaySize()
+	e.data, e.replay, e.addrs = data, nil, nil
+}
+
+// Intern returns the store's own copy of digest when it holds that trace,
+// else digest itself, so the jobs that name a stored trace share one
+// string instead of each keeping its decoded copy.
+func (s *Store) Intern(digest string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[digest]; ok {
+		return e.meta.Digest
+	}
+	return digest
 }
 
 // Stat returns a trace's meta without counting a fetch.
@@ -337,8 +430,8 @@ func (s *Store) Stat(digest string) (Meta, bool) {
 	return e.meta, true
 }
 
-// Bytes returns a trace's canonical encoding (a copy-free read-only view;
-// callers must not mutate it) and promotes the entry. Counted as a fetch.
+// Bytes returns a trace's canonical encoding (read-only: callers must not
+// mutate it) and promotes the entry. Counted as a fetch.
 func (s *Store) Bytes(digest string) ([]byte, Meta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,7 +440,8 @@ func (s *Store) Bytes(digest string) ([]byte, Meta, error) {
 		return nil, Meta{}, ErrNotFound
 	}
 	s.touchLocked(e)
-	return e.data, e.meta, nil
+	data, err := e.canonical()
+	return data, e.meta, err
 }
 
 // Events decodes a stored trace. Counted as a fetch and promotes the
@@ -358,6 +452,69 @@ func (s *Store) Events(digest string) ([]trace.Event, error) {
 		return nil, err
 	}
 	return trace.Read(bytes.NewReader(data))
+}
+
+// Replay returns a stored trace's replay events: decoded and densified by
+// workload.NewReplay, the form a trace-driven job runs on. The first call
+// per entry builds them and later calls share them, so callers must not
+// mutate the slice. Counted as a fetch and promotes the entry in the LRU
+// order.
+func (s *Store) Replay(digest string) ([]trace.Event, error) {
+	s.mu.Lock()
+	e, ok := s.entries[digest]
+	if !ok {
+		s.mu.Unlock()
+		return nil, ErrNotFound
+	}
+	s.touchLocked(e)
+	if e.replay != nil {
+		defer s.mu.Unlock()
+		return e.replay, nil
+	}
+	data := e.data
+	s.mu.Unlock()
+
+	// Decode outside the lock; concurrent first calls may both decode,
+	// and the first to finish installs its memo.
+	raw, err := trace.Read(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	rep, err := workload.NewReplay(raw)
+	if err != nil {
+		return nil, err
+	}
+	// Dense addresses number the trace's lines from 0, so the highest one
+	// is the line count less one.
+	memo := entry{replay: rep.Events()}
+	lines := 0
+	for _, ev := range memo.replay {
+		lines = max(lines, ev.Addr+1)
+	}
+	memo.addrs = make([]int, lines)
+	for i, ev := range memo.replay {
+		memo.addrs[ev.Addr] = raw[i].Addr
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries[digest] != e {
+		return memo.replay, nil // deleted or evicted meanwhile: nothing to memoize
+	}
+	if e.replay != nil {
+		return e.replay, nil
+	}
+	size := memo.replaySize()
+	for el := s.order.Front(); el != nil && s.replayBytes+size > s.maxBytes; el = el.Next() {
+		if other := el.Value.(*entry); other.replay != nil {
+			s.releaseReplayLocked(other)
+		}
+	}
+	if s.replayBytes+size <= s.maxBytes {
+		e.data, e.replay, e.addrs = nil, memo.replay, memo.addrs
+		s.replayBytes += size
+	}
+	return memo.replay, nil
 }
 
 // touchLocked promotes an entry and counts the fetch. Callers hold s.mu.
@@ -376,12 +533,7 @@ func (s *Store) Delete(digest string) bool {
 	if !ok {
 		return false
 	}
-	s.order.Remove(e.elem)
-	delete(s.entries, digest)
-	s.totalBytes -= e.meta.Bytes
-	if s.dir != "" {
-		os.Remove(s.spoolPath(digest))
-	}
+	s.removeLocked(e)
 	return true
 }
 

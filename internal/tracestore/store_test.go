@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pcmcomp/internal/trace"
+	"pcmcomp/internal/workload"
 )
 
 func testEvents(n, base int) []trace.Event {
@@ -259,5 +260,123 @@ func TestContextResolver(t *testing.T) {
 	}
 	if _, err := ResolveFrom(context.Background(), meta.Digest); err == nil {
 		t.Fatal("ResolveFrom without a resolver should fail")
+	}
+}
+
+// TestStoredBytesExactSize pins that an entry holds exactly the bytes the
+// capacity bound charges: no encoder buffer slack behind the slice, after
+// PutEvents, after Put and after spool recovery.
+func TestStoredBytesExactSize(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir})
+	m1, _, err := s.PutEvents(testEvents(300, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _, err := s.Put(bytes.NewReader(encode(t, testEvents(300, 7))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := mustOpen(t, Options{Dir: dir})
+	for _, st := range []*Store{s, recovered} {
+		for _, m := range []Meta{m1, m2} {
+			data, _, err := st.Bytes(m.Digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(data)) != m.Bytes || cap(data) != len(data) {
+				t.Errorf("%s: len %d cap %d, want both %d", m.Digest, len(data), cap(data), m.Bytes)
+			}
+		}
+	}
+}
+
+// TestParseDigestCanonicalAllocsNothing pins that a canonical digest comes
+// back as the very string passed in, so jobs naming it allocate no copy.
+func TestParseDigestCanonicalAllocsNothing(t *testing.T) {
+	in := "sha256:" + strings.Repeat("0123456789abcdef", 4)
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseDigest(in) }); n != 0 {
+		t.Errorf("ParseDigest of a canonical digest: %v allocs, want 0", n)
+	}
+	if out, err := ParseDigest(in); err != nil || out != in {
+		t.Fatalf("ParseDigest(%q) = %q, %v", in, out, err)
+	}
+}
+
+// sparseEvents is a trace whose addresses are far from dense, so replay
+// densification visibly relabels them.
+func sparseEvents(n, base int) []trace.Event {
+	events := testEvents(n, base)
+	for i := range events {
+		events[i].Addr = 1000 + 37*events[i].Addr
+	}
+	return events
+}
+
+// TestReplayMemoSharedBoundedReleased pins the replay memo: the first
+// Replay decodes and densifies, later ones share that slice, and the memo
+// stands in for the canonical bytes; the memos are bounded by the store's
+// capacity, least recently used first; and a deleted trace takes its memo
+// with it.
+func TestReplayMemoSharedBoundedReleased(t *testing.T) {
+	one := encode(t, sparseEvents(40, 1))
+	// Room for the canonical bytes of two traces, and for the replay
+	// events of only one.
+	s := mustOpen(t, Options{MaxBytes: int64(len(one)) * 2})
+	m1, _, _ := s.PutEvents(sparseEvents(40, 1))
+	m2, _, _ := s.PutEvents(sparseEvents(40, 2))
+
+	first, err := s.Replay(m1.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := workload.NewReplay(sparseEvents(40, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range want.Events() {
+		if first[i] != ev {
+			t.Fatalf("replay event %d = %+v, want the densified %+v", i, first[i], ev)
+		}
+	}
+	again, _ := s.Replay(m1.Digest)
+	if &again[0] != &first[0] {
+		t.Error("second Replay decoded again instead of sharing the memo")
+	}
+	// The memo stands in for the canonical bytes, which come back
+	// identical.
+	if data, _, err := s.Bytes(m1.Digest); err != nil || !bytes.Equal(data, one) {
+		t.Fatalf("Bytes after Replay = %d bytes, %v; want the %d canonical bytes", len(data), err, len(one))
+	}
+	if got, _ := ResolveFrom(WithResolver(context.Background(), s), m1.Digest); &got[0] != &first[0] {
+		t.Error("the store's resolver does not hand out the replay memo")
+	}
+
+	// The second trace's memo does not fit beside the first: the least
+	// recently used memo goes, its entry stays.
+	if _, err := s.Replay(m2.Digest); err != nil {
+		t.Fatal(err)
+	}
+	if s.replayBytes > s.maxBytes {
+		t.Errorf("replay memos hold %d bytes, capacity %d", s.replayBytes, s.maxBytes)
+	}
+	if _, ok := s.Stat(m1.Digest); !ok {
+		t.Fatal("releasing a memo evicted its trace")
+	}
+	if data, _, err := s.Bytes(m1.Digest); err != nil || !bytes.Equal(data, one) {
+		t.Fatalf("Bytes after the memo was released = %d bytes, %v", len(data), err)
+	}
+	if again, _ := s.Replay(m1.Digest); &again[0] == &first[0] {
+		t.Error("a released memo was still shared")
+	}
+
+	// Deleting a trace releases its memo.
+	s.Delete(m1.Digest)
+	s.Delete(m2.Digest)
+	if s.replayBytes != 0 {
+		t.Errorf("replay memos hold %d bytes after every trace was deleted", s.replayBytes)
+	}
+	if _, err := s.Replay(m1.Digest); err != ErrNotFound {
+		t.Errorf("Replay of a deleted trace: %v, want ErrNotFound", err)
 	}
 }
