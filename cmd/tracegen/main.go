@@ -1,11 +1,10 @@
 // Command tracegen generates LLC write-back traces for the lifetime
-// simulator, either directly from a calibrated workload model or by
-// filtering a synthetic CPU access stream through the Table II cache
-// hierarchy (the gem5-equivalent path).
+// simulator from a calibrated workload model: the same generators every
+// figure and pcmd job replays.
 //
 // Usage:
 //
-//	tracegen -app gcc -events 100000 -lines 4096 [-cachesim] [-o trace.pcmt]
+//	tracegen -app gcc -events 100000 -lines 4096 [-o trace.pcmt]
 //	         [-format auto|binary|ndjson]
 //	tracegen -list
 //
@@ -29,7 +28,6 @@ import (
 	"os"
 	"strings"
 
-	"pcmcomp/internal/cachesim"
 	"pcmcomp/internal/trace"
 	"pcmcomp/internal/workload"
 )
@@ -44,10 +42,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	app := fs.String("app", "gcc", "workload profile name (see -list)")
-	events := fs.Int("events", 100000, "write-back events (direct) or store intents (cachesim)")
+	events := fs.Int("events", 100000, "write-back events")
 	lines := fs.Int("lines", 4096, "workload address-space size in lines")
 	seed := fs.Uint64("seed", 1, "generator seed")
-	useCache := fs.Bool("cachesim", false, "filter through the 16-core L1/L2 hierarchy")
 	out := fs.String("o", "", "output file (default stdout summary only)")
 	format := fs.String("format", "auto", "output encoding: auto (gzip-wrapped binary for .gz paths, else binary), binary, or ndjson")
 	list := fs.Bool("list", false, "list available workload profiles")
@@ -76,27 +73,7 @@ func run(args []string) error {
 		return err
 	}
 
-	var evs []trace.Event
-	if *useCache {
-		h, err := cachesim.New(cachesim.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		d := cachesim.NewDriver(h, gen, 2, *seed+1)
-		evs, err = d.Run(*events)
-		if err != nil {
-			return err
-		}
-		s := h.Stats()
-		fmt.Printf("cachesim: %d accesses, L1 hit %.1f%%, L2 hit %.1f%%, %d write-backs\n",
-			s.Accesses,
-			100*float64(s.L1Hits)/float64(s.L1Hits+s.L1Misses),
-			100*float64(s.L2Hits)/float64(s.L2Hits+s.L2Misses),
-			s.L2Writebacks)
-	} else {
-		evs = gen.GenerateTrace(*events)
-	}
-
+	evs := gen.GenerateTrace(*events)
 	st := trace.Summarize(evs)
 	fmt.Printf("trace: %d events, %d distinct lines, max address %d\n",
 		st.Events, st.DistinctLines, st.MaxAddr)

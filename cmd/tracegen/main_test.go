@@ -37,25 +37,6 @@ func TestDirectGeneration(t *testing.T) {
 	}
 }
 
-func TestCachesimGeneration(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "c.pcmt")
-	if err := run([]string{"-app", "gcc", "-events", "3000", "-lines", "2048", "-cachesim", "-o", out}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	evs, err := trace.Read(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) == 0 {
-		t.Fatal("cachesim produced no write-backs")
-	}
-}
-
 // TestGzipOutput writes a .gz path under -format auto: the file must be
 // gzip-wrapped PCMT that decodes to the same events as -format binary,
 // and gzip must actually shrink it (write-back payloads are

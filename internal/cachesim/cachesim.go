@@ -1,10 +1,13 @@
 // Package cachesim models the on-chip memory hierarchy of the paper's
 // evaluated CMP (Table II): 16 cores with private write-back L1 data caches
 // (32KB, 2-way) above a shared L2 (4MB, 8-way), with invalidation-based
-// coherence between the L1s. Its job in this repository is the job gem5's
-// Ruby model performed in the paper: filter a CPU-level access stream down
-// to the stream of L2 (LLC) write-backs that reaches the PCM main memory,
-// which the lifetime simulator then replays.
+// coherence between the L1s. It filters a CPU-level access stream down to
+// the stream of L2 (LLC) write-backs, the job gem5's Ruby model performed
+// in the paper, but no figure replays its output: the calibrated
+// internal/workload generators are the trace substitution (DESIGN §2),
+// because at this repository's scales a working set that fits the L2 is
+// written back once per line, at the flush, with no per-line write skew.
+// The package is kept as a throughput stressor for pcmbench.
 //
 // The model is a functional (data-carrying) cache simulator: lines carry
 // their 64-byte contents so that evictions emit real write-back data, and

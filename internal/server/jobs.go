@@ -1,13 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -199,20 +199,17 @@ func ExecuteLocal(ctx context.Context, kind Kind, raw json.RawMessage) (json.Raw
 	return json.Marshal(result)
 }
 
-// decodeParams decodes and normalizes one job's raw params, as a backend
-// does before it runs them.
+// decodeParams decodes and normalizes one job's raw params: the one
+// validation behind every job submission, ExecuteLocal and a sweep's shard
+// check. Empty params take every default.
 func decodeParams(kind Kind, raw json.RawMessage) (params, error) {
 	factory, ok := paramsFor[kind]
 	if !ok {
-		return nil, fmt.Errorf("unknown job kind %q", kind)
+		return nil, fmt.Errorf("unknown job kind %q (want lifetime, failure-probability, or compression)", kind)
 	}
 	p := factory()
-	if len(raw) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(p); err != nil {
-			return nil, fmt.Errorf("invalid params: %w", err)
-		}
+	if err := decodeStrict(raw, p); err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("invalid params: %w", err)
 	}
 	if err := p.normalize(); err != nil {
 		return nil, err
@@ -224,16 +221,17 @@ func decodeParams(kind Kind, raw json.RawMessage) (params, error) {
 // and the canonical JSON of its normalized parameters. Struct marshaling in
 // Go is deterministic (fields in declaration order, no map iteration), so
 // identical sweeps collide exactly.
-func cacheKey(kind Kind, p params) (string, error) {
-	buf, err := json.Marshal(p)
+func cacheKey(kind Kind, v any) (string, error) {
+	buf, err := json.Marshal(v)
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	h.Write([]byte(kind))
-	h.Write([]byte{'\n'})
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	// The stack buffer holds all but unusually large params.
+	var msg [512]byte
+	sum := sha256.Sum256(append(append(append(msg[:0], kind...), '\n'), buf...))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), nil
 }
 
 // Job is one asynchronous computation tracked by the store. Mutable fields

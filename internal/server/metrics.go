@@ -150,11 +150,11 @@ func newMetrics() *metrics {
 	}
 }
 
-// tenantSubmitted counts one submission admitted past a tenant's quota.
-func (m *metrics) tenantSubmitted(name string) {
+// tenantSubmitted counts n submissions admitted past a tenant's quota.
+func (m *metrics) tenantSubmitted(name string, n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.tenantSubmits[name]++
+	m.tenantSubmits[name] += uint64(n)
 }
 
 // tenantThrottled counts one submission refused with 429 for a tenant.
@@ -239,12 +239,13 @@ func (m *metrics) sweepSchemesDone(schemes []string) {
 	}
 }
 
-// jobQueued moves the queue gauge; cache accounting is separate (cacheMiss)
-// because a submission can be rejected after the cache was already probed.
-func (m *metrics) jobQueued() {
+// jobsQueued moves the queue gauge by n; cache accounting is separate
+// (cacheProbed) because a submission can be rejected after the cache was
+// already probed.
+func (m *metrics) jobsQueued(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.queued++
+	m.queued += int64(n)
 }
 
 // httpStart registers one in-flight request on a route.
@@ -328,14 +329,14 @@ func (m *metrics) jobSkipped(kind Kind) {
 	m.canceled[kind]++
 }
 
-// jobRejected counts a refused submission by reason.
-func (m *metrics) jobRejected(r submitResult) {
+// jobsRejected counts n refused submissions by reason.
+func (m *metrics) jobsRejected(r submitResult, n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if r == submitClosed {
-		m.rejectedDrain++
+		m.rejectedDrain += uint64(n)
 	} else {
-		m.rejectedFull++
+		m.rejectedFull += uint64(n)
 	}
 }
 
@@ -366,20 +367,15 @@ func (m *metrics) sweepFinished(err error, canceled bool) {
 	}
 }
 
-func (m *metrics) cacheHit() {
+// cacheProbed counts one probe of the result cache as a hit or a miss.
+func (m *metrics) cacheProbed(hit bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.cacheHits++
-}
-
-// cacheMiss counts a probe of the result cache that found nothing. It is
-// called exactly where the cache is consulted — not folded into queue
-// accounting — so the hit/miss pair always sums to the number of probes,
-// even when the submission is later rejected.
-func (m *metrics) cacheMiss() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cacheMisses++
+	if hit {
+		m.cacheHits++
+	} else {
+		m.cacheMisses++
+	}
 }
 
 // snapshotCacheHits returns the hit counter (used by tests).

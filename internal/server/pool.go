@@ -86,16 +86,10 @@ func fromPush(r tenant.PushResult) submitResult {
 	}
 }
 
-// Submit enqueues a job on its tenant's queue without blocking and
-// reports the outcome.
-func (p *pool) Submit(j *Job) submitResult {
-	return fromPush(p.queue.Push(j.Tenant, int(j.weight), j))
-}
-
-// SubmitBatch enqueues several jobs of one tenant atomically: either the
-// whole batch is admitted or none of it is — the all-or-nothing half of
-// POST /v1/jobs:batch's validate-then-admit contract.
-func (p *pool) SubmitBatch(jobs []*Job) submitResult {
+// Submit enqueues jobs of one tenant without blocking: either all of them
+// are admitted or none is, which is the all-or-nothing half of the
+// front door's validate-then-admit contract.
+func (p *pool) Submit(jobs ...*Job) submitResult {
 	if len(jobs) == 0 {
 		return submitOK
 	}

@@ -9,6 +9,7 @@
 //	POST   /v1/jobs/lifetime             submit a lifetime job
 //	POST   /v1/jobs/failure-probability  submit a Fig 9 Monte-Carlo job
 //	POST   /v1/jobs/compression          submit a compression sweep job
+//	POST   /v1/jobs:batch                submit up to 64 jobs atomically
 //	GET    /v1/jobs/{id}                 poll a job's status, progress, and result
 //	DELETE /v1/jobs/{id}                 cancel a queued or running job
 //	GET    /v1/jobs                      list job summaries (?state=&limit=&offset=)
@@ -27,6 +28,13 @@
 //	GET    /v1/schemes                   list the hard-error schemes
 //	GET    /healthz                      liveness (503 while draining)
 //	GET    /metrics                      Prometheus text metrics
+//
+// Every submission passes one admission path (admit.go): drain check,
+// bounded body read (413 past the route's bound), strict decode (no
+// unknown fields, nothing after the document), normalize, content key,
+// tenant quota, cache probe, admit. POST /v1/jobs/{kind} is a batch of one
+// through the same admitJobs as POST /v1/jobs:batch; POST /v1/sweeps
+// shares every step before its own coordinator hand-off.
 //
 // Jobs are validated against internal/config scales, hashed (SHA-256 of
 // kind + canonical JSON of the normalized parameters + seed) into the
@@ -556,114 +564,6 @@ func (s *Server) jobPanicked(j *Job, cause any) {
 	s.metrics.jobPanicked(j.Kind, prior, elapsed)
 	s.log.Error("panic in job execution; worker recovered",
 		"job_id", j.ID, "kind", string(j.Kind), "panic", fmt.Sprint(cause))
-}
-
-// retrySeconds rounds a bucket's refill hint up to whole Retry-After
-// seconds, at least 1.
-func retrySeconds(hint time.Duration) int {
-	secs := int(hint / time.Second)
-	if hint%time.Second != 0 {
-		secs++
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// throttle refuses a rate-limited submission with 429 and a Retry-After
-// hint derived from the tenant's bucket (whole seconds, at least 1).
-func (s *Server) throttle(w http.ResponseWriter, tn *tenant.Tenant, hint time.Duration) {
-	s.metrics.tenantThrottled(tn.Name)
-	secs := retrySeconds(hint)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests,
-		fmt.Sprintf("tenant %q submission quota exhausted, retry in %ds", tn.Name, secs))
-}
-
-// addJob records one validated submission and applies the request's
-// propagation headers. A coordinator that dispatched a trace-driven shard
-// names where to fetch the data trace if the local store lacks it; a
-// submitter that propagated a trace (a coordinator's dispatch span, a
-// client's own span) has the job's execution join it instead of rooting
-// its own. A trace-driven job shares the trace store's digest string.
-func (s *Server) addJob(r *http.Request, kind Kind, p params, key string, tn *tenant.Tenant, now time.Time) *Job {
-	if t, ok := p.(traced); ok {
-		d := t.traceDigest()
-		*d = s.traces.Intern(*d)
-	}
-	j := s.store.add(kind, p, key, tn, now)
-	if src := r.Header.Get("X-Trace-Source"); src != "" && j.TraceDigest != "" {
-		s.store.setTraceSource(j, src)
-	}
-	if rp := obs.RemoteParent(r.Context()); rp.TraceID != "" {
-		s.store.adoptTrace(j, rp)
-	}
-	return j
-}
-
-// submitHandler builds the POST handler for one job kind.
-func (s *Server) submitHandler(kind Kind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.draining() {
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		p := paramsFor[kind]()
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(p); err != nil && !errors.Is(err, io.EOF) {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-			return
-		}
-		if err := p.normalize(); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		key, err := cacheKey(kind, p)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		now := time.Now()
-		tn := s.tenantFrom(r)
-		// The quota charges every valid submission — cache hits included —
-		// because admission control protects the front door, not just the
-		// workers.
-		if hint, ok := tn.Take(now, 1); !ok {
-			s.throttle(w, tn, hint)
-			return
-		}
-		s.metrics.tenantSubmitted(tn.Name)
-		j := s.addJob(r, kind, p, key, tn, now)
-		if cached, ok := s.cache.Get(key); ok {
-			s.store.finishCached(j, cached, now)
-			s.metrics.cacheHit()
-			snap, _ := s.store.get(j.ID)
-			writeJSON(w, http.StatusOK, snap)
-			return
-		}
-		s.metrics.cacheMiss()
-		switch res := s.pool.Submit(j); res {
-		case submitQueueFull:
-			// Transient: the client should back off and retry.
-			s.store.setFailed(j, errors.New("job queue full"), nil, now)
-			s.metrics.jobRejected(res)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "job queue full, retry later")
-			return
-		case submitClosed:
-			// Terminal for this process: the pool is draining for shutdown.
-			s.store.setFailed(j, errors.New("server is draining"), nil, now)
-			s.metrics.jobRejected(res)
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		s.metrics.jobQueued()
-		obs.Logger(r.Context()).Info("job accepted", "job_id", j.ID, "kind", string(kind), "job_trace_id", j.TraceID)
-		snap, _ := s.store.get(j.ID)
-		writeJSON(w, http.StatusAccepted, snap)
-	}
 }
 
 // handleCancelJob implements DELETE /v1/jobs/{id}. A queued job flips to

@@ -2,12 +2,9 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"sort"
@@ -291,15 +288,7 @@ func normalizeSweep(req *cluster.SweepRequest) error {
 // sweepCacheKey content-addresses a normalized sweep request, so an
 // identical sweep — sharded or not — is answered from the result cache.
 func sweepCacheKey(req cluster.SweepRequest) (string, error) {
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	h.Write([]byte("sweep"))
-	h.Write([]byte{'\n'})
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return cacheKey("sweep", req)
 }
 
 // handleSubmitSweep implements POST /v1/sweeps: validate, answer from the
@@ -308,15 +297,8 @@ func sweepCacheKey(req cluster.SweepRequest) (string, error) {
 // goroutine. The response is the sweep document; poll GET /v1/sweeps/{id}
 // for shard progress and the merged result.
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	if s.draining() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	var req cluster.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !s.decodeBody(w, r, maxSubmitBody, &req) {
 		return
 	}
 	if err := normalizeSweep(&req); err != nil {
@@ -332,15 +314,13 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		req.Params["trace"] = s.traces.Intern(digest)
 	}
 	now := time.Now()
-	tn := s.tenantFrom(r)
 	// One sweep charges one quota token, same as a job submission: the
 	// bucket protects admission, while the sweep's shards compete through
 	// the coordinator's own concurrency bound.
-	if hint, ok := tn.Take(now, 1); !ok {
-		s.throttle(w, tn, hint)
+	tn, ok := s.chargeQuota(w, r, 1, now)
+	if !ok {
 		return
 	}
-	s.metrics.tenantSubmitted(tn.Name)
 
 	ctx, cancel := context.WithCancelCause(s.jobCtx)
 	// The sweep span roots the trace (or joins the submitter's, when the
@@ -360,17 +340,13 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	sweepLog := s.log.With("sweep_id", id, "kind", req.Kind, "trace_id", span.Context().TraceID)
 	ctx = obs.WithLogger(ctx, sweepLog)
 
-	if cached, ok := s.cache.Get(key); ok {
+	if cached, ok := s.cached(key); ok {
 		cancel(nil)
 		span.SetAttr("cache_hit", "true")
 		span.End()
-		doc := s.sweeps.finishCached(id, cached, now)
-		s.metrics.cacheHit()
-		writeJSON(w, http.StatusOK, doc)
+		writeJSON(w, http.StatusOK, s.sweeps.finishCached(id, cached, now))
 		return
 	}
-	s.metrics.cacheMiss()
-
 	s.metrics.sweepStarted()
 	sweepLog.Info("sweep accepted", "seeds", req.SeedCount)
 	// The coordinator re-normalizes the request it is handed, writing the

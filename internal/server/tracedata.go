@@ -28,19 +28,8 @@ const maxTraceUpload = 64 << 20
 // address. 201 means the bytes were newly stored; re-uploading a known
 // digest is a cheap no-op answered 200 without re-storing.
 func (s *Server) handleUploadTrace(w http.ResponseWriter, r *http.Request) {
-	if s.draining() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceUpload))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("trace upload exceeds the %d-byte limit", maxTraceUpload))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading upload: "+err.Error())
+	body, ok := s.readBody(w, r, maxTraceUpload)
+	if !ok {
 		return
 	}
 	tn := s.tenantFrom(r)
@@ -52,11 +41,7 @@ func (s *Server) handleUploadTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if hint, ok := tn.TakeBytes(time.Now(), n); !ok {
-		s.metrics.tenantThrottled(tn.Name)
-		secs := retrySeconds(hint)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("tenant %q trace byte quota exhausted, retry in %ds", tn.Name, secs))
+		s.throttle(w, tn, hint, "trace byte")
 		return
 	}
 	meta, stored, err := s.traces.Put(bytes.NewReader(body))
