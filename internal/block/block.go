@@ -54,16 +54,6 @@ func HammingDistance(a, b *Block) int {
 	return n
 }
 
-// HammingDistanceWindow returns the Hamming distance between a and b
-// restricted to the byte window [start, start+length).
-func HammingDistanceWindow(a, b *Block, start, length int) int {
-	n := 0
-	for i := start; i < start+length; i++ {
-		n += bits.OnesCount8(a[i] ^ b[i])
-	}
-	return n
-}
-
 // Equal reports whether two blocks hold identical contents.
 func Equal(a, b *Block) bool { return *a == *b }
 

@@ -96,30 +96,6 @@ func TestHammingDistanceProperties(t *testing.T) {
 	_ = r
 }
 
-func TestHammingDistanceWindow(t *testing.T) {
-	var a, b Block
-	b[0] = 0xff // 8 flips in byte 0
-	b[10] = 0x0f
-	b[63] = 0x01
-	if got := HammingDistanceWindow(&a, &b, 0, 64); got != 13 {
-		t.Fatalf("full window = %d, want 13", got)
-	}
-	if got := HammingDistanceWindow(&a, &b, 0, 1); got != 8 {
-		t.Fatalf("byte 0 window = %d, want 8", got)
-	}
-	if got := HammingDistanceWindow(&a, &b, 1, 9); got != 0 {
-		t.Fatalf("bytes 1-9 window = %d, want 0", got)
-	}
-	if got := HammingDistanceWindow(&a, &b, 10, 54); got != 5 {
-		t.Fatalf("tail window = %d, want 5", got)
-	}
-	full := HammingDistance(&a, &b)
-	split := HammingDistanceWindow(&a, &b, 0, 32) + HammingDistanceWindow(&a, &b, 32, 32)
-	if full != split {
-		t.Fatalf("windowed sum %d != full distance %d", split, full)
-	}
-}
-
 func TestStringFormat(t *testing.T) {
 	var b Block
 	s := b.String()

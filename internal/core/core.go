@@ -186,11 +186,12 @@ type Controller struct {
 	comp compress.Compressor
 	// energy prices the SET/RESET pulses for the encoder-stage accounting.
 	energy pcm.EnergyModel
-	// encNew/encOld/encSel are the write-encoder stage's fixed scratch
-	// (window bytes, current cell content, per-word selectors), sized for
-	// the largest window so the hot path stays allocation-free.
-	encNew, encOld [block.Size]byte
-	encSel         [block.Size]uint8
+	// win/winOld/encSel are the FNW and write-encoder stages' fixed
+	// scratch (window bytes and the cells' current content in logical
+	// order, per-word selectors), sized for the largest window so the hot
+	// path stays allocation-free.
+	win, winOld [block.Size]byte
+	encSel      [block.Size]uint8
 }
 
 // New creates a controller. It returns an error for invalid configuration.

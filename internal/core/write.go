@@ -329,52 +329,44 @@ func (c *Controller) place(bs *bankState, meta *lineMeta, faults *ecc.FaultSet, 
 // transforms the window word-by-word against the current cell content (the
 // per-word selectors model auxiliary metadata, like FNW's flip bit), so the
 // cells receive the cheaper encoded image while reads keep returning the
-// logical payload. The write's tallies are added into res.
+// logical payload. Both stages work on the window in logical order: the
+// cells' content is gathered from the window's head and wrapped tail into
+// one contiguous buffer, and the result is scattered back the same way.
+// The write's tallies are added into res.
 func (c *Controller) writeWindow(line *pcm.Line, payload []byte, origin int, res *pcm.WriteResult) {
 	size := len(payload)
-	head := size
-	if origin+size > block.Size {
-		head = block.Size - origin
-	}
+	head := min(size, block.Size-origin)
 	tail := size - head
-	target := *line.Data()
-	copy(target[origin:], payload[:head])
-	copy(target[:tail], payload[head:])
 
-	if c.cfg.UseFNW {
-		flips := block.HammingDistanceWindow(line.Data(), &target, origin, head)
-		if tail > 0 {
-			flips += block.HammingDistanceWindow(line.Data(), &target, 0, tail)
-		}
-		if flips*2 > size*8 {
-			for i := 0; i < size; i++ {
-				idx := (origin + i) % block.Size
-				target[idx] = ^target[idx]
+	if c.cfg.UseFNW || c.cfg.Encoder != nil {
+		win, old := c.win[:size], c.winOld[:size]
+		copy(win, payload)
+		cur := line.Data()
+		copy(old, cur[origin:])
+		copy(old[head:], cur[:tail])
+
+		if c.cfg.UseFNW && encode.Flips(old, win)*2 > size*8 {
+			for i := range win {
+				win[i] = ^win[i]
 			}
 			c.stats.FNWInversions++
 		}
+
+		if enc := c.cfg.Encoder; enc != nil {
+			sets0, resets0 := encode.Pulses(old, win)
+			enc.Encode(win, old, c.encSel[:encode.Words(size, enc.WordBytes())])
+			sets1, resets1 := encode.Pulses(old, win)
+			c.stats.EncodedWrites++
+			c.stats.EncoderFlipsSaved += int64(sets0+resets0) - int64(sets1+resets1)
+			c.stats.EncoderEnergySavedPJ += c.energy.WriteEnergyPJ(sets0, resets0) -
+				c.energy.WriteEnergyPJ(sets1, resets1)
+		}
+		payload = win
 	}
 
-	if enc := c.cfg.Encoder; enc != nil {
-		old := line.Data()
-		for i := 0; i < size; i++ {
-			idx := (origin + i) % block.Size
-			c.encNew[i] = target[idx]
-			c.encOld[i] = old[idx]
-		}
-		sets0, resets0 := encode.Pulses(c.encOld[:size], c.encNew[:size])
-		words := encode.Words(size, enc.WordBytes())
-		enc.Encode(c.encNew[:size], c.encOld[:size], c.encSel[:words])
-		sets1, resets1 := encode.Pulses(c.encOld[:size], c.encNew[:size])
-		for i := 0; i < size; i++ {
-			target[(origin+i)%block.Size] = c.encNew[i]
-		}
-		c.stats.EncodedWrites++
-		c.stats.EncoderFlipsSaved += int64(sets0+resets0) - int64(sets1+resets1)
-		c.stats.EncoderEnergySavedPJ += c.energy.WriteEnergyPJ(sets0, resets0) -
-			c.energy.WriteEnergyPJ(sets1, resets1)
-	}
-
+	target := *line.Data()
+	copy(target[origin:], payload[:head])
+	copy(target[:tail], payload[head:])
 	line.WriteWindow(&target, origin, head, res)
 	if tail > 0 {
 		line.WriteWindow(&target, 0, tail, res)

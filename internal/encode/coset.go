@@ -44,52 +44,68 @@ func (c *Coset) AuxBitsPerWord() int {
 	return bits.Len(uint(c.k - 1))
 }
 
-// maskByte extracts the mask byte for byte j of a word (little-endian lane
-// order; only consistency between Encode and Decode matters).
-func maskByte(mask uint32, j int) byte { return byte(mask >> (8 * uint(j))) }
-
 // Encode XORs each (possibly partial) 4-byte word of buf with its
 // flip-minimizing candidate mask, given the current cell content old.
 func (c *Coset) Encode(buf, old []byte, sel []uint8) {
-	word := 0
-	for i := 0; i < len(buf); i += 4 {
-		w := len(buf) - i
-		if w > 4 {
-			w = 4
+	full := len(buf) &^ 3
+	for i := 0; i < full; i += 4 {
+		d := le.Uint32(buf[i:]) ^ le.Uint32(old[i:])
+		m := c.choose(d, 32)
+		if m != 0 {
+			le.PutUint32(buf[i:], le.Uint32(buf[i:])^cosetMasks[m])
 		}
-		best, bestFlips := 0, -1
-		for m := 0; m < c.k; m++ {
-			flips := 0
-			for j := 0; j < w; j++ {
-				flips += bits.OnesCount8((buf[i+j] ^ maskByte(cosetMasks[m], j)) ^ old[i+j])
-			}
-			if bestFlips < 0 || flips < bestFlips {
-				best, bestFlips = m, flips
-			}
+		sel[i/4] = uint8(m)
+	}
+	if full == len(buf) {
+		return
+	}
+	// Partial last word: gather its bytes' differences into the low lanes.
+	var d uint32
+	for j := full; j < len(buf); j++ {
+		d |= uint32(buf[j]^old[j]) << (8 * uint(j-full))
+	}
+	m := c.choose(d, 8*(len(buf)-full))
+	xorMaskTail(buf[full:], cosetMasks[m])
+	sel[full/4] = uint8(m)
+}
+
+// choose returns the lowest-index candidate mask minimizing the flips of
+// a word whose differing bits against the cells are d, counted over the
+// low width bits (d has no bits above them). The masks come in
+// complementary pairs (2p, 2p+1), and within width bits the complement
+// flips exactly the bits the mask keeps, so one popcount scores a pair.
+func (c *Coset) choose(d uint32, width int) int {
+	keep := uint32(1<<uint(width) - 1) // 1<<32 wraps to 0: all ones
+	best, bestFlips := 0, width+1
+	for m := 0; m < c.k; m += 2 {
+		f := bits.OnesCount32((d ^ cosetMasks[m]) & keep)
+		if f < bestFlips {
+			best, bestFlips = m, f
 		}
-		if best != 0 {
-			for j := 0; j < w; j++ {
-				buf[i+j] ^= maskByte(cosetMasks[best], j)
-			}
+		if width-f < bestFlips {
+			best, bestFlips = m+1, width-f
 		}
-		sel[word] = uint8(best)
-		word++
+	}
+	return best
+}
+
+// xorMaskTail XORs the bytes of a partial word with the matching lanes of
+// mask.
+func xorMaskTail(b []byte, mask uint32) {
+	for j := range b {
+		b[j] ^= byte(mask >> (8 * uint(j)))
 	}
 }
 
 // Decode re-XORs each word with its recorded mask.
 func (c *Coset) Decode(buf []byte, sel []uint8) {
-	word := 0
-	for i := 0; i < len(buf); i += 4 {
-		w := len(buf) - i
-		if w > 4 {
-			w = 4
+	full := len(buf) &^ 3
+	for i := 0; i < full; i += 4 {
+		if m := sel[i/4]; m != 0 {
+			le.PutUint32(buf[i:], le.Uint32(buf[i:])^cosetMasks[m])
 		}
-		if m := int(sel[word]); m != 0 {
-			for j := 0; j < w; j++ {
-				buf[i+j] ^= maskByte(cosetMasks[m], j)
-			}
-		}
-		word++
+	}
+	if full < len(buf) {
+		xorMaskTail(buf[full:], cosetMasks[sel[full/4]])
 	}
 }

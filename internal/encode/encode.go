@@ -18,9 +18,21 @@
 // and records one selector per word. Decode inverts the transform from the
 // selectors. In the simulator the selectors model the per-line auxiliary
 // metadata a real implementation stores in the ECC chip's spare bits.
+//
+// Every stage works on whole machine words, not bytes: a coset word is
+// scored with one popcount per complementary mask pair, a WIRE word with
+// three, and Flips/Pulses count 64 bits at a time. Only a partial last
+// word is gathered byte by byte.
 package encode
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+// le reads and writes transform words; byte j of a word is its bits
+// 8j..8j+7, the lane order every encoder and its Decode share.
+var le = binary.LittleEndian
 
 // Encoder is one write-encoding stage.
 type Encoder interface {
@@ -45,21 +57,32 @@ func Words(n, wordBytes int) int {
 }
 
 // Flips counts the differing bits between two equal-length byte slices —
-// the cells a differential write of new over old would program.
+// the cells a differential write of new over old would program. It works
+// on 64-bit words, with a byte tail.
 func Flips(a, b []byte) int {
-	n := 0
-	for i := range a {
+	n, i := 0, 0
+	for ; i+8 <= len(a); i += 8 {
+		n += bits.OnesCount64(le.Uint64(a[i:]) ^ le.Uint64(b[i:]))
+	}
+	for ; i < len(a); i++ {
 		n += bits.OnesCount8(a[i] ^ b[i])
 	}
 	return n
 }
 
 // Pulses splits a differential write's programmed cells into SET (0->1)
-// and RESET (1->0) pulse counts.
+// and RESET (1->0) pulse counts. It works on 64-bit words, with a byte
+// tail.
 func Pulses(old, new []byte) (sets, resets int) {
-	for i := range old {
-		sets += bits.OnesCount8(^old[i] & new[i])
-		resets += bits.OnesCount8(old[i] & ^new[i])
+	i := 0
+	for ; i+8 <= len(old); i += 8 {
+		o, n := le.Uint64(old[i:]), le.Uint64(new[i:])
+		sets += bits.OnesCount64(n &^ o)
+		resets += bits.OnesCount64(o &^ n)
+	}
+	for ; i < len(old); i++ {
+		sets += bits.OnesCount8(new[i] &^ old[i])
+		resets += bits.OnesCount8(old[i] &^ new[i])
 	}
 	return sets, resets
 }

@@ -323,7 +323,7 @@ func TestSSEEndsStreamAfterDroppedEvents(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("stream never wrote its replay")
 	}
-	for i := 0; i < 300; i++ { // more than the 256-slot subscription buffer
+	for i := 0; i < 300; i++ { // more than the sseBuffer-slot subscription buffer
 		tl.Add("progress", "")
 	}
 	tl.Add("done", "")

@@ -154,12 +154,18 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	pollSweep(t, ts, sw.ID)
 
 	// A first scrape, discarded: the per-route counter for GET /metrics is
-	// recorded after the handler returns, so only the second scrape can see
-	// the route's own series.
+	// recorded when the handler returns, so only the second scrape can see
+	// the route's own series. The server ends the response body only after
+	// the handler (and its middleware) returned, so reading the body to EOF
+	// orders that count before the second scrape renders.
 	if warm, err := http.Get(ts.URL + "/metrics"); err != nil {
 		t.Fatal(err)
 	} else {
+		_, err := io.Copy(io.Discard, warm.Body)
 		warm.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -168,6 +168,13 @@ const (
 	// sseHeartbeat is the idle-comment cadence on streaming /events
 	// responses, keeping proxies from reaping quiet connections.
 	sseHeartbeat = 15 * time.Second
+	// sseBuffer is a stream's live-event buffer. The reader drains it as
+	// soon as it is scheduled, so it only has to hold one burst: a job's
+	// whole timeline is under a dozen events, and a sweep's largest burst
+	// is its first wave of shard dispatches (the coordinator keeps twice
+	// the backend count in flight). A reader that still falls behind gets
+	// ": events dropped" and resumes with Last-Event-ID.
+	sseBuffer = 32
 )
 
 func (c Config) withDefaults() Config {

@@ -58,7 +58,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, tl *obs.Ti
 		afterSeq = n
 	}
 
-	replay, sub := tl.SubscribeReplay(afterSeq, 256)
+	replay, sub := tl.SubscribeReplay(afterSeq, sseBuffer)
 	defer tl.Unsubscribe(sub)
 	s.metrics.sseStarted()
 	defer s.metrics.sseEnded()

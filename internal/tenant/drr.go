@@ -2,7 +2,7 @@ package tenant
 
 import "sync"
 
-// PushResult classifies what happened to a Push, mirroring the worker
+// PushResult classifies what happened to a PushBatch, mirroring the worker
 // pool's submit outcomes: admitted, refused because the tenant's queue is
 // at depth (transient — back off), or refused because the queue is closed
 // for draining (terminal).
@@ -55,15 +55,10 @@ func NewQueue[T any](perTenantDepth int) *Queue[T] {
 	return q
 }
 
-// Push enqueues one item for a tenant. weight updates the tenant's DRR
-// share (clamped to >= 1).
-func (q *Queue[T]) Push(tenant string, weight int, item T) PushResult {
-	return q.PushBatch(tenant, weight, []T{item})
-}
-
-// PushBatch enqueues several items atomically: either every item is
+// PushBatch enqueues items for a tenant atomically: either every item is
 // admitted or none is (PushFull when they would exceed the tenant's
-// depth) — the all-or-nothing contract batch submission needs.
+// depth) — the all-or-nothing contract batch submission needs. weight
+// updates the tenant's DRR share (clamped to >= 1).
 func (q *Queue[T]) PushBatch(tenant string, weight int, items []T) PushResult {
 	if len(items) == 0 {
 		return PushOK

@@ -251,12 +251,12 @@ func popAll[T any](t *testing.T, q *Queue[T], n int) []T {
 func TestDRRInterleavesEqualWeights(t *testing.T) {
 	q := NewQueue[string](100)
 	for i := 0; i < 6; i++ {
-		if r := q.Push("a", 1, "a"); r != PushOK {
+		if r := q.PushBatch("a", 1, []string{"a"}); r != PushOK {
 			t.Fatalf("push a: %v", r)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if r := q.Push("b", 1, "b"); r != PushOK {
+		if r := q.PushBatch("b", 1, []string{"b"}); r != PushOK {
 			t.Fatalf("push b: %v", r)
 		}
 	}
@@ -271,10 +271,10 @@ func TestDRRInterleavesEqualWeights(t *testing.T) {
 func TestDRRWeightedShare(t *testing.T) {
 	q := NewQueue[string](100)
 	for i := 0; i < 8; i++ {
-		q.Push("heavy", 2, "h")
+		q.PushBatch("heavy", 2, []string{"h"})
 	}
 	for i := 0; i < 4; i++ {
-		q.Push("light", 1, "l")
+		q.PushBatch("light", 1, []string{"l"})
 	}
 	got := popAll(t, q, 12)
 	// Weight 2 drains two per round against light's one.
@@ -287,7 +287,7 @@ func TestDRRWeightedShare(t *testing.T) {
 func TestDRRSingleTenantIsFIFO(t *testing.T) {
 	q := NewQueue[int](100)
 	for i := 0; i < 20; i++ {
-		q.Push("only", 1, i)
+		q.PushBatch("only", 1, []int{i})
 	}
 	got := popAll(t, q, 20)
 	for i, v := range got {
@@ -300,15 +300,15 @@ func TestDRRSingleTenantIsFIFO(t *testing.T) {
 func TestDRRDepthBoundAndBatchAtomicity(t *testing.T) {
 	q := NewQueue[int](3)
 	for i := 0; i < 3; i++ {
-		if r := q.Push("a", 1, i); r != PushOK {
+		if r := q.PushBatch("a", 1, []int{i}); r != PushOK {
 			t.Fatalf("push %d: %v", i, r)
 		}
 	}
-	if r := q.Push("a", 1, 99); r != PushFull {
+	if r := q.PushBatch("a", 1, []int{99}); r != PushFull {
 		t.Fatalf("push over depth = %v, want PushFull", r)
 	}
 	// Other tenants are unaffected by a's full queue.
-	if r := q.Push("b", 1, 1); r != PushOK {
+	if r := q.PushBatch("b", 1, []int{1}); r != PushOK {
 		t.Fatalf("push b with a full = %v", r)
 	}
 	// Batch that would overflow is refused whole — nothing admitted.
@@ -328,10 +328,10 @@ func TestDRRDepthBoundAndBatchAtomicity(t *testing.T) {
 
 func TestDRRCloseDrainsThenStops(t *testing.T) {
 	q := NewQueue[int](10)
-	q.Push("a", 1, 1)
-	q.Push("a", 1, 2)
+	q.PushBatch("a", 1, []int{1})
+	q.PushBatch("a", 1, []int{2})
 	q.Close()
-	if r := q.Push("a", 1, 3); r != PushClosed {
+	if r := q.PushBatch("a", 1, []int{3}); r != PushClosed {
 		t.Fatalf("push after close = %v, want PushClosed", r)
 	}
 	if v, ok := q.Pop(); !ok || v != 1 {
@@ -355,7 +355,7 @@ func TestDRRPopBlocksUntilPush(t *testing.T) {
 		}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	q.Push("a", 1, 42)
+	q.PushBatch("a", 1, []int{42})
 	select {
 	case v := <-got:
 		if v != 42 {
@@ -376,7 +376,7 @@ func TestDRRConcurrent(t *testing.T) {
 		go func(name string) {
 			defer wg.Done()
 			for i := 0; i < perTenant; i++ {
-				for q.Push(name, 1, i) != PushOK {
+				for q.PushBatch(name, 1, []int{i}) != PushOK {
 					time.Sleep(time.Millisecond)
 				}
 			}
