@@ -146,7 +146,11 @@ func TestFormatRoundTrip(t *testing.T) {
 		t.Fatalf("store holds %d traces after cross-format upload, want 1", n)
 	}
 
-	evs, err := store.Events(metas[0].Digest)
+	data, _, err := store.Bytes(metas[0].Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := trace.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func (s *Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) b
 	return true
 }
 
-// CorrectableBounds implements ecc.CorrectabilityBounds, mirroring the
+// CorrectableBounds implements ecc.Scheme, mirroring the
 // count-only early returns of Correctable: up to the deterministic
 // guarantee (the largest t with t(t-1)/2 <= m, i.e. t faults spoil at most
 // t(t-1)/2 < m+1 partitions) every window is separable, and beyond m

@@ -51,7 +51,7 @@ func (s *Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) b
 	return faults.CountInByteWindow(startByte, lengthBytes) <= s.n
 }
 
-// CorrectableBounds implements ecc.CorrectabilityBounds: ECP's decision is
+// CorrectableBounds implements ecc.Scheme: ECP's decision is
 // exactly the count threshold, so both bounds collapse to n and the fast
 // path never needs the full Correctable call.
 func (s *Scheme) CorrectableBounds() (always, never int) { return s.n, s.n }

@@ -100,7 +100,7 @@ func (s *Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) b
 	return true
 }
 
-// CorrectableBounds implements ecc.CorrectabilityBounds, mirroring the two
+// CorrectableBounds implements ecc.Scheme, mirroring the two
 // count-only early returns of Correctable: at most one fault per window is
 // trivially storable, and more faults than groups can never be separated.
 func (s *Scheme) CorrectableBounds() (always, never int) { return 1, s.Groups() }

@@ -118,7 +118,7 @@ func (Scheme) Correctable(faults *ecc.FaultSet, startByte, lengthBytes int) bool
 	return true
 }
 
-// CorrectableBounds implements ecc.CorrectabilityBounds: one fault always
+// CorrectableBounds implements ecc.Scheme: one fault always
 // fits its beat's single-error budget, and with more faults than beats some
 // beat must hold two (the window never spans more than the line's 8 beats).
 func (Scheme) CorrectableBounds() (always, never int) { return 1, block.Size / 8 }

@@ -28,7 +28,7 @@ func FuzzSurvivesBoundedMatchesSurvives(f *testing.F) {
 		window := 1 + int(windowRaw)%block.Size
 		ru.faults.SetWords([block.Bits / 64]uint64{w0, w1, w2, w3, w4, w5, w6, w7})
 		for _, scheme := range schemes {
-			always, never := scheme.(ecc.CorrectabilityBounds).CorrectableBounds()
+			always, never := scheme.CorrectableBounds()
 			want := Survives(scheme, &ru.faults, window)
 			if got := ru.survivesBounded(scheme, window, always, never); got != want {
 				t.Fatalf("%s, %d faults, %dB window: survivesBounded %v, Survives %v",

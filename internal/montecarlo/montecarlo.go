@@ -49,7 +49,8 @@ func (c Config) Validate() error {
 // Survives reports whether a payload of windowBytes can be placed in a line
 // with the given faults: some window origin (wrapping, modeling the sliding
 // compression window) must be correctable under the scheme. A full-size
-// payload has only one placement.
+// payload has only one placement. Runner does not call it: it is the
+// reference that the Runner's count-screened scan is tested against.
 func Survives(scheme ecc.Scheme, faults *ecc.FaultSet, windowBytes int) bool {
 	if windowBytes >= block.Size {
 		return scheme.Correctable(faults, 0, block.Size)
@@ -110,10 +111,10 @@ func NewRunner() *Runner { return &Runner{} }
 // every call and the Batch serves draws in exactly the order rng.New(Seed)
 // would emit them, so estimates are bit-identical to the unbatched
 // trial-at-a-time path and independent of the Runner's previous calls.
-// For schemes with ecc.CorrectabilityBounds, two count screens answer a
-// point without a trial: a configuration whose mean window holds fewer
-// than always+1 faults returns 0, and one where every window must hold
-// more than never faults returns 1.
+// Two count screens on the scheme's CorrectableBounds answer a point
+// without a trial: a configuration whose mean window holds fewer than
+// always+1 faults returns 0, and one where every window must hold more
+// than never faults returns 1.
 // The context is polled every ctxCheckEvery trials; on cancellation it
 // returns 0 and ctx.Err().
 func (ru *Runner) FailureProbability(ctx context.Context, cfg Config) (float64, error) {
@@ -123,40 +124,35 @@ func (ru *Runner) FailureProbability(ctx context.Context, cfg Config) (float64, 
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	always, never := -1, block.Bits
-	bounded := false
-	if b, ok := cfg.Scheme.(ecc.CorrectabilityBounds); ok {
-		always, never = b.CorrectableBounds()
-		bounded = true
-		if cfg.Errors*cfg.WindowBytes < block.Size*(always+1) {
-			// Mean-window screen: every trial survives, so the estimate is
-			// exactly 0 without running one. Each trial injects exactly
-			// cfg.Errors distinct faults. Over the block.Size wrapping
-			// origins each faulty byte lies in exactly WindowBytes windows,
-			// so the window counts sum to Errors·WindowBytes and the
-			// smallest is at most ⌊Errors·WindowBytes/block.Size⌋ ≤ always.
-			// The origin scan reaches that origin unless it accepted an
-			// earlier one, and accepts it on the count alone, as Survives'
-			// Correctable call must by the bounds contract. (A full-line
-			// window has one placement; there the condition reduces to
-			// Errors ≤ always.) Skipping the draws is invisible elsewhere:
-			// each curve point reseeds its own stream.
-			return 0, nil
-		}
-		if cfg.Errors-8*(block.Size-cfg.WindowBytes) > never {
-			// All-fail screen: every trial fails, so the estimate is
-			// failures/Trials = Trials/Trials, exactly 1, without running
-			// one. Each trial injects exactly cfg.Errors distinct faults,
-			// and only 8·(block.Size−WindowBytes) cells lie outside any one
-			// window, so every window holds at least
-			// Errors−8·(block.Size−WindowBytes) > never faults. The origin
-			// scan therefore rejects every origin on the count alone
-			// (consistent bounds have always ≤ never), as Survives'
-			// Correctable call must by the bounds contract. (At a full-line
-			// window the condition reduces to Errors > never.) As above,
-			// skipping the draws is invisible elsewhere.
-			return 1, nil
-		}
+	always, never := cfg.Scheme.CorrectableBounds()
+	if cfg.Errors*cfg.WindowBytes < block.Size*(always+1) {
+		// Mean-window screen: every trial survives, so the estimate is
+		// exactly 0 without running one. Each trial injects exactly
+		// cfg.Errors distinct faults. Over the block.Size wrapping
+		// origins each faulty byte lies in exactly WindowBytes windows,
+		// so the window counts sum to Errors·WindowBytes and the
+		// smallest is at most ⌊Errors·WindowBytes/block.Size⌋ ≤ always.
+		// The origin scan reaches that origin unless it accepted an
+		// earlier one, and accepts it on the count alone, as Survives'
+		// Correctable call must by the bounds contract. (A full-line
+		// window has one placement; there the condition reduces to
+		// Errors ≤ always.) Skipping the draws is invisible elsewhere:
+		// each curve point reseeds its own stream.
+		return 0, nil
+	}
+	if cfg.Errors-8*(block.Size-cfg.WindowBytes) > never {
+		// All-fail screen: every trial fails, so the estimate is
+		// failures/Trials = Trials/Trials, exactly 1, without running
+		// one. Each trial injects exactly cfg.Errors distinct faults,
+		// and only 8·(block.Size−WindowBytes) cells lie outside any one
+		// window, so every window holds at least
+		// Errors−8·(block.Size−WindowBytes) > never faults. The origin
+		// scan therefore rejects every origin on the count alone
+		// (consistent bounds have always ≤ never), as Survives'
+		// Correctable call must by the bounds contract. (At a full-line
+		// window the condition reduces to Errors > never.) As above,
+		// skipping the draws is invisible elsewhere.
+		return 1, nil
 	}
 	ru.r.Reseed(cfg.Seed)
 	ru.batch.Reset(&ru.r)
@@ -169,21 +165,15 @@ func (ru *Runner) FailureProbability(ctx context.Context, cfg Config) (float64, 
 		}
 		ru.faults.Clear()
 		injectUniform(&ru.batch, &ru.faults, cfg.Errors)
-		survived := false
-		if bounded {
-			survived = ru.survivesBounded(cfg.Scheme, cfg.WindowBytes, always, never)
-		} else {
-			survived = Survives(cfg.Scheme, &ru.faults, cfg.WindowBytes)
-		}
-		if !survived {
+		if !ru.survivesBounded(cfg.Scheme, cfg.WindowBytes, always, never) {
 			failures++
 		}
 	}
 	return float64(failures) / float64(cfg.Trials), nil
 }
 
-// survivesBounded is Survives over the Runner's fault set for schemes with
-// count bounds: the fault count of every placement origin comes from one
+// survivesBounded is Survives over the Runner's fault set, screened by the
+// scheme's count bounds: the fault count of every placement origin comes from one
 // incrementally updated sliding-window sum over the per-byte counts, and
 // the full Correctable kernel runs only for counts inside (always, never].
 // The origin scan order and the accept decision per origin are identical

@@ -124,7 +124,7 @@ func TestBatchedCurveMatchesSequential(t *testing.T) {
 		{"secded", secded.Scheme{}},
 		{"safer-2", safer.New(1)},
 	} {
-		_, never := tc.scheme.(ecc.CorrectabilityBounds).CorrectableBounds()
+		_, never := tc.scheme.CorrectableBounds()
 		for _, window := range []int{1, 2, 7, 16, 24, 33, 60, 63, 64} {
 			maxErrors, trials := 48, 65
 			switch {

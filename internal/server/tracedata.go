@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -131,7 +133,9 @@ func (s *Server) resolverFor(source string) tracestore.Resolver {
 		if err != nil {
 			return nil, err
 		}
-		if _, _, err := s.traces.PutEvents(events); err != nil {
+		_, stored, err := s.traces.PutEvents(events)
+		switch {
+		case err != nil && !stored:
 			// The job still runs on the fetched copy; only the cache misses.
 			s.log.Warn("fetched trace not cached", "digest", digest, "err", err)
 			rep, err := workload.NewReplay(events)
@@ -139,12 +143,15 @@ func (s *Server) resolverFor(source string) tracestore.Resolver {
 				return nil, err
 			}
 			return rep.Events(), nil
+		case err != nil:
+			s.log.Warn("fetched trace stored but not spooled", "digest", digest, "err", err)
 		}
 		return s.traces.Replay(digest)
 	})
 }
 
-// fetchTrace downloads a trace's canonical bytes from a coordinator.
+// fetchTrace downloads a trace's canonical bytes from a coordinator and
+// refuses them unless they hash to the digest asked for.
 func (s *Server) fetchTrace(ctx context.Context, source, digest string) ([]trace.Event, error) {
 	url := strings.TrimSuffix(source, "/") + "/v1/traces/" + digest + "?download=1"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -159,7 +166,15 @@ func (s *Server) fetchTrace(ctx context.Context, source, digest string) ([]trace
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("fetch trace %s from %s: %s", digest, source, resp.Status)
 	}
-	events, err := trace.Decode(io.LimitReader(resp.Body, maxTraceUpload))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxTraceUpload))
+	if err != nil {
+		return nil, fmt.Errorf("fetch trace %s from %s: %w", digest, source, err)
+	}
+	sum := sha256.Sum256(data)
+	if got := tracestore.DigestPrefix + hex.EncodeToString(sum[:]); got != digest {
+		return nil, fmt.Errorf("fetch trace %s from %s: served bytes hash to %s", digest, source, got)
+	}
+	events, err := trace.Read(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("fetch trace %s from %s: %w", digest, source, err)
 	}

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -417,5 +421,58 @@ func TestTraceSweepShardedMatchesUnsharded(t *testing.T) {
 	if !bytes.Equal(shardedDone.Result, unshardedDone.Result) {
 		t.Fatalf("sharded and unsharded trace sweeps diverge:\n%s\n%s",
 			shardedDone.Result, unshardedDone.Result)
+	}
+}
+
+// TestTraceFetchVerifiesDigest pins the fetch check: a backend resolving a
+// digest from a coordinator that serves another trace's bytes refuses them
+// with an error naming both digests and stores nothing; served the right
+// bytes, it stores them and hands out the stored replay events, also when
+// the spool write fails.
+func TestTraceFetchVerifiesDigest(t *testing.T) {
+	_, want := makeTraceBytes(t, 120, 11)
+	_, other := makeTraceBytes(t, 120, 12)
+	digestOf := func(data []byte) string {
+		sum := sha256.Sum256(data)
+		return tracestore.DigestPrefix + hex.EncodeToString(sum[:])
+	}
+	digest, otherDigest := digestOf(want), digestOf(other)
+	serving := other
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/traces/"+digest || r.URL.Query().Get("download") == "" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(serving)
+	}))
+	t.Cleanup(coord.Close)
+
+	spool := t.TempDir()
+	b := New(Config{Workers: 1, QueueDepth: 4, JobTimeout: time.Minute, TraceDir: spool})
+	resolver := b.resolverFor(coord.URL)
+	_, err := resolver.Resolve(context.Background(), digest)
+	if err == nil || !strings.Contains(err.Error(), digest) || !strings.Contains(err.Error(), otherDigest) {
+		t.Fatalf("resolving from a coordinator serving another trace: %v, want an error naming %s and %s", err, digest, otherDigest)
+	}
+	if st := b.traces.Stats(); st.Stored != 0 {
+		t.Fatalf("the mismatched bytes were stored: %+v", st)
+	}
+
+	// With the spool gone the fetched trace is stored but not spooled; the
+	// job still gets the store's own replay events.
+	serving = want
+	if err := os.RemoveAll(spool); err != nil {
+		t.Fatal(err)
+	}
+	events, err := resolver.Resolve(context.Background(), digest)
+	if err != nil {
+		t.Fatalf("resolving from a coordinator serving the trace: %v", err)
+	}
+	stored, err := b.traces.Replay(digest)
+	if err != nil {
+		t.Fatalf("fetched trace not stored: %v", err)
+	}
+	if &events[0] != &stored[0] {
+		t.Error("the job runs on a private copy instead of the stored replay events")
 	}
 }

@@ -1,7 +1,8 @@
 // Package tracestore is the content-addressed trace subsystem: uploaded
 // LLC write-back traces keyed by the SHA-256 of their canonical encoding,
-// spooled to disk with TTL/capacity eviction, and resolved into []Event
-// for trace-driven jobs anywhere in the fleet.
+// spooled to disk with TTL/capacity eviction, and held as the replay
+// events (workload.NewReplay) that trace-driven jobs anywhere in the fleet
+// run on.
 //
 // The digest convention mirrors the result cache: the address is the hex
 // SHA-256 of canonical bytes, prefixed "sha256:". Canonical bytes are the
@@ -20,11 +21,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
-	"unsafe"
 
 	"pcmcomp/internal/trace"
 	"pcmcomp/internal/workload"
@@ -96,15 +97,14 @@ type Meta struct {
 // protects the disk bounds their memory too — so reads never touch the
 // disk after boot.
 //
-// A trace is held in one of two forms. It starts as its canonical bytes.
-// The first Replay decodes and densifies it once per process, rather than
-// once per job, and the replay events (with the table that maps their
-// dense addresses back) then stand in for the bytes, which Bytes
-// re-encodes on demand: the canonical encoding is deterministic, so the
-// bytes come back identical. The replay memos are bounded by the same
-// capacity, counted apart from the canonical bytes: past it, the least
-// recently used entries go back to their bytes (and decode again on their
-// next Replay). A memo leaves with its entry.
+// A trace is held in the one form jobs run on, built at ingest: its
+// replay events, decoded and densified once per process rather than once
+// per job, with the table that maps their dense addresses back. Bytes
+// re-encodes the canonical bytes from them on demand; the encoding is
+// deterministic, so the bytes come back identical. The capacity bound
+// charges canonical bytes, at least 65 per event, while an entry holds 72
+// per event and 8 per distinct line, so held memory stays within 1.25×
+// the bound.
 type Store struct {
 	mu       sync.Mutex
 	dir      string // "" = memory-only
@@ -113,37 +113,52 @@ type Store struct {
 
 	entries map[string]*entry
 	// order is the eviction order: front = least recently used.
-	order       *list.List
-	totalBytes  int64
-	replayBytes int64 // memoized replay events, bounded by maxBytes too
-	evictions   uint64
-	fetches     uint64
+	order      *list.List
+	totalBytes int64
+	evictions  uint64
+	fetches    uint64
 }
 
+// entry is one stored trace. Everything but lastUsed and elem is fixed
+// once the entry is in the store, so it may be read without s.mu.
 type entry struct {
 	meta Meta
-	// data is the canonical PCMT encoding; nil while replay stands in
-	// for it.
-	data []byte
-	// replay is the memoized Replay result (nil until first asked), and
-	// addrs[a] the trace address that replay address a densified.
+	// replay is the trace's replay events, and addrs[a] the trace address
+	// that replay address a densified.
 	replay   []trace.Event
 	addrs    []int
 	lastUsed time.Time
 	elem     *list.Element
 }
 
-// replaySize is what an entry's replay memo holds.
-func (e *entry) replaySize() int64 {
-	return int64(len(e.replay))*int64(unsafe.Sizeof(trace.Event{})) + int64(len(e.addrs))*int64(unsafe.Sizeof(0))
+// newEntry builds the entry for a decoded trace whose canonical encoding
+// hashes to digest and is size bytes long. Lines and MaxAddr are read off
+// the address table.
+func newEntry(events []trace.Event, digest string, size int64) (*entry, error) {
+	rep, err := workload.NewReplay(events)
+	if err != nil {
+		return nil, err
+	}
+	e := &entry{replay: rep.Events()}
+	// Dense addresses number the trace's lines from 0, so the highest one
+	// is the line count less one.
+	lines := 0
+	for _, ev := range e.replay {
+		lines = max(lines, ev.Addr+1)
+	}
+	e.addrs = make([]int, lines)
+	for i, ev := range e.replay {
+		e.addrs[ev.Addr] = events[i].Addr
+	}
+	e.meta = Meta{
+		Digest: digest, Bytes: size,
+		Events: len(events), Lines: lines, MaxAddr: slices.Max(e.addrs),
+	}
+	return e, nil
 }
 
-// canonical returns the entry's canonical bytes, re-encoding them from the
-// replay memo when it stands in for them. Callers hold s.mu.
+// canonical re-encodes the entry's canonical bytes from its replay events.
 func (e *entry) canonical() ([]byte, error) {
-	if e.data != nil {
-		return e.data, nil
-	}
 	raw := make([]trace.Event, len(e.replay))
 	for i, ev := range e.replay {
 		raw[i] = trace.Event{Addr: e.addrs[ev.Addr], Data: ev.Data}
@@ -212,11 +227,7 @@ func (s *Store) recover() error {
 	if err != nil {
 		return fmt.Errorf("tracestore: scan spool dir: %w", err)
 	}
-	type recovered struct {
-		e     *entry
-		mtime time.Time
-	}
-	var found []recovered
+	var found []*entry
 	for _, de := range dirents {
 		name := de.Name()
 		full := filepath.Join(s.dir, name)
@@ -231,8 +242,6 @@ func (s *Store) recover() error {
 		if err != nil {
 			continue
 		}
-		// ReadFile over-allocates; keep exactly what the bound charges.
-		data = append(make([]byte, 0, len(data)), data...)
 		sum := sha256.Sum256(data)
 		digest := DigestPrefix + hex.EncodeToString(sum[:])
 		if s.spoolPath(digest) != full {
@@ -240,38 +249,31 @@ func (s *Store) recover() error {
 			continue
 		}
 		events, err := trace.Read(bytes.NewReader(data))
-		if err != nil || len(events) == 0 {
+		var e *entry
+		if err == nil {
+			e, err = newEntry(events, digest, int64(len(data)))
+		}
+		if err != nil {
 			os.Remove(full)
 			continue
 		}
-		st := trace.Summarize(events)
-		created := s.now()
+		e.meta.Created = s.now()
 		if info, err := de.Info(); err == nil {
-			created = info.ModTime()
+			e.meta.Created = info.ModTime()
 		}
-		found = append(found, recovered{
-			e: &entry{
-				meta: Meta{
-					Digest: digest, Bytes: int64(len(data)),
-					Events: st.Events, Lines: st.DistinctLines, MaxAddr: st.MaxAddr,
-					Created: created,
-				},
-				data:     data,
-				lastUsed: created,
-			},
-			mtime: created,
-		})
+		e.lastUsed = e.meta.Created
+		found = append(found, e)
 	}
 	// Oldest first, so the LRU order after recovery matches file age and a
 	// capacity overflow (smaller -trace-max-bytes after restart) drops the
 	// stalest traces.
-	sort.Slice(found, func(i, j int) bool { return found[i].mtime.Before(found[j].mtime) })
+	sort.Slice(found, func(i, j int) bool { return found[i].meta.Created.Before(found[j].meta.Created) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range found {
-		r.e.elem = s.order.PushBack(r.e)
-		s.entries[r.e.meta.Digest] = r.e
-		s.totalBytes += r.e.meta.Bytes
+	for _, e := range found {
+		e.elem = s.order.PushBack(e)
+		s.entries[e.meta.Digest] = e
+		s.totalBytes += e.meta.Bytes
 	}
 	s.evictLockedFor(0)
 	return nil
@@ -291,7 +293,8 @@ func (s *Store) Put(r io.Reader) (Meta, bool, error) {
 
 // PutEvents ingests already-decoded events (the coordinator-fetch path and
 // tests). The canonical encoding is computed here, so the digest is
-// identical no matter which route the trace arrived by.
+// identical no matter which route the trace arrived by; the bytes are
+// kept only long enough to hash and spool them.
 func (s *Store) PutEvents(events []trace.Event) (Meta, bool, error) {
 	if len(events) == 0 {
 		return Meta{}, false, trace.ErrEmptyTrace
@@ -300,35 +303,26 @@ func (s *Store) PutEvents(events []trace.Event) (Meta, bool, error) {
 	if err := trace.Write(&buf, events); err != nil {
 		return Meta{}, false, err
 	}
-	// The buffer's capacity runs up to twice its length; the entry keeps
-	// an exact-size copy, so the capacity bound charges what it holds.
-	data := append(make([]byte, 0, buf.Len()), buf.Bytes()...)
+	data := buf.Bytes()
+	if int64(len(data)) > s.maxBytes {
+		return Meta{}, false, fmt.Errorf("%w: trace is %d bytes, capacity is %d", ErrTooLarge, len(data), s.maxBytes)
+	}
 	sum := sha256.Sum256(data)
 	digest := DigestPrefix + hex.EncodeToString(sum[:])
+	e, err := newEntry(events, digest, int64(len(data)))
+	if err != nil {
+		return Meta{}, false, err
+	}
 
 	s.mu.Lock()
 	now := s.now()
-	if e, ok := s.entries[digest]; ok {
-		e.lastUsed = now
-		s.order.MoveToBack(e.elem)
-		meta := e.meta
+	if old, ok := s.entries[digest]; ok {
+		old.lastUsed = now
+		s.order.MoveToBack(old.elem)
 		s.mu.Unlock()
-		return meta, false, nil
+		return old.meta, false, nil
 	}
-	if int64(len(data)) > s.maxBytes {
-		s.mu.Unlock()
-		return Meta{}, false, fmt.Errorf("%w: trace is %d bytes, capacity is %d", ErrTooLarge, len(data), s.maxBytes)
-	}
-	st := trace.Summarize(events)
-	e := &entry{
-		meta: Meta{
-			Digest: digest, Bytes: int64(len(data)),
-			Events: st.Events, Lines: st.DistinctLines, MaxAddr: st.MaxAddr,
-			Created: now,
-		},
-		data:     data,
-		lastUsed: now,
-	}
+	e.meta.Created, e.lastUsed = now, now
 	s.evictLockedFor(e.meta.Bytes)
 	e.elem = s.order.PushBack(e)
 	s.entries[digest] = e
@@ -383,28 +377,16 @@ func (s *Store) dropLocked(e *entry) {
 	s.evictions++
 }
 
-// removeLocked removes one entry, its replay memo and its spool file.
-// Callers hold s.mu.
+// removeLocked removes one entry and its spool file; jobs still running
+// on its replay events keep them alive until they finish. Callers hold
+// s.mu.
 func (s *Store) removeLocked(e *entry) {
 	s.order.Remove(e.elem)
 	delete(s.entries, e.meta.Digest)
 	s.totalBytes -= e.meta.Bytes
-	s.replayBytes -= e.replaySize()
 	if s.dir != "" {
 		os.Remove(s.spoolPath(e.meta.Digest))
 	}
-}
-
-// releaseReplayLocked turns an entry back into its canonical bytes and
-// drops its replay memo; jobs still running on the events keep them
-// alive until they finish. Callers hold s.mu.
-func (s *Store) releaseReplayLocked(e *entry) {
-	data, err := e.canonical()
-	if err != nil {
-		return // the memo is the entry's only copy: keep it
-	}
-	s.replayBytes -= e.replaySize()
-	e.data, e.replay, e.addrs = data, nil, nil
 }
 
 // Intern returns the store's own copy of digest when it holds that trace,
@@ -430,91 +412,35 @@ func (s *Store) Stat(digest string) (Meta, bool) {
 	return e.meta, true
 }
 
-// Bytes returns a trace's canonical encoding (read-only: callers must not
-// mutate it) and promotes the entry. Counted as a fetch.
+// Bytes re-encodes a trace's canonical bytes and promotes the entry.
+// Counted as a fetch.
 func (s *Store) Bytes(digest string) ([]byte, Meta, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.entries[digest]
+	if ok {
+		s.touchLocked(e)
+	}
+	s.mu.Unlock()
 	if !ok {
 		return nil, Meta{}, ErrNotFound
 	}
-	s.touchLocked(e)
 	data, err := e.canonical()
 	return data, e.meta, err
 }
 
-// Events decodes a stored trace. Counted as a fetch and promotes the
-// entry in the LRU order.
-func (s *Store) Events(digest string) ([]trace.Event, error) {
-	data, _, err := s.Bytes(digest)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Read(bytes.NewReader(data))
-}
-
 // Replay returns a stored trace's replay events: decoded and densified by
-// workload.NewReplay, the form a trace-driven job runs on. The first call
-// per entry builds them and later calls share them, so callers must not
-// mutate the slice. Counted as a fetch and promotes the entry in the LRU
-// order.
+// workload.NewReplay, the form a trace-driven job runs on. Every call
+// shares the one slice built at ingest, so callers must not mutate it.
+// Counted as a fetch and promotes the entry in the LRU order.
 func (s *Store) Replay(digest string) ([]trace.Event, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.entries[digest]
 	if !ok {
-		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
 	s.touchLocked(e)
-	if e.replay != nil {
-		defer s.mu.Unlock()
-		return e.replay, nil
-	}
-	data := e.data
-	s.mu.Unlock()
-
-	// Decode outside the lock; concurrent first calls may both decode,
-	// and the first to finish installs its memo.
-	raw, err := trace.Read(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := workload.NewReplay(raw)
-	if err != nil {
-		return nil, err
-	}
-	// Dense addresses number the trace's lines from 0, so the highest one
-	// is the line count less one.
-	memo := entry{replay: rep.Events()}
-	lines := 0
-	for _, ev := range memo.replay {
-		lines = max(lines, ev.Addr+1)
-	}
-	memo.addrs = make([]int, lines)
-	for i, ev := range memo.replay {
-		memo.addrs[ev.Addr] = raw[i].Addr
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.entries[digest] != e {
-		return memo.replay, nil // deleted or evicted meanwhile: nothing to memoize
-	}
-	if e.replay != nil {
-		return e.replay, nil
-	}
-	size := memo.replaySize()
-	for el := s.order.Front(); el != nil && s.replayBytes+size > s.maxBytes; el = el.Next() {
-		if other := el.Value.(*entry); other.replay != nil {
-			s.releaseReplayLocked(other)
-		}
-	}
-	if s.replayBytes+size <= s.maxBytes {
-		e.data, e.replay, e.addrs = nil, memo.replay, memo.addrs
-		s.replayBytes += size
-	}
-	return memo.replay, nil
+	return e.replay, nil
 }
 
 // touchLocked promotes an entry and counts the fetch. Callers hold s.mu.

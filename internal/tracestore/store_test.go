@@ -3,11 +3,16 @@ package tracestore
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pcmcomp/internal/trace"
 	"pcmcomp/internal/workload"
@@ -49,6 +54,16 @@ func encode(t *testing.T, events []trace.Event) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// download decodes a stored trace from its canonical bytes, as a
+// ?download=1 client does.
+func download(s *Store, digest string) ([]trace.Event, error) {
+	data, _, err := s.Bytes(digest)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Read(bytes.NewReader(data))
 }
 
 func TestPutDedupeAcrossEncodings(t *testing.T) {
@@ -102,7 +117,7 @@ func TestEventsRoundTripAndStats(t *testing.T) {
 	if meta.Events != 15 || meta.Lines == 0 || meta.Bytes == 0 {
 		t.Fatalf("meta = %+v, want populated", meta)
 	}
-	got, err := s.Events(meta.Digest)
+	got, err := download(s, meta.Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +129,7 @@ func TestEventsRoundTripAndStats(t *testing.T) {
 	if st := s.Stats(); st.Fetches != 1 {
 		t.Fatalf("fetches = %d, want 1", st.Fetches)
 	}
-	if _, err := s.Events("sha256:" + strings.Repeat("0", 64)); err != ErrNotFound {
+	if _, err := download(s, "sha256:"+strings.Repeat("0", 64)); err != ErrNotFound {
 		t.Fatalf("missing digest: err = %v, want ErrNotFound", err)
 	}
 }
@@ -150,7 +165,7 @@ func TestSpoolRecovery(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "put-123.tmp")); !os.IsNotExist(err) {
 		t.Fatal("leftover temp file should be deleted on recovery")
 	}
-	got, err := s2.Events(meta.Digest)
+	got, err := download(s2, meta.Digest)
 	if err != nil || len(got) != 12 {
 		t.Fatalf("recovered trace: %d events, %v", len(got), err)
 	}
@@ -167,7 +182,7 @@ func TestCapacityEviction(t *testing.T) {
 	m2, _, _ := s.PutEvents(testEvents(10, 100))
 	clock.advance(time.Second)
 	// Touch m1 so m2 is the LRU victim.
-	if _, err := s.Events(m1.Digest); err != nil {
+	if _, err := download(s, m1.Digest); err != nil {
 		t.Fatal(err)
 	}
 	clock.advance(time.Second)
@@ -263,9 +278,10 @@ func TestContextResolver(t *testing.T) {
 	}
 }
 
-// TestStoredBytesExactSize pins that an entry holds exactly the bytes the
-// capacity bound charges: no encoder buffer slack behind the slice, after
-// PutEvents, after Put and after spool recovery.
+// TestStoredBytesExactSize pins that an entry's replay events and address
+// table are exactly sized, with no slack behind either slice, after
+// PutEvents, after Put and after spool recovery, and that Bytes hands back
+// as many bytes as the capacity bound charges.
 func TestStoredBytesExactSize(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir})
@@ -280,12 +296,19 @@ func TestStoredBytesExactSize(t *testing.T) {
 	recovered := mustOpen(t, Options{Dir: dir})
 	for _, st := range []*Store{s, recovered} {
 		for _, m := range []Meta{m1, m2} {
-			data, _, err := st.Bytes(m.Digest)
-			if err != nil {
-				t.Fatal(err)
+			e := st.entries[m.Digest]
+			if e == nil {
+				t.Fatalf("%s not stored", m.Digest)
 			}
-			if int64(len(data)) != m.Bytes || cap(data) != len(data) {
-				t.Errorf("%s: len %d cap %d, want both %d", m.Digest, len(data), cap(data), m.Bytes)
+			if len(e.replay) != m.Events || cap(e.replay) != len(e.replay) {
+				t.Errorf("%s: replay len %d cap %d, want both %d", m.Digest, len(e.replay), cap(e.replay), m.Events)
+			}
+			if len(e.addrs) != m.Lines || cap(e.addrs) != len(e.addrs) {
+				t.Errorf("%s: addrs len %d cap %d, want both %d", m.Digest, len(e.addrs), cap(e.addrs), m.Lines)
+			}
+			data, _, err := st.Bytes(m.Digest)
+			if err != nil || int64(len(data)) != m.Bytes {
+				t.Errorf("%s: Bytes = %d bytes, %v; want %d", m.Digest, len(data), err, m.Bytes)
 			}
 		}
 	}
@@ -313,24 +336,27 @@ func sparseEvents(n, base int) []trace.Event {
 	return events
 }
 
-// TestReplayMemoSharedBoundedReleased pins the replay memo: the first
-// Replay decodes and densifies, later ones share that slice, and the memo
-// stands in for the canonical bytes; the memos are bounded by the store's
-// capacity, least recently used first; and a deleted trace takes its memo
-// with it.
-func TestReplayMemoSharedBoundedReleased(t *testing.T) {
-	one := encode(t, sparseEvents(40, 1))
-	// Room for the canonical bytes of two traces, and for the replay
-	// events of only one.
-	s := mustOpen(t, Options{MaxBytes: int64(len(one)) * 2})
-	m1, _, _ := s.PutEvents(sparseEvents(40, 1))
-	m2, _, _ := s.PutEvents(sparseEvents(40, 2))
-
-	first, err := s.Replay(m1.Digest)
+// TestReplaySharedAndReencoded pins the one stored form: every Replay
+// shares the densified slice built at ingest, the resolver hands out that
+// same slice, Bytes re-encodes the identical canonical bytes, and a
+// deleted trace is ErrNotFound on both routes.
+func TestReplaySharedAndReencoded(t *testing.T) {
+	events := sparseEvents(40, 1)
+	one := encode(t, events)
+	s := mustOpen(t, Options{})
+	m, _, err := s.PutEvents(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := workload.NewReplay(sparseEvents(40, 1))
+	if sum := trace.Summarize(events); m.Lines != sum.DistinctLines || m.MaxAddr != sum.MaxAddr {
+		t.Errorf("meta = %+v, want the footprint %+v", m, sum)
+	}
+
+	first, err := s.Replay(m.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := workload.NewReplay(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,44 +365,154 @@ func TestReplayMemoSharedBoundedReleased(t *testing.T) {
 			t.Fatalf("replay event %d = %+v, want the densified %+v", i, first[i], ev)
 		}
 	}
-	again, _ := s.Replay(m1.Digest)
-	if &again[0] != &first[0] {
-		t.Error("second Replay decoded again instead of sharing the memo")
+	if again, _ := s.Replay(m.Digest); &again[0] != &first[0] {
+		t.Error("second Replay did not share the stored slice")
 	}
-	// The memo stands in for the canonical bytes, which come back
-	// identical.
-	if data, _, err := s.Bytes(m1.Digest); err != nil || !bytes.Equal(data, one) {
-		t.Fatalf("Bytes after Replay = %d bytes, %v; want the %d canonical bytes", len(data), err, len(one))
+	if got, _ := ResolveFrom(WithResolver(context.Background(), s), m.Digest); &got[0] != &first[0] {
+		t.Error("the store's resolver does not hand out the stored slice")
 	}
-	if got, _ := ResolveFrom(WithResolver(context.Background(), s), m1.Digest); &got[0] != &first[0] {
-		t.Error("the store's resolver does not hand out the replay memo")
+	if data, _, err := s.Bytes(m.Digest); err != nil || !bytes.Equal(data, one) {
+		t.Fatalf("Bytes = %d bytes, %v; want the %d canonical bytes", len(data), err, len(one))
 	}
-
-	// The second trace's memo does not fit beside the first: the least
-	// recently used memo goes, its entry stays.
-	if _, err := s.Replay(m2.Digest); err != nil {
-		t.Fatal(err)
-	}
-	if s.replayBytes > s.maxBytes {
-		t.Errorf("replay memos hold %d bytes, capacity %d", s.replayBytes, s.maxBytes)
-	}
-	if _, ok := s.Stat(m1.Digest); !ok {
-		t.Fatal("releasing a memo evicted its trace")
-	}
-	if data, _, err := s.Bytes(m1.Digest); err != nil || !bytes.Equal(data, one) {
-		t.Fatalf("Bytes after the memo was released = %d bytes, %v", len(data), err)
-	}
-	if again, _ := s.Replay(m1.Digest); &again[0] == &first[0] {
-		t.Error("a released memo was still shared")
+	if st := s.Stats(); st.Fetches != 4 {
+		t.Errorf("fetches = %d, want 4 (three Replays and one Bytes)", st.Fetches)
 	}
 
-	// Deleting a trace releases its memo.
-	s.Delete(m1.Digest)
-	s.Delete(m2.Digest)
-	if s.replayBytes != 0 {
-		t.Errorf("replay memos hold %d bytes after every trace was deleted", s.replayBytes)
-	}
-	if _, err := s.Replay(m1.Digest); err != ErrNotFound {
+	s.Delete(m.Digest)
+	if _, err := s.Replay(m.Digest); err != ErrNotFound {
 		t.Errorf("Replay of a deleted trace: %v, want ErrNotFound", err)
+	}
+	if _, _, err := s.Bytes(m.Digest); err != ErrNotFound {
+		t.Errorf("Bytes of a deleted trace: %v, want ErrNotFound", err)
+	}
+}
+
+// heldBytes is what the store's entries hold: replay events and address
+// tables. Callers hold s.mu.
+func (s *Store) heldBytes() int64 {
+	var n int64
+	for _, e := range s.entries {
+		n += int64(cap(e.replay))*int64(unsafe.Sizeof(trace.Event{})) + int64(cap(e.addrs))*int64(unsafe.Sizeof(0))
+	}
+	return n
+}
+
+// soakTrace draws one random trace. Half are the store's worst case for
+// held memory against canonical bytes: every event a new line with a
+// one-byte address.
+func soakTrace(r *rand.Rand) []trace.Event {
+	events := make([]trace.Event, 8+r.IntN(120))
+	dense := r.IntN(2) == 0
+	for i := range events {
+		if dense {
+			events[i].Addr = i
+		} else {
+			events[i].Addr = r.IntN(1 << 24)
+		}
+		for j := range events[i].Data {
+			events[i].Data[j] = byte(r.Uint32())
+		}
+	}
+	return events
+}
+
+// TestTraceStoreBoundedSoak runs thousands of Put/Replay/Bytes/Delete
+// operations over distinct traces in a store with room for a few, and
+// after every one checks the bounds: canonical bytes within MaxBytes, held
+// replay events and address tables within 1.25× MaxBytes, and the entry
+// map and the LRU list in step. A second goroutine replays and downloads
+// the traces put so far throughout, as concurrent jobs and fetches do.
+func TestTraceStoreBoundedSoak(t *testing.T) {
+	const maxBytes = 4 * 65 * 128
+	s := mustOpen(t, Options{MaxBytes: maxBytes})
+	r := rand.New(rand.NewPCG(1, 2))
+
+	put := make(chan string, 1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var digest string
+		for {
+			select {
+			case <-stop:
+				return
+			case digest = <-put:
+			default:
+			}
+			if _, err := s.Replay(digest); err != nil && err != ErrNotFound {
+				t.Errorf("concurrent Replay: %v", err)
+			}
+			if _, _, err := s.Bytes(digest); err != nil && err != ErrNotFound {
+				t.Errorf("concurrent Bytes: %v", err)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	var digests []string
+	for op := 0; op < 4000; op++ {
+		// Mostly the latest traces, so operations hit the store as well
+		// as miss it.
+		var digest string
+		if len(digests) > 0 {
+			digest = digests[len(digests)-1-r.IntN(min(len(digests), 8))]
+		}
+		switch k := r.IntN(10); {
+		case k < 4 || digest == "":
+			events := soakTrace(r)
+			var m Meta
+			var err error
+			if k%2 == 0 {
+				m, _, err = s.PutEvents(events)
+			} else {
+				m, _, err = s.Put(bytes.NewReader(encode(t, events)))
+			}
+			if err != nil {
+				t.Fatalf("op %d: put: %v", op, err)
+			}
+			digests = append(digests, m.Digest)
+			select {
+			case put <- m.Digest:
+			default:
+			}
+		case k < 7:
+			if _, err := s.Replay(digest); err != nil && err != ErrNotFound {
+				t.Fatalf("op %d: Replay: %v", op, err)
+			}
+		case k < 9:
+			data, m, err := s.Bytes(digest)
+			if err == nil {
+				sum := sha256.Sum256(data)
+				if got := DigestPrefix + hex.EncodeToString(sum[:]); got != digest || int64(len(data)) != m.Bytes {
+					t.Fatalf("op %d: Bytes of %s re-encoded %d bytes hashing to %s", op, digest, len(data), got)
+				}
+			} else if err != ErrNotFound {
+				t.Fatalf("op %d: Bytes: %v", op, err)
+			}
+		default:
+			s.Delete(digest)
+		}
+
+		st := s.Stats()
+		s.mu.Lock()
+		held, entries, listed := s.heldBytes(), len(s.entries), s.order.Len()
+		s.mu.Unlock()
+		if st.StoredBytes > maxBytes {
+			t.Fatalf("op %d: %d canonical bytes stored, bound %d", op, st.StoredBytes, maxBytes)
+		}
+		if 4*held > 5*maxBytes {
+			t.Fatalf("op %d: %d bytes held, over 1.25x the %d bound", op, held, maxBytes)
+		}
+		if entries != listed {
+			t.Fatalf("op %d: %d entries but %d in the LRU list", op, entries, listed)
+		}
+	}
+	if st := s.Stats(); st.Evictions == 0 {
+		t.Fatal("the soak never filled the store")
 	}
 }

@@ -6,9 +6,12 @@
 #
 # e.g. scripts/ab.sh HEAD~1 fig10-quick 10 25 101
 #
-# <rev> is exported with git archive into a temporary directory (TMPDIR
-# decides where), so the repository gains no worktree record and the
-# working tree is never touched. Pair i (from 0) runs
+# Both sides run from sibling copies in one temporary directory (TMPDIR
+# decides where), so neither gains from where it is built and run from:
+# <rev> is exported with git archive, and the working tree's tracked files
+# plus its untracked files that are not ignored are copied as they stand.
+# The repository gains no worktree record and the working tree is never
+# touched. Pair i (from 0) runs
 #
 #   bash pcmbench/run.sh --workload W --seed <first-seed+i> --seconds T --trace 0
 #
@@ -35,15 +38,17 @@ bench="$root/BENCHMARK.json"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-mkdir "$work/base"
+mkdir "$work/base" "$work/change"
 git -C "$root" archive "$(git -C "$root" rev-parse --verify "$rev^{commit}")" | tar -x -C "$work/base"
+# Files deleted in the working tree are still listed; tar skips them.
+git -C "$root" ls-files -z --cached --others --exclude-standard |
+  (cd "$root" && tar --null --ignore-failed-read -T - -cf - 2>/dev/null) | tar -x -C "$work/change"
 echo "base $(git -C "$root" rev-parse --short "$rev") vs change $root (working tree); $workload, $pairs pairs x ${seconds}s, seeds $seed0..$((seed0 + pairs - 1))"
 
 # run <side> <pair> <seed>: one benchmark run, its JSON line kept.
 run() {
-  local side=$1 pair=$2 seed=$3 dir
-  if [ "$side" = base ]; then dir="$work/base"; else dir="$root"; fi
-  (cd "$dir" && CARGO_TARGET_DIR="$work/build-$side" \
+  local side=$1 pair=$2 seed=$3
+  (cd "$work/$side" && CARGO_TARGET_DIR="$work/build-$side" \
     bash pcmbench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
     | tail -n 1 >"$work/$side-$pair.json"
   echo "pair $pair seed $seed $side: $(jq -c '{failed} + (.metrics | map_values(.value))' "$work/$side-$pair.json")"
