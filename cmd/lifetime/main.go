@@ -104,12 +104,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	var baseline lifetime.Result
+	var memo lifetime.Memo // the systems share the trace's compression
 	for i, sys := range systems {
 		ctrl, err := sys.spec.ControllerConfig(scale.Substrate(*seed))
 		if err != nil {
 			return err
 		}
 		cfg := lifetime.DefaultConfig(ctrl)
+		cfg.Memo = &memo
 		res, err := lifetime.RunContext(ctx, cfg, events)
 		interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 		if err != nil && !interrupted {

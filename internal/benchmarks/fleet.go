@@ -34,8 +34,8 @@ func fleetSweepBody(seedStart uint64) string {
 
 // FleetSweeps measures one distributed sweep end to end on a peerless
 // pcmd: POST /v1/sweeps, the coordinator fanning four seed shards out to
-// the in-process loopback backend (server.ExecuteLocal), and polling
-// GET /v1/sweeps/{id} until the merged result lands. ns/op is the
+// the in-process loopback backend (server.ExecuteLocal), and following
+// the sweep's event stream until the merged result lands. ns/op is the
 // service-level latency of a whole sweep; its reciprocal is the
 // sweeps/sec the fleet benchmark gates in BENCH_pipeline.json.
 func FleetSweeps(b *testing.B) {
@@ -77,31 +77,37 @@ func submitFleetSweep(b *testing.B, srv *server.Server, body string) string {
 	return doc.ID
 }
 
-// awaitFleetSweep polls the sweep until it is terminal, sleeping briefly
-// between polls so the workers own the CPU.
+// awaitFleetSweep follows the sweep's event stream (GET
+// /v1/sweeps/{id}/events as SSE) until its terminal event, the one wait
+// path every client uses. The handler writes into a recorder, so the
+// request returns once the stream ends; a stream that ends without a
+// terminal event (a dropped-events notice) is resumed after its last
+// frame.
 func awaitFleetSweep(b *testing.B, srv *server.Server, id string) {
 	b.Helper()
-	deadline := time.Now().Add(time.Minute)
-	for {
-		req := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+id, nil)
+	last := ""
+	for resumes := 0; resumes < 100; resumes++ {
+		req := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+id+"/events", nil)
+		req.Header.Set("Accept", "text/event-stream")
+		if last != "" {
+			req.Header.Set("Last-Event-ID", last)
+		}
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			b.Fatalf("poll sweep %s: %d %s", id, rec.Code, rec.Body.String())
+			b.Fatalf("follow sweep %s: %d %s", id, rec.Code, rec.Body.String())
 		}
-		var doc server.SweepStatus
-		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-			b.Fatal(err)
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "id: "); ok {
+				last = v
+			}
+			switch line {
+			case "event: done":
+				return
+			case "event: failed", "event: canceled":
+				b.Fatalf("sweep %s finished %s", id, strings.TrimPrefix(line, "event: "))
+			}
 		}
-		switch doc.State {
-		case server.StateDone:
-			return
-		case server.StateFailed, server.StateCanceled:
-			b.Fatalf("sweep %s finished %s: %s", id, doc.State, doc.Error)
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("sweep %s stuck in %s (%d/%d shards)", id, doc.State, doc.ShardsDone, doc.ShardsTotal)
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
+	b.Fatalf("sweep %s: its event stream never reached a terminal event", id)
 }

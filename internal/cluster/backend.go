@@ -50,11 +50,14 @@ func (l *Loopback) RunJob(ctx context.Context, kind string, params json.RawMessa
 
 func (l *Loopback) Check(context.Context) error { return nil }
 
-// HTTPBackend runs shards on a remote pcmd daemon: submit, wait on the
-// job's event stream (so a shard completes the moment its terminal event
-// arrives), and — when the shard's context is canceled (hedge lost, sweep
-// canceled) — a best-effort DELETE /v1/jobs/{id} so the remote worker is
-// freed instead of burning CPU on a result nobody wants.
+// HTTPBackend runs shards on a remote pcmd daemon: submit as a shard, wait
+// on the job's event stream (so a shard completes the moment its terminal
+// event arrives), then a best-effort DELETE /v1/jobs/{id}. On a finished
+// shard the DELETE releases the job: the coordinator merges from the
+// result it holds, so the peer drops the document and keeps only the
+// result in its bounded result cache. When the shard's context is
+// canceled (hedge lost, sweep canceled), the same DELETE frees the remote
+// worker instead of letting it burn CPU on a result nobody wants.
 type HTTPBackend struct {
 	// Client is the underlying pcmd client; callers may tune its retry
 	// knobs before the first RunJob.
@@ -64,7 +67,9 @@ type HTTPBackend struct {
 
 // NewHTTPBackend builds a backend for the pcmd daemon at baseURL.
 func NewHTTPBackend(baseURL string) *HTTPBackend {
-	return &HTTPBackend{Client: pcmclient.New(baseURL), name: baseURL}
+	c := pcmclient.New(baseURL)
+	c.Shard = true
+	return &HTTPBackend{Client: c, name: baseURL}
 }
 
 func (h *HTTPBackend) Name() string { return h.name }
@@ -89,18 +94,19 @@ func (h *HTTPBackend) RunJob(ctx context.Context, kind string, params json.RawMe
 			// canceled); release the remote job under a fresh context (ours
 			// is already dead). Watch returns a nil job on a canceled
 			// stream, so the DELETE targets the ID captured at submission.
-			h.cancelJob(id)
+			h.deleteJob(id)
 		}
 		return nil, fmt.Errorf("backend %s: %w", h.name, err)
 	}
+	h.deleteJob(id) // finished: release it
 	if j.State != pcmclient.StateDone {
 		return nil, fmt.Errorf("backend %s: %w", h.name, &pcmclient.JobFailed{Job: *j})
 	}
 	return j.Result, nil
 }
 
-// cancelJob best-effort-DELETEs an abandoned job.
-func (h *HTTPBackend) cancelJob(id string) {
+// deleteJob best-effort-DELETEs an abandoned or finished job.
+func (h *HTTPBackend) deleteJob(id string) {
 	if id == "" {
 		return
 	}

@@ -53,6 +53,10 @@ func NewDict(values []uint32) (*Dict, error) {
 // Size returns the dictionary's entry count.
 func (d *Dict) Size() int { return len(d.values) }
 
+// String lists the dictionary's values in index order: two dictionaries
+// with equal strings compress every line identically.
+func (d *Dict) String() string { return fmt.Sprintf("fvc%x", d.values) }
+
 // CompressedBits returns the exact compressed size of the line in bits.
 func (d *Dict) CompressedBits(b *block.Block) int {
 	n := 0

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"pcmcomp/internal/block"
 	"pcmcomp/internal/compress"
 	"pcmcomp/internal/ecc"
@@ -50,6 +52,21 @@ func (c *Controller) Compress(data *block.Block) (compress.Result, bool) {
 		return compress.Result{}, false
 	}
 	return c.comp.Compress(data), true
+}
+
+// Codec names the controller's compression configuration, and is false
+// when the controller stores every write raw. Controllers with equal
+// codec names compress every block identically, so they may share
+// memoized Compress results.
+func (c *Controller) Codec() (string, bool) {
+	if !c.cfg.UseCompression {
+		return "", false
+	}
+	name := fmt.Sprintf("bdi=%t,fpc=%t", !c.cfg.DisableBDI, !c.cfg.DisableFPC)
+	if c.cfg.FVC != nil {
+		name += "," + c.cfg.FVC.String()
+	}
+	return name, true
 }
 
 // WriteCompressed is Write with the demand write's compression supplied by

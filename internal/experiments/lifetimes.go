@@ -92,7 +92,8 @@ func (r appRuns) normalized() []float64 {
 // workers:
 //
 //   - an app's trace is generated once, by its Baseline run, and dropped
-//     after its last run;
+//     after its last run, together with the lifetime.Memo through which
+//     its variants share the trace's compression;
 //   - a Baseline's success makes the app's variants ready, and a free
 //     slot takes a ready variant, the highest variant index first (the
 //     longest-lived system), before it starts the next app's Baseline.
@@ -107,6 +108,7 @@ func (o LifetimeOptions) lifetimeRuns(apps []string, variants []variant) ([]appR
 	perApp := 1 + len(variants)
 	errs := make([]error, len(apps)*perApp) // [app*perApp + run], run 0 the Baseline
 	events := make([][]trace.Event, len(apps))
+	memos := make([]*lifetime.Memo, len(apps))
 	left := make([]int, len(apps))         // variant runs of each app not yet finished
 	capWrites := make([]uint64, len(apps)) // each app's variant cap
 
@@ -136,7 +138,9 @@ func (o LifetimeOptions) lifetimeRuns(apps []string, variants []variant) ([]appR
 	// variants reaches them through the finished channel.
 	exec := func(r run) error {
 		if r.v >= 0 {
-			res, err := lifetime.Run(o.runConfig(variants[r.v], capWrites[r.app]), events[r.app])
+			cfg := o.runConfig(variants[r.v], capWrites[r.app])
+			cfg.Memo = memos[r.app]
+			res, err := lifetime.Run(cfg, events[r.app])
 			out[r.app].runs[r.v] = res
 			return err
 		}
@@ -154,7 +158,7 @@ func (o LifetimeOptions) lifetimeRuns(apps []string, variants []variant) ([]appR
 		if c == 0 || (o.MaxDemandWrites > 0 && o.MaxDemandWrites < c) {
 			c = o.MaxDemandWrites
 		}
-		events[r.app], capWrites[r.app] = ev, c
+		events[r.app], memos[r.app], capWrites[r.app] = ev, &lifetime.Memo{}, c
 		out[r.app] = appRuns{app: apps[r.app], prof: prof, base: base, runs: make([]lifetime.Result, len(variants))}
 		return nil
 	}
@@ -195,7 +199,7 @@ func (o LifetimeOptions) lifetimeRuns(apps []string, variants []variant) ([]appR
 			}
 		}
 		if left[d.r.app] == 0 {
-			events[d.r.app] = nil // the app's last run is done
+			events[d.r.app], memos[d.r.app] = nil, nil // the app's last run is done
 		}
 	}
 	for _, err := range errs {

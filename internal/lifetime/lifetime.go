@@ -21,6 +21,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"pcmcomp/internal/block"
 	"pcmcomp/internal/compress"
@@ -45,6 +47,9 @@ type Config struct {
 	// more when the run stops. It runs on the simulation goroutine, so it
 	// must be cheap — an atomic store, not a lock.
 	OnProgress func(demandWrites uint64)
+	// Memo, when non-nil, shares the trace's compression with the other
+	// runs over the same trace (see Memo); nil keeps it to this run.
+	Memo *Memo
 }
 
 // DefaultConfig returns a lifetime configuration for the given system on a
@@ -134,12 +139,15 @@ func RunContext(ctx context.Context, cfg Config, events []trace.Event) (Result, 
 		}
 	}
 
+	rp, err := newReplayer(cfg.Memo, ctrl, events)
+	if err != nil {
+		return Result{}, err
+	}
 	var res Result
-	memo := compressedTrace{bypass: len(events) > maxMemoEvents}
 	for {
 		res.Replays++
 		for i := range events {
-			memo.write(ctrl, i, events[i].Addr%logical, &events[i].Data)
+			rp.write(ctrl, events, i, events[i].Addr%logical)
 			res.DemandWrites++
 			if res.DemandWrites%uint64(checkEvery) == 0 {
 				if cfg.OnProgress != nil {
@@ -163,25 +171,81 @@ func RunContext(ctx context.Context, cfg Config, events []trace.Event) (Result, 
 	}
 }
 
-// compressedTrace memoizes a controller's compression of each trace event
-// across replays. Compression is a pure function of the block and the
-// controller's codec configuration, so the result computed on the first
-// pass is exactly what every later pass would recompute; feeding it back
-// through Controller.WriteCompressed keeps the run bit-identical to one
-// that calls Write throughout. The memo fills lazily, in trace order, so a
-// run capped below one pass compresses only the events it writes, and it
-// holds at most one payload byte per trace data byte. It lives for one
-// run: a cache shared across runs would need its own bound and eviction.
+// Memo shares the compression of one trace among the lifetime runs that
+// replay it. Compression is a pure function of the block and the
+// controller's codec configuration (core.Controller.Codec), so runs whose
+// controllers share a codec would each compute the same result for every
+// event: a Memo keeps it once per codec, filled by whichever run first
+// reaches an event and read by the rest, concurrent runs included. Its
+// zero value is ready to use.
+//
+// A Memo belongs to one trace, and whoever holds the trace holds its
+// Memo and drops both together: the trace store's entry for a digest, an
+// experiment's generated trace, a job's trace. Every run given a Memo
+// must replay that same trace.
+type Memo struct {
+	mu     sync.Mutex
+	traces []*compressedTrace
+}
+
+// maxMemoCodecs bounds the codecs one Memo keeps. A run whose codec finds
+// the Memo full compresses into a private memo, as a run without a Memo
+// does. A sweep's schemes mostly share the paper's BDI+FPC codec, and
+// every codec costs at most 8 bytes per event plus one payload byte per
+// trace data byte, so a Memo holds at most 144 bytes per event.
+const maxMemoCodecs = 2
+
+// forCodec returns the compressed trace of n events for codec, creating
+// it when the Memo has room. A nil Memo, or a full one, yields a private
+// compressedTrace.
+func (m *Memo) forCodec(codec string, n int) (*compressedTrace, error) {
+	if m == nil {
+		return newCompressedTrace(codec, n), nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, ct := range m.traces {
+		if ct.codec == codec {
+			if ct.n != n {
+				return nil, fmt.Errorf("lifetime: memo holds a trace of %d events, the run replays %d", ct.n, n)
+			}
+			return ct, nil
+		}
+	}
+	ct := newCompressedTrace(codec, n)
+	if len(m.traces) < maxMemoCodecs {
+		m.traces = append(m.traces, ct)
+	}
+	return ct, nil
+}
+
+// compressedTrace is one codec's compression of each event of a trace.
+// Feeding a memoized result back through Controller.WriteCompressed keeps
+// a run bit-identical to one that calls Write throughout. It fills lazily,
+// in trace order and a chunk at a time, so a run capped below one pass
+// compresses little more than the events it writes, and it holds at most
+// one payload byte per trace data byte: an event stored raw keeps none.
+//
+// Filling is serialized by mu. Each fill publishes a new memoFill that
+// extends the previous one; a reader keeps the snapshot it loaded and
+// reads only below its length, which no later fill rewrites.
 type compressedTrace struct {
-	// bypass routes every write through Controller.Write: the controller
-	// stores writes uncompressed, or the trace is too long for 32-bit
-	// arena offsets.
-	bypass bool
-	// events[i] is event i's encoding and the end of its payload in arena
-	// (the payload starts where event i-1's ends).
+	codec string
+	n     int // the trace length
+	mu    sync.Mutex
+	fill  atomic.Pointer[memoFill]
+}
+
+// memoFill is a compressedTrace's filled prefix: events[i] is event i's
+// encoding and the end of its payload in arena (the payload starts where
+// event i-1's ends).
+type memoFill struct {
 	events []memoEvent
 	arena  []byte
 }
+
+// memoChunk is how many events one fill compresses ahead.
+const memoChunk = 256
 
 // maxMemoEvents bounds the memoized trace length so that every payload
 // offset fits a uint32.
@@ -192,30 +256,75 @@ type memoEvent struct {
 	enc compress.Encoding
 }
 
-// write replays trace event i (data, folded onto logical address addr)
-// through ctrl, compressing and memoizing it on its first replay. Events
-// must first arrive in trace order, as the replay loop delivers them.
-func (m *compressedTrace) write(ctrl *core.Controller, i, addr int, data *block.Block) {
-	if m.bypass {
+func newCompressedTrace(codec string, n int) *compressedTrace {
+	ct := &compressedTrace{codec: codec, n: n}
+	ct.fill.Store(&memoFill{events: make([]memoEvent, 0, n)})
+	return ct
+}
+
+// extend returns a fill covering event i, compressing with ctrl (whose
+// codec is ct's) the events no run has reached yet.
+func (ct *compressedTrace) extend(ctrl *core.Controller, events []trace.Event, i int) *memoFill {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	f := ct.fill.Load()
+	if i < len(f.events) {
+		return f // another run got there first
+	}
+	next := &memoFill{events: f.events, arena: f.arena}
+	for j := len(f.events); j < min(i+memoChunk, ct.n); j++ {
+		res, _ := ctrl.Compress(&events[j].Data)
+		if res.Encoding != compress.EncUncompressed {
+			next.arena = append(next.arena, res.Data...)
+		}
+		next.events = append(next.events, memoEvent{end: uint32(len(next.arena)), enc: res.Encoding})
+	}
+	ct.fill.Store(next)
+	return next
+}
+
+// replayer is one run's reader of a compressedTrace.
+type replayer struct {
+	ct   *compressedTrace // nil: every write goes through Controller.Write
+	fill *memoFill        // the latest fill this run has seen
+}
+
+// newReplayer returns ctrl's reader of the trace's memo in m (nil for
+// none). A controller that does not compress, or a trace too long for
+// 32-bit payload offsets, writes through Controller.Write.
+func newReplayer(m *Memo, ctrl *core.Controller, events []trace.Event) (replayer, error) {
+	codec, ok := ctrl.Codec()
+	if !ok || len(events) > maxMemoEvents {
+		return replayer{}, nil
+	}
+	ct, err := m.forCodec(codec, len(events))
+	if err != nil {
+		return replayer{}, err
+	}
+	return replayer{ct: ct, fill: ct.fill.Load()}, nil
+}
+
+// write replays trace event i (folded onto logical address addr) through
+// ctrl with its memoized compression.
+func (r *replayer) write(ctrl *core.Controller, events []trace.Event, i, addr int) {
+	data := &events[i].Data
+	if r.ct == nil {
 		ctrl.Write(addr, data)
 		return
 	}
-	if i == len(m.events) {
-		res, ok := ctrl.Compress(data)
-		if !ok {
-			m.bypass = true
-			ctrl.Write(addr, data)
-			return
-		}
-		m.arena = append(m.arena, res.Data...)
-		m.events = append(m.events, memoEvent{end: uint32(len(m.arena)), enc: res.Encoding})
+	if i >= len(r.fill.events) {
+		r.fill = r.ct.extend(ctrl, events, i)
 	}
 	var start uint32
 	if i > 0 {
-		start = m.events[i-1].end
+		start = r.fill.events[i-1].end
 	}
-	ev := m.events[i]
-	ctrl.WriteCompressed(addr, data, compress.Result{Encoding: ev.enc, Data: m.arena[start:ev.end]})
+	ev := r.fill.events[i]
+	payload := r.fill.arena[start:ev.end]
+	if ev.enc == compress.EncUncompressed {
+		payload = data[:]
+	}
+	ctrl.WriteCompressed(addr, data, compress.Result{Encoding: ev.enc, Data: payload})
 }
 
 // TimeModel converts simulated demand-write counts into wall-clock

@@ -3,6 +3,7 @@ package lifetime
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"pcmcomp/internal/core"
@@ -160,17 +161,111 @@ func TestReplayAfterFirstPassAllocs(t *testing.T) {
 		}
 	}
 
-	var memo compressedTrace
+	rp, err := newReplayer(nil, ctrl, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pass := func() {
 		for i := range tr {
-			memo.write(ctrl, i, tr[i].Addr%logical, &tr[i].Data)
+			rp.write(ctrl, tr, i, tr[i].Addr%logical)
 		}
 	}
 	pass()
-	if len(memo.events) != len(tr) {
-		t.Fatalf("first pass memoized %d of %d events", len(memo.events), len(tr))
+	if n := len(rp.fill.events); n != len(tr) {
+		t.Fatalf("first pass memoized %d of %d events", n, len(tr))
 	}
 	if allocs := testing.AllocsPerRun(3, pass); allocs != 0 {
 		t.Fatalf("replay after the first pass allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestSharedMemoConcurrentRunsMatch pins the shared memo: schemes run
+// concurrently over one trace through one Memo must each return exactly
+// the Result of the same run alone, with no Memo. Three of the four
+// schemes share the BDI+FPC codec and so fill one compressed trace
+// together; the FVC scheme fills a second. Capped below one pass, the
+// runs stop mid-fill and must still match.
+func TestSharedMemoConcurrentRunsMatch(t *testing.T) {
+	tr := append(makeTrace(t, "lbm", 128, 700), makeTrace(t, "milc", 128, 700)...)
+	specs := []string{
+		"comp+wf", "comp",
+		"comp=bdi+fpc,enc=coset4,wl=startgap+intraline,res=on",
+		"comp=bdi+fpc+fvc,wl=startgap",
+	}
+	for _, capped := range []bool{false, true} {
+		cfgs := make([]Config, len(specs))
+		for i, spec := range specs {
+			sp, err := scheme.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrlCfg, err := sp.ControllerConfig(smallSubstrate(300))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrlCfg.StartGapPsi = 20
+			cfgs[i] = DefaultConfig(ctrlCfg)
+			cfgs[i].CheckEvery = 64
+			if capped {
+				cfgs[i].MaxDemandWrites = uint64(len(tr) / 3)
+			}
+		}
+		memo := &Memo{}
+		got := make([]Result, len(specs))
+		errs := make([]error, len(specs))
+		var wg sync.WaitGroup
+		for i := range cfgs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				cfg := cfgs[i]
+				cfg.Memo = memo
+				got[i], errs[i] = Run(cfg, tr)
+			}(i)
+		}
+		wg.Wait()
+		for i, cfg := range cfgs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			want, err := Run(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := diffBits("Result", reflect.ValueOf(got[i]), reflect.ValueOf(want)); d != "" {
+				t.Fatalf("capped=%v %s: shared-memo run differs at %s:\n got %+v\nwant %+v", capped, specs[i], d, got[i], want)
+			}
+			if capped && got[i].Replays != 1 {
+				t.Fatalf("capped run of %s replayed %d passes", specs[i], got[i].Replays)
+			}
+		}
+		if len(memo.traces) != 2 {
+			t.Fatalf("capped=%v: memo holds %d codecs, want 2", capped, len(memo.traces))
+		}
+		for _, ct := range memo.traces {
+			n := len(ct.fill.Load().events)
+			if capped && n >= len(tr) {
+				t.Fatalf("a run capped at %d writes filled all %d events", len(tr)/3, n)
+			}
+			if !capped && n != len(tr) {
+				t.Fatalf("memo filled %d of %d events", n, len(tr))
+			}
+		}
+	}
+}
+
+// TestMemoRefusesAnotherTrace checks that a Memo filled for one trace
+// refuses a run over a trace of another length instead of replaying the
+// wrong compression.
+func TestMemoRefusesAnotherTrace(t *testing.T) {
+	tr := makeTrace(t, "milc", 128, 300)
+	cfg := DefaultConfig(core.DefaultConfig(core.CompWF, smallSubstrate(300)))
+	cfg.MaxDemandWrites = 100
+	cfg.Memo = &Memo{}
+	if _, err := Run(cfg, tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(cfg, tr[:200]); err == nil {
+		t.Fatal("a memo of a 300-event trace replayed a 200-event one")
 	}
 }

@@ -20,6 +20,11 @@
 // Wear state costs 8·k·8 bytes per line — 576 B at quick scale (k = 9),
 // about 1.5 KB at the paper's 10⁷ endurance (k = 24) — against the 2 KB
 // of one uint32 per cell.
+//
+// A fresh line's budgets depend only on the memory's Config and the line's
+// address, so every Memory on one Config starts from the same lines. The
+// process keeps those initial states once per Config, within a byte bound,
+// and a Memory copies a line out of them on its first touch.
 package pcm
 
 import (
@@ -235,12 +240,20 @@ func (l *Line) WriteWindow(newData *block.Block, startByte, lengthBytes int, res
 	}
 }
 
-// Memory is a lazily materialized array of lines. Lines are allocated (and
-// their cell endurances sampled) on first touch, so simulating a trace that
-// touches a fraction of a large memory stays cheap.
+// Memory is a lazily materialized array of lines. A line is allocated on
+// first touch, so simulating a trace that touches a fraction of a large
+// memory stays cheap. Its cells' endurances come from the process-wide
+// substrate of the memory's Config: built once, on the first touch of any
+// Memory with that Config, and copied out line by line. A Config too large
+// to keep samples each line as it is touched instead; either way a line's
+// population depends only on (Config, address).
 type Memory struct {
 	cfg   Config
 	lines []*Line
+	// sub is cfg's substrate, looked up on the first touch (looked); nil
+	// when it does not fit the process-wide bound.
+	sub    *substrate
+	looked bool
 }
 
 // New creates a Memory. It panics on invalid geometry (programmer error).
@@ -274,8 +287,16 @@ func (m *Memory) Line(addr int) *Line {
 func (m *Memory) Peek(addr int) *Line { return m.lines[addr] }
 
 func (m *Memory) materialize(addr int) *Line {
-	b := m.budgets(addr)
-	l := newLine(&b)
+	if !m.looked {
+		m.sub, m.looked = substrates.get(m.cfg), true
+	}
+	var l *Line
+	if m.sub != nil {
+		l = m.sub.line(addr)
+	} else {
+		b := m.cfg.budgets(addr)
+		l = newLine(&b)
+	}
 	m.lines[addr] = l
 	return l
 }
@@ -283,11 +304,11 @@ func (m *Memory) materialize(addr int) *Line {
 // budgets samples the write budget of every cell of the line at addr. Each
 // line's population derives deterministically from (seed, addr),
 // independent of touch order.
-func (m *Memory) budgets(addr int) [block.Bits]uint32 {
-	r := rng.New(m.cfg.Seed ^ uint64(addr)*0x9e3779b97f4a7c15 + 0x1234_5678)
+func (cfg Config) budgets(addr int) [block.Bits]uint32 {
+	r := rng.New(cfg.Seed ^ uint64(addr)*0x9e3779b97f4a7c15 + 0x1234_5678)
 	var b [block.Bits]uint32
 	for i := range b {
-		b[i] = m.cfg.Endurance.sample(r)
+		b[i] = cfg.Endurance.sample(r)
 	}
 	return b
 }
@@ -295,17 +316,29 @@ func (m *Memory) budgets(addr int) [block.Bits]uint32 {
 // newLine builds a blank line whose cells have the given write budgets
 // (each >= 1).
 func newLine(budget *[block.Bits]uint32) *Line {
+	k := planeCount(budget)
+	l := &Line{k: k, wear: make([]uint64, block.Bits/64*k)}
+	putPlanes(l.wear, budget, k)
+	return l
+}
+
+// planeCount returns k for the given budgets: the bit length of the
+// largest budget−1.
+func planeCount(budget *[block.Bits]uint32) int {
 	var all uint32
 	for _, v := range budget {
 		all |= v - 1
 	}
-	k := bits.Len32(all) // the bit length of the largest budget−1
-	l := &Line{k: k, wear: make([]uint64, block.Bits/64*k)}
+	return bits.Len32(all)
+}
+
+// putPlanes fills wear (8·k words, word-major as in Line) with the k
+// bit-planes of the budgets.
+func putPlanes(wear []uint64, budget *[block.Bits]uint32, k int) {
 	for w := 0; w < block.Bits/64; w++ {
 		planes := transposeCells(budget[w*64 : w*64+64])
-		copy(l.wear[w*k:(w+1)*k], planes[:k])
+		copy(wear[w*k:(w+1)*k], planes[:k])
 	}
-	return l
 }
 
 // transposeCells returns the bit-planes of 64 cells' remaining−1: bit b of

@@ -158,7 +158,7 @@ func TestSampledWearPlanesMatchReferenceModel(t *testing.T) {
 		cfg.Endurance = e
 		m := New(cfg)
 		for addr := 0; addr < 4; addr++ {
-			h := newWearHarness(t, m.Line(addr), m.budgets(addr))
+			h := newWearHarness(t, m.Line(addr), m.cfg.budgets(addr))
 			h.drive(rng.New(uint64(addr)+1), 200)
 		}
 	}
@@ -191,7 +191,7 @@ func FuzzLineWriteWindow(f *testing.F) {
 		cfg.Endurance.CoV = float64(cov%4) * 0.1
 		cfg.Seed = seed
 		m := New(cfg)
-		h := newWearHarness(t, m.Line(3), m.budgets(3))
+		h := newWearHarness(t, m.Line(3), m.cfg.budgets(3))
 		r := rng.New(seed)
 		for i := 0; i+1 < len(ops); i += 2 {
 			var d block.Block

@@ -138,6 +138,11 @@ type Client struct {
 	// coordinator dispatching sweep shards advertises its own base URL here
 	// so the backend can fetch trace digests it has never seen.
 	TraceSource string
+	// Shard, when set, marks every job the client submits as a sweep shard
+	// (X-Sweep-Shard): the submitter owns the finished job and releases it
+	// with a DELETE once it has the result, so the backend does not keep
+	// its document.
+	Shard bool
 	// Logger, when set, narrates the client's retry machinery — each
 	// backoff sleep with its attempt, delay, and cause — plus submissions
 	// and cancellations. Nil stays silent (the default): the retries that
@@ -262,6 +267,9 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, con
 		}
 		if c.TraceSource != "" {
 			req.Header.Set("X-Trace-Source", c.TraceSource)
+		}
+		if c.Shard {
+			req.Header.Set("X-Sweep-Shard", "1")
 		}
 		// Propagate the caller's trace so the server's spans join it.
 		obs.Inject(ctx, req)
@@ -388,7 +396,9 @@ func (c *Client) Poll(ctx context.Context, id string) (*Job, error) {
 // Cancel requests cancellation of a queued or running job and returns the
 // job document as of the request. A queued job is canceled synchronously;
 // a running job transitions within one of the server's context-poll
-// intervals — use Watch to observe the final state.
+// intervals — use Watch to observe the final state. On a finished job it
+// fails with a 409, unless the job is a shard this client submitted with
+// Shard set: then the server drops the job's document and returns it.
 func (c *Client) Cancel(ctx context.Context, id string) (*Job, error) {
 	c.logger().Info("pcmclient: canceling job", "job_id", id)
 	var j Job

@@ -135,7 +135,8 @@ func (s *Server) cached(key string) (json.RawMessage, bool) {
 
 // addJob records one validated submission and applies the request's
 // propagation headers. A coordinator that dispatched a trace-driven shard
-// names where to fetch the data trace if the local store lacks it; a
+// names where to fetch the data trace if the local store lacks it, and
+// marks every shard so that it may release the job once finished; a
 // submitter that propagated a trace (a coordinator's dispatch span, a
 // client's own span) has the job's execution join it instead of rooting
 // its own. A trace-driven job shares the trace store's digest string.
@@ -147,6 +148,9 @@ func (s *Server) addJob(r *http.Request, kind Kind, p params, key string, tn *te
 	j := s.store.add(kind, p, key, tn, now)
 	if src := r.Header.Get("X-Trace-Source"); src != "" && j.TraceDigest != "" {
 		s.store.setTraceSource(j, src)
+	}
+	if r.Header.Get("X-Sweep-Shard") != "" {
+		s.store.markShard(j)
 	}
 	if rp := obs.RemoteParent(r.Context()); rp.TraceID != "" {
 		s.store.adoptTrace(j, rp)

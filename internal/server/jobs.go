@@ -243,8 +243,13 @@ type Job struct {
 	State    State  `json:"state"`
 	CacheKey string `json:"cache_key"`
 	CacheHit bool   `json:"cache_hit"`
+	// shard marks a job a coordinator submitted as a sweep shard
+	// (X-Sweep-Shard): a DELETE once it is terminal releases it (see
+	// cancel).
+	shard bool
 	// weight is the tenant's fair-queueing share, captured at add; beside
-	// CacheHit it fills padding, keeping Job in a smaller size class.
+	// CacheHit and shard it fills padding, keeping Job in a smaller size
+	// class.
 	weight   int32
 	Created  time.Time       `json:"created"`
 	Started  *time.Time      `json:"started,omitempty"`
@@ -409,6 +414,13 @@ func (s *store) setTraceSource(j *Job, source string) {
 	j.live.traceSource = source
 }
 
+// markShard records that a coordinator submitted j as a sweep shard.
+func (s *store) markShard(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.shard = true
+}
+
 // adoptTrace joins a just-added job to the submitter's trace (the inbound
 // propagation headers): the execution span becomes a child of the caller's
 // span instead of rooting a fresh trace. Call before the job is submitted
@@ -540,12 +552,15 @@ const (
 	cancelQueued                        // canceled before running; now terminal
 	cancelRunning                       // cancellation signaled; worker will finish it
 	cancelTerminal                      // already done/failed/canceled; nothing to do
+	cancelReleased                      // a terminal shard job; its document is dropped
 )
 
 // cancel handles DELETE /v1/jobs/{id}: a queued job flips straight to
 // canceled (the worker that later dequeues it skips it), a running job has
 // its context canceled with errJobCanceled so the simulation unwinds at
-// its next context poll and the worker is freed mid-run.
+// its next context poll and the worker is freed mid-run. A terminal shard
+// job is released: its coordinator has the result, so the document goes
+// (the result stays in the result cache). Any other terminal job stays.
 func (s *store) cancel(id string, now time.Time) (Job, cancelOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -568,6 +583,10 @@ func (s *store) cancel(id string, now time.Time) (Job, cancelOutcome) {
 		j.events.AddAt(now, "cancel_requested", "client cancel; unwinding at the next context poll")
 		return *j, cancelRunning
 	default:
+		if j.shard {
+			s.releaseLocked(j)
+			return *j, cancelReleased
+		}
 		return *j, cancelTerminal
 	}
 }
@@ -728,11 +747,14 @@ func (p *LifetimeParams) run(ctx context.Context, pr *jobProgress) (any, error) 
 		}
 		wpki = prof.WPKI
 	}
-	var events []trace.Event
+	// Every run of this job shares one compression memo: the trace
+	// store's for a stored digest, shared with every job on it, else this
+	// job's own.
+	var tr tracestore.Trace
 	if p.Trace != "" {
 		// The resolver hands back the densified replay events, shared by
 		// every job on this digest; RunContext only reads them.
-		if events, err = tracestore.ResolveFrom(ctx, p.Trace); err != nil {
+		if tr, err = tracestore.ResolveFrom(ctx, p.Trace); err != nil {
 			return nil, err
 		}
 	} else {
@@ -744,7 +766,10 @@ func (p *LifetimeParams) run(ctx context.Context, pr *jobProgress) (any, error) 
 		if err != nil {
 			return nil, err
 		}
-		events = gen.GenerateTrace(scale.TraceEvents)
+		tr.Events = gen.GenerateTrace(scale.TraceEvents)
+	}
+	if tr.Memo == nil {
+		tr.Memo = &lifetime.Memo{}
 	}
 	tm := lifetime.DefaultTimeModel(wpki, scale.EnduranceScale(), scale.CapacityScale())
 
@@ -772,7 +797,8 @@ func (p *LifetimeParams) run(ctx context.Context, pr *jobProgress) (any, error) 
 		cfg.MaxDemandWrites = p.MaxDemandWrites
 		base := writesDone
 		cfg.OnProgress = func(dw uint64) { pr.set(base+dw, progressTotal) }
-		res, err := lifetime.RunContext(ctx, cfg, events)
+		cfg.Memo = tr.Memo
+		res, err := lifetime.RunContext(ctx, cfg, tr.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -929,10 +955,11 @@ func (p *FailureProbabilityParams) run(ctx context.Context, pr *jobProgress) (an
 // sizes ascend, so the work order — and with one fresh seed per window,
 // the result — is deterministic for a given (trace, seed).
 func (p *FailureProbabilityParams) runTraced(ctx context.Context, scheme ecc.Scheme, pr *jobProgress) (any, error) {
-	events, err := tracestore.ResolveFrom(ctx, p.Trace)
+	tr, err := tracestore.ResolveFrom(ctx, p.Trace)
 	if err != nil {
 		return nil, err
 	}
+	events := tr.Events
 	if len(events) == 0 {
 		return nil, trace.ErrEmptyTrace
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -203,32 +202,46 @@ func TestSweepTracePropagatesAcrossBackends(t *testing.T) {
 		t.Errorf("sweep timeline %v: want two shard_done events", types)
 	}
 
-	// Each backend ran one job of the sweep's trace, and its own flight
-	// recorder narrates the job lifecycle.
+	// Each backend ran one job of the sweep's trace: its own trace ring
+	// holds the job's execution under the sweep's trace. The coordinator
+	// released each finished shard job before the sweep finished, so no
+	// backend lists a job any more.
 	for i, burl := range backendURLs {
-		resp, err := http.Get(burl + "/v1/jobs?state=done")
+		resp, err := http.Get(burl + "/debug/traces/" + doc.TraceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobTrace struct {
+			Tree []*obs.SpanNode `json:"tree"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&jobTrace)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("backend %d GET /debug/traces/%s: %d %v", i, doc.TraceID, resp.StatusCode, err)
+		}
+		jobRuns := 0
+		obs.Walk(jobTrace.Tree, func(n *obs.SpanNode, depth int) {
+			if n.Name == "job.run" {
+				jobRuns++
+			}
+		})
+		if jobRuns != 1 {
+			t.Errorf("backend %d traced %d job.run spans of the sweep, want 1", i, jobRuns)
+		}
+		resp, err = http.Get(burl + "/v1/jobs")
 		if err != nil {
 			t.Fatal(err)
 		}
 		var page struct {
 			Jobs []Job `json:"jobs"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		err = json.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if len(page.Jobs) != 1 {
-			t.Fatalf("backend %d ran %d jobs, want 1", i, len(page.Jobs))
-		}
-		j := page.Jobs[0]
-		if j.TraceID != doc.TraceID {
-			t.Errorf("backend %d job trace = %s, want the sweep trace %s", i, j.TraceID, doc.TraceID)
-		}
-		jt := collectEvents(t, fmt.Sprintf("%s/v1/jobs/%s/events", burl, j.ID))
-		for _, want := range []string{"queued", "started", "done"} {
-			if countType(jt, want) != 1 {
-				t.Errorf("backend %d job timeline %v: want one %q event", i, jt, want)
-			}
+		if len(page.Jobs) != 0 {
+			t.Errorf("backend %d still holds %d jobs after the merge, want the shard released", i, len(page.Jobs))
 		}
 	}
 

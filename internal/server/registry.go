@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,6 +67,19 @@ func (r *registry[D]) dropOldestLocked() {
 	r.terminal = r.terminal[1:]
 	delete(r.docs, d.docID())
 	r.evicted++
+}
+
+// releaseLocked drops a terminal document ahead of both bounds. It is
+// found from the back of the terminal order, where the recently finished
+// documents a release targets sit. Callers hold r.mu.
+func (r *registry[D]) releaseLocked(d D) {
+	delete(r.docs, d.docID())
+	for i := len(r.terminal) - 1; i >= 0; i-- {
+		if r.terminal[i].docID() == d.docID() {
+			r.terminal = slices.Delete(r.terminal, i, i+1)
+			return
+		}
+	}
 }
 
 // expire drops terminal documents finished more than ttl before now and

@@ -11,7 +11,7 @@
 //	POST   /v1/jobs/compression          submit a compression sweep job
 //	POST   /v1/jobs:batch                submit up to 64 jobs atomically
 //	GET    /v1/jobs/{id}                 poll a job's status, progress, and result
-//	DELETE /v1/jobs/{id}                 cancel a queued or running job
+//	DELETE /v1/jobs/{id}                 cancel a queued or running job; release a finished sweep shard
 //	GET    /v1/jobs                      list job summaries (?state=&limit=&offset=)
 //	POST   /v1/sweeps                    submit a seed-sharded distributed sweep
 //	GET    /v1/sweeps/{id}               poll a sweep's shard progress and merged result
@@ -577,15 +577,16 @@ func (s *Server) jobPanicked(j *Job, cause any) {
 // canceled immediately (200); a running job gets its context canceled and
 // the response is 202 — the state transition lands when the simulation
 // unwinds, within one context-poll interval. Canceling an already-terminal
-// job is a 409.
+// job is a 409, except for a sweep shard: its coordinator's DELETE
+// releases it (200, the final document), and the job is gone afterwards.
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	snap, outcome := s.store.cancel(r.PathValue("id"), time.Now())
 	switch outcome {
 	case cancelUnknown:
 		writeError(w, http.StatusNotFound, "no such job")
-	case cancelQueued:
-		// Accounting happens when the worker dequeues and skips it
-		// (metrics.jobSkipped), so the canceled counter moves once.
+	case cancelQueued, cancelReleased:
+		// A queued job's accounting happens when the worker dequeues and
+		// skips it (metrics.jobSkipped), so the canceled counter moves once.
 		writeJSON(w, http.StatusOK, snap)
 	case cancelRunning:
 		writeJSON(w, http.StatusAccepted, snap)

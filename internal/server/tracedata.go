@@ -125,24 +125,25 @@ func (s *Server) resolverFor(source string) tracestore.Resolver {
 	if source == "" {
 		return s.traces
 	}
-	return tracestore.ResolverFunc(func(ctx context.Context, digest string) ([]trace.Event, error) {
-		if events, err := s.traces.Replay(digest); err == nil {
-			return events, nil
+	return tracestore.ResolverFunc(func(ctx context.Context, digest string) (tracestore.Trace, error) {
+		if tr, err := s.traces.Replay(digest); err == nil {
+			return tr, nil
 		}
 		events, err := s.fetchTrace(ctx, source, digest)
 		if err != nil {
-			return nil, err
+			return tracestore.Trace{}, err
 		}
 		_, stored, err := s.traces.PutEvents(events)
 		switch {
 		case err != nil && !stored:
-			// The job still runs on the fetched copy; only the cache misses.
+			// The job still runs on the fetched copy, with a memo of its
+			// own; only the cache misses.
 			s.log.Warn("fetched trace not cached", "digest", digest, "err", err)
 			rep, err := workload.NewReplay(events)
 			if err != nil {
-				return nil, err
+				return tracestore.Trace{}, err
 			}
-			return rep.Events(), nil
+			return tracestore.Trace{Events: rep.Events()}, nil
 		case err != nil:
 			s.log.Warn("fetched trace stored but not spooled", "digest", digest, "err", err)
 		}

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -464,7 +465,7 @@ func TestTraceFetchVerifiesDigest(t *testing.T) {
 	if err := os.RemoveAll(spool); err != nil {
 		t.Fatal(err)
 	}
-	events, err := resolver.Resolve(context.Background(), digest)
+	got, err := resolver.Resolve(context.Background(), digest)
 	if err != nil {
 		t.Fatalf("resolving from a coordinator serving the trace: %v", err)
 	}
@@ -472,7 +473,48 @@ func TestTraceFetchVerifiesDigest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fetched trace not stored: %v", err)
 	}
-	if &events[0] != &stored[0] {
-		t.Error("the job runs on a private copy instead of the stored replay events")
+	if &got.Events[0] != &stored.Events[0] || got.Memo != stored.Memo {
+		t.Error("the job runs on a private copy instead of the stored replay events and memo")
+	}
+}
+
+// TestConcurrentFetchSharesOneMemo has two workers of a backend that lacks
+// a digest resolve it at once: both fetch, one stores, and both must run
+// on the stored replay events and the one compression memo the store's
+// entry owns.
+func TestConcurrentFetchSharesOneMemo(t *testing.T) {
+	_, data := makeTraceBytes(t, 120, 13)
+	sum := sha256.Sum256(data)
+	digest := tracestore.DigestPrefix + hex.EncodeToString(sum[:])
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(data)
+	}))
+	t.Cleanup(coord.Close)
+	b := New(Config{Workers: 1, QueueDepth: 4, JobTimeout: time.Minute})
+	t.Cleanup(func() { shutdownServer(b) })
+	resolver := b.resolverFor(coord.URL)
+
+	var got [2]tracestore.Trace
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = resolver.Resolve(context.Background(), digest)
+		}(i)
+	}
+	wg.Wait()
+	stored, err := b.traces.Replay(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if &tr.Events[0] != &stored.Events[0] || tr.Memo == nil || tr.Memo != stored.Memo {
+			t.Fatalf("worker %d does not share the stored events and memo", i)
+		}
 	}
 }

@@ -3,28 +3,26 @@ package tracestore
 import (
 	"context"
 	"fmt"
-
-	"pcmcomp/internal/trace"
 )
 
-// Resolver turns a trace digest into its replay events: decoded and
-// densified (workload.NewReplay), shared read-only. The local Store is
+// Resolver turns a trace digest into the Trace jobs run on: its replay
+// events, shared read-only, and their compression memo. The local Store is
 // one; the server composes it with a coordinator-fetch fallback so a
 // backend can resolve digests it has never seen.
 type Resolver interface {
-	Resolve(ctx context.Context, digest string) ([]trace.Event, error)
+	Resolve(ctx context.Context, digest string) (Trace, error)
 }
 
 // Resolve implements Resolver on the local store.
-func (s *Store) Resolve(_ context.Context, digest string) ([]trace.Event, error) {
+func (s *Store) Resolve(_ context.Context, digest string) (Trace, error) {
 	return s.Replay(digest)
 }
 
 // ResolverFunc adapts a function to the Resolver interface.
-type ResolverFunc func(ctx context.Context, digest string) ([]trace.Event, error)
+type ResolverFunc func(ctx context.Context, digest string) (Trace, error)
 
 // Resolve implements Resolver.
-func (f ResolverFunc) Resolve(ctx context.Context, digest string) ([]trace.Event, error) {
+func (f ResolverFunc) Resolve(ctx context.Context, digest string) (Trace, error) {
 	return f(ctx, digest)
 }
 
@@ -41,10 +39,10 @@ func WithResolver(ctx context.Context, r Resolver) context.Context {
 // ResolveFrom resolves a digest using the context's resolver. It fails
 // with a clear error when no resolver was attached — a trace-driven job
 // reached an execution path with no trace subsystem.
-func ResolveFrom(ctx context.Context, digest string) ([]trace.Event, error) {
+func ResolveFrom(ctx context.Context, digest string) (Trace, error) {
 	r, ok := ctx.Value(resolverKey{}).(Resolver)
 	if !ok {
-		return nil, fmt.Errorf("tracestore: no trace resolver in this execution context")
+		return Trace{}, fmt.Errorf("tracestore: no trace resolver in this execution context")
 	}
 	return r.Resolve(ctx, digest)
 }

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"pcmcomp/internal/lifetime"
 	"pcmcomp/internal/trace"
 	"pcmcomp/internal/workload"
 )
@@ -104,7 +105,10 @@ type Meta struct {
 // deterministic, so the bytes come back identical. The capacity bound
 // charges canonical bytes, at least 65 per event, while an entry holds 72
 // per event and 8 per distinct line, so held memory stays within 1.25×
-// the bound.
+// the bound. Each entry also owns its trace's lifetime.Memo, which the
+// lifetime runs over the trace fill as they replay it and which goes with
+// the entry: at most 144 bytes per event (lifetime.Memo's codec bound),
+// another 2.25× the bound once every stored trace has been replayed.
 type Store struct {
 	mu       sync.Mutex
 	dir      string // "" = memory-only
@@ -125,8 +129,10 @@ type entry struct {
 	meta Meta
 	// replay is the trace's replay events, and addrs[a] the trace address
 	// that replay address a densified.
-	replay   []trace.Event
-	addrs    []int
+	replay []trace.Event
+	addrs  []int
+	// memo is the compression every lifetime run over replay shares.
+	memo     *lifetime.Memo
 	lastUsed time.Time
 	elem     *list.Element
 }
@@ -139,7 +145,7 @@ func newEntry(events []trace.Event, digest string, size int64) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &entry{replay: rep.Events()}
+	e := &entry{replay: rep.Events(), memo: &lifetime.Memo{}}
 	// Dense addresses number the trace's lines from 0, so the highest one
 	// is the line count less one.
 	lines := 0
@@ -428,19 +434,26 @@ func (s *Store) Bytes(digest string) ([]byte, Meta, error) {
 	return data, e.meta, err
 }
 
-// Replay returns a stored trace's replay events: decoded and densified by
-// workload.NewReplay, the form a trace-driven job runs on. Every call
-// shares the one slice built at ingest, so callers must not mutate it.
-// Counted as a fetch and promotes the entry in the LRU order.
-func (s *Store) Replay(digest string) ([]trace.Event, error) {
+// Trace is a stored trace in the form jobs run on: its replay events,
+// decoded and densified by workload.NewReplay, and the compression memo
+// every lifetime run over them shares. Both are the entry's own, shared by
+// every caller, so callers must not mutate the events.
+type Trace struct {
+	Events []trace.Event
+	Memo   *lifetime.Memo
+}
+
+// Replay returns a stored trace as jobs run on it. Counted as a fetch and
+// promotes the entry in the LRU order.
+func (s *Store) Replay(digest string) (Trace, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[digest]
 	if !ok {
-		return nil, ErrNotFound
+		return Trace{}, ErrNotFound
 	}
 	s.touchLocked(e)
-	return e.replay, nil
+	return Trace{Events: e.replay, Memo: e.memo}, nil
 }
 
 // touchLocked promotes an entry and counts the fetch. Callers hold s.mu.

@@ -269,9 +269,9 @@ func TestContextResolver(t *testing.T) {
 	s := mustOpen(t, Options{})
 	meta, _, _ := s.PutEvents(testEvents(5, 1))
 	ctx := WithResolver(context.Background(), s)
-	events, err := ResolveFrom(ctx, meta.Digest)
-	if err != nil || len(events) != 5 {
-		t.Fatalf("ResolveFrom = %d events, %v", len(events), err)
+	tr, err := ResolveFrom(ctx, meta.Digest)
+	if err != nil || len(tr.Events) != 5 || tr.Memo == nil {
+		t.Fatalf("ResolveFrom = %d events, memo %p, %v", len(tr.Events), tr.Memo, err)
 	}
 	if _, err := ResolveFrom(context.Background(), meta.Digest); err == nil {
 		t.Fatal("ResolveFrom without a resolver should fail")
@@ -337,8 +337,8 @@ func sparseEvents(n, base int) []trace.Event {
 }
 
 // TestReplaySharedAndReencoded pins the one stored form: every Replay
-// shares the densified slice built at ingest, the resolver hands out that
-// same slice, Bytes re-encodes the identical canonical bytes, and a
+// shares the densified slice built at ingest and the entry's one memo, the
+// resolver hands out the same pair, Bytes re-encodes the identical canonical bytes, and a
 // deleted trace is ErrNotFound on both routes.
 func TestReplaySharedAndReencoded(t *testing.T) {
 	events := sparseEvents(40, 1)
@@ -352,10 +352,11 @@ func TestReplaySharedAndReencoded(t *testing.T) {
 		t.Errorf("meta = %+v, want the footprint %+v", m, sum)
 	}
 
-	first, err := s.Replay(m.Digest)
+	stored, err := s.Replay(m.Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := stored.Events
 	want, err := workload.NewReplay(events)
 	if err != nil {
 		t.Fatal(err)
@@ -365,11 +366,11 @@ func TestReplaySharedAndReencoded(t *testing.T) {
 			t.Fatalf("replay event %d = %+v, want the densified %+v", i, first[i], ev)
 		}
 	}
-	if again, _ := s.Replay(m.Digest); &again[0] != &first[0] {
-		t.Error("second Replay did not share the stored slice")
+	if again, _ := s.Replay(m.Digest); &again.Events[0] != &first[0] || again.Memo != stored.Memo {
+		t.Error("second Replay did not share the stored slice and memo")
 	}
-	if got, _ := ResolveFrom(WithResolver(context.Background(), s), m.Digest); &got[0] != &first[0] {
-		t.Error("the store's resolver does not hand out the stored slice")
+	if got, _ := ResolveFrom(WithResolver(context.Background(), s), m.Digest); &got.Events[0] != &first[0] || got.Memo != stored.Memo {
+		t.Error("the store's resolver does not hand out the stored slice and memo")
 	}
 	if data, _, err := s.Bytes(m.Digest); err != nil || !bytes.Equal(data, one) {
 		t.Fatalf("Bytes = %d bytes, %v; want the %d canonical bytes", len(data), err, len(one))
