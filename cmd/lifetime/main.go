@@ -9,10 +9,13 @@
 //	         [-scale quick|default|large] [-trace file] [-seed N]
 //
 // Each system is a preset of the scheme registry (internal/scheme); -ecc
-// and -fnw override its hard-error scheme and write encoder, and the
-// controller is built with scheme.Spec.ControllerConfig — the same builder
-// a pcmd lifetime job uses, so both report the same demand writes for the
-// same app, scale and seed. Rows are labeled with the preset name.
+// and -fnw override its hard-error scheme and write encoder. The systems
+// run as rows of one experiments.LifetimeRuns set, the runner behind the
+// lifetime tables and pcmd lifetime jobs, which builds each controller
+// with scheme.Spec.ControllerConfig. Here it takes one trace, the first
+// system as reference, no cap factor and one run per CPU, so the CLI and
+// a pcmd lifetime job report the same demand writes for the same app,
+// scale and seed. Rows are labeled with the preset name.
 //
 // -trace replays a recorded trace instead of generating one. The encoding
 // is sniffed from its contents (binary .pcmt, gzip-wrapped .pcmt, or
@@ -21,8 +24,10 @@
 // to an uploaded trace, so the CLI and a job on that trace's digest
 // report the same demand writes.
 //
-// Ctrl-C (or SIGTERM) interrupts the replay at the next check interval and
-// prints the statistics accumulated so far before exiting.
+// Ctrl-C (or SIGTERM) stops the runs at the next check interval, and no
+// further run starts. The rows print in order up to the first one cut,
+// which shows the statistics accumulated so far (zero if it had not
+// started) marked "(interrupted)", and the command exits non-zero.
 package main
 
 import (
@@ -36,6 +41,7 @@ import (
 	"syscall"
 
 	"pcmcomp/internal/config"
+	"pcmcomp/internal/experiments"
 	"pcmcomp/internal/lifetime"
 	"pcmcomp/internal/scheme"
 	"pcmcomp/internal/trace"
@@ -74,12 +80,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	systems, err := resolveSystems(*system, *eccName, *useFNW)
+	names, rows, err := resolveSystems(*system, *eccName, *useFNW)
 	if err != nil {
 		return err
 	}
 
-	var events []trace.Event
+	tr := experiments.AppTrace(prof.Name, scale, *seed)
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		if err != nil {
@@ -94,84 +100,63 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		events = rep.Events()
-	} else {
-		gen, err := workload.NewGenerator(prof, scale.TraceLines, *seed)
-		if err != nil {
-			return err
-		}
-		events = gen.GenerateTrace(scale.TraceEvents)
+		tr = experiments.LifetimeTrace{Events: rep.Events()}
 	}
 
-	var baseline lifetime.Result
-	var memo lifetime.Memo // the systems share the trace's compression
-	for i, sys := range systems {
-		ctrl, err := sys.spec.ControllerConfig(scale.Substrate(*seed))
-		if err != nil {
-			return err
+	set := experiments.LifetimeRuns{Traces: []experiments.LifetimeTrace{tr}, Rows: rows, Memory: scale.Substrate(*seed)}
+	runs, _ := set.Run(ctx) // each run's own error is reported below, in row order
+	tm := lifetime.DefaultTimeModel(prof.WPKI, scale.EnduranceScale(), scale.CapacityScale())
+	for i, res := range runs[0] {
+		interrupted := errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded)
+		if res.Err != nil && !interrupted {
+			return res.Err
 		}
-		cfg := lifetime.DefaultConfig(ctrl)
-		cfg.Memo = &memo
-		res, err := lifetime.RunContext(ctx, cfg, events)
-		interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-		if err != nil && !interrupted {
-			return err
-		}
-		tm := lifetime.DefaultTimeModel(prof.WPKI, scale.EnduranceScale(), scale.CapacityScale())
 		fmt.Fprintf(stdout, "%-9s demand writes %12d  replays %6d  projected %7.1f months",
-			sys.name, res.DemandWrites, res.Replays, tm.Months(res.DemandWrites))
+			names[i], res.DemandWrites, res.Replays, tm.Months(res.DemandWrites))
 		switch {
 		case interrupted:
 			fmt.Fprintf(stdout, "  (interrupted)\n")
 		case i == 0:
-			baseline = res
 			fmt.Fprintf(stdout, "  (reference)\n")
 		default:
-			fmt.Fprintf(stdout, "  %5.2fx\n", res.Normalized(baseline))
+			fmt.Fprintf(stdout, "  %5.2fx\n", res.Normalized(runs[0][0].Result))
 		}
 		s := res.Stats
 		fmt.Fprintf(stdout, "          flips %d, uncorrectable %d, resurrections %d, gap moves %d, rotations %d\n",
 			s.BitFlips, s.UncorrectableErrors, s.Resurrections, s.GapMovements, s.Rotations)
 		if interrupted {
-			return fmt.Errorf("interrupted, stats above are partial: %w", err)
+			return fmt.Errorf("interrupted, stats above are partial: %w", res.Err)
 		}
 	}
 	return nil
 }
 
-// labeledSpec is one lifetime run: a registry preset's name and its spec with
-// the -ecc and -fnw overrides applied.
-type labeledSpec struct {
-	name string
-	spec scheme.Spec
-}
-
 // resolveSystems looks up the -system preset (every preset for "all") and
-// sets the -ecc scheme and, with -fnw, the Flip-N-Write encoder on each.
-func resolveSystems(name, eccName string, fnw bool) ([]labeledSpec, error) {
+// returns each one's name and row, its spec with the -ecc scheme and, with
+// -fnw, the Flip-N-Write encoder set.
+func resolveSystems(name, eccName string, fnw bool) (names []string, rows []experiments.Row, err error) {
 	presets := scheme.Presets()
 	if name != "all" {
 		p, err := scheme.PresetByName(name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		presets = []scheme.Preset{p}
 	}
 	e, _, err := scheme.ECCByName(eccName)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]labeledSpec, len(presets))
-	for i, p := range presets {
+	for _, p := range presets {
 		sp, err := scheme.Parse(p.Spec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sp.ECC = e.Name
 		if fnw {
 			sp.Enc = "fnw"
 		}
-		out[i] = labeledSpec{p.Name, sp}
+		names, rows = append(names, p.Name), append(rows, experiments.Row{Spec: sp})
 	}
-	return out, nil
+	return names, rows, nil
 }

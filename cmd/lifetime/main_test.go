@@ -5,13 +5,16 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"pcmcomp/internal/core"
 	"pcmcomp/internal/ecc"
@@ -91,17 +94,58 @@ func TestSchemeAndFNWFlags(t *testing.T) {
 	}
 }
 
+// TestInterruptPrintsPartialRow drives the Ctrl-C path: with the context
+// canceled before or during the runs, the rows print up to the first one
+// cut, which is marked "(interrupted)", and run returns an error wrapping
+// context.Canceled.
+func TestInterruptPrintsPartialRow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		scale string
+		after time.Duration // cancel after this long; 0 = before run starts
+	}{
+		{"already canceled", "quick", 0},
+		{"canceled mid-run", "default", 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.after == 0 {
+				cancel()
+			} else {
+				time.AfterFunc(tc.after, cancel)
+			}
+			var out bytes.Buffer
+			err := run(ctx, []string{"-app", "milc", "-scale", tc.scale}, &out)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("error %v, want one wrapping context.Canceled", err)
+			}
+			lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+			if len(lines) < 2 || len(lines)%2 != 0 {
+				t.Fatalf("output is not whole rows:\n%s", out.String())
+			}
+			// Each row is a summary line and a stats line; only the last
+			// row is the interrupted one.
+			for i := 0; i < len(lines); i += 2 {
+				cut := strings.HasSuffix(lines[i], "(interrupted)")
+				if last := i == len(lines)-2; cut != last {
+					t.Fatalf("row %d: interrupted %v, want %v:\n%s", i/2, cut, last, out.String())
+				}
+			}
+			if tc.after == 0 && !strings.HasPrefix(lines[0], "baseline  demand writes            0") {
+				t.Fatalf("a run started under a canceled context:\n%s", out.String())
+			}
+		})
+	}
+}
+
 // TestResolveSystems checks the -system lookup: "all" is every preset in
 // the paper's order, and a single name (any case, "+"-less alias allowed)
 // resolves to its canonical preset name.
 func TestResolveSystems(t *testing.T) {
-	all, err := resolveSystems("all", "ecp", false)
+	got, _, err := resolveSystems("all", "ecp", false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var got []string
-	for _, s := range all {
-		got = append(got, s.name)
 	}
 	if want := []string{"baseline", "comp", "comp+w", "comp+wf"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("all -> %v, want %v", got, want)
@@ -109,9 +153,9 @@ func TestResolveSystems(t *testing.T) {
 	for name, want := range map[string]string{
 		"baseline": "baseline", "Comp": "comp", "compw": "comp+w", "COMPWF": "comp+wf",
 	} {
-		systems, err := resolveSystems(name, "ecp", false)
-		if err != nil || len(systems) != 1 || systems[0].name != want {
-			t.Fatalf("%s -> %v, %v; want one %s", name, systems, err, want)
+		names, _, err := resolveSystems(name, "ecp", false)
+		if err != nil || len(names) != 1 || names[0] != want {
+			t.Fatalf("%s -> %v, %v; want one %s", name, names, err, want)
 		}
 	}
 }
@@ -166,21 +210,21 @@ func TestSystemsMatchDefaultConfig(t *testing.T) {
 	}
 	for eccName, newScheme := range refSchemes {
 		for _, fnw := range []bool{false, true} {
-			systems, err := resolveSystems("all", eccName, fnw)
+			names, rows, err := resolveSystems("all", eccName, fnw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sys := range systems {
-				ctrl, err := sys.spec.ControllerConfig(mem)
+			for i, name := range names {
+				ctrl, err := rows[i].Spec.ControllerConfig(mem)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := core.DefaultConfig(refSystems[sys.name], mem)
+				ref := core.DefaultConfig(refSystems[name], mem)
 				ref.Scheme = newScheme()
 				ref.UseFNW = fnw
 				if got, want := replay(ctrl), replay(ref); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s -ecc %s fnw=%v: registry run %+v, DefaultConfig run %+v",
-						sys.name, eccName, fnw, got, want)
+						name, eccName, fnw, got, want)
 				}
 			}
 		}

@@ -18,13 +18,13 @@ func Fig1BitFlips(app string, lines, traceEvents, samples int, seed uint64) (sta
 		return stats.Series{}, err
 	}
 	events := g.GenerateTrace(traceEvents)
-	hot := hottestAddr(events)
+	hot := hottestAddrs(events, 1) // empty only for an empty trace, which skips the loop
 
 	s := stats.Series{Name: app + " hot block"}
 	var stored block.Block
 	first := true
 	for i := range events {
-		if events[i].Addr != hot {
+		if events[i].Addr != hot[0] {
 			continue
 		}
 		if first {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -12,7 +14,7 @@ import (
 )
 
 // TestLifetimeDeterministicAcrossParallelism proves the claim in
-// lifetimeRuns' contract: per-app runs are internally seeded and share no
+// LifetimeRuns.Run's contract: per-app runs are internally seeded and share no
 // mutable state, so the same-seed experiment tables are bit-identical at
 // any worker width. It sweeps the Concurrency knob over serial, a small
 // pool, and the full CPU count for Fig 10 and for an ablation (whose three
@@ -68,39 +70,45 @@ func TestLifetimeDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestLifetimeRunsErrorsAcrossParallelism pins lifetimeRuns' error rule:
-// at any worker width the error returned is the one of the lowest (app,
-// run) in table order, the Baseline before the variants, even though the
-// scheduler starts the highest variant first; and an app whose Baseline
-// fails queues no variant runs.
+// TestLifetimeRunsErrorsAcrossParallelism pins LifetimeRuns.Run's error
+// rule: at any worker width the error returned is the one of the lowest
+// (trace, row) in table order, the reference before the other rows, even
+// though the scheduler starts the highest row first; and a trace whose
+// reference fails starts none of its other rows.
 func TestLifetimeRunsErrorsAcrossParallelism(t *testing.T) {
 	base := LifetimeOptions{Scale: config.ScaleQuick, Seed: 3, MaxDemandWrites: 2000}
 	var tweaked atomic.Int32
-	counted := compWF(func(*core.Config) { tweaked.Add(1) })
-	badT1 := compWF(func(c *core.Config) { c.Threshold1 = 0 })
-	badT2 := compWF(func(c *core.Config) { c.Threshold2 = 0 })
-	_, _, errApp := base.appTrace("bogus")
-	_, errT2 := core.New(base.runConfig(badT2, 0).Controller)
+	compWF := row("comp+wf").Spec
+	counted := Row{Spec: compWF, tweak: func(*core.Config) { tweaked.Add(1) }}
+	badT1 := Row{Spec: compWF, tweak: func(c *core.Config) { c.Threshold1 = 0 }}
+	badT2 := Row{Spec: compWF, tweak: func(c *core.Config) { c.Threshold2 = 0 }}
+	_, errApp := AppTrace("bogus", base.Scale, base.Seed).Generate()
+	ctrl, err := badT2.Spec.ControllerConfig(base.Scale.Substrate(base.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badT2.tweak(&ctrl)
+	_, errT2 := core.New(ctrl)
 	if errApp == nil || errT2 == nil {
 		t.Fatal("the failing inputs do not fail")
 	}
 	for _, tc := range []struct {
-		name     string
-		apps     []string
-		variants []variant
-		want     error
-		tweaked  int32 // calls of counted's tweak: one per app whose Baseline ran
+		name    string
+		apps    []string
+		rows    []Row
+		want    error
+		tweaked int32 // calls of counted's tweak: one per app whose Baseline ran
 	}{
-		// milc's second variant precedes bogus's Baseline in table order.
-		{"variant before later baseline", []string{"milc", "bogus", "gcc"}, []variant{counted, badT2, badT1}, errT2, 2},
-		{"unknown app first", []string{"bogus", "milc"}, []variant{badT1, counted}, errApp, 1},
+		// milc's second row precedes bogus's Baseline in table order.
+		{"variant before later baseline", []string{"milc", "bogus", "gcc"}, []Row{counted, badT2, badT1}, errT2, 2},
+		{"unknown app first", []string{"bogus", "milc"}, []Row{badT1, counted}, errApp, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, width := range []int{1, 2, 4} {
 				tweaked.Store(0)
 				o := base
 				o.Concurrency = width
-				_, err := o.lifetimeRuns(tc.apps, tc.variants)
+				_, err := o.runSet(tc.apps, tc.rows).Run(context.Background())
 				if err == nil || err.Error() != tc.want.Error() {
 					t.Fatalf("width %d: error %v, want %v", width, err, tc.want)
 				}
@@ -109,5 +117,80 @@ func TestLifetimeRunsErrorsAcrossParallelism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLifetimeRunsJobShape pins the error of a job-shaped run set (one
+// handed-in trace, width 1, no cap factor) whose second row cannot be
+// built: it is that row's error, the one a loop running the rows one
+// after another returns, and the rows after it still run.
+func TestLifetimeRunsJobShape(t *testing.T) {
+	o := LifetimeOptions{Scale: config.ScaleQuick, Seed: 1}
+	events, err := AppTrace("milc", o.Scale, o.Seed).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := Row{Spec: row("comp").Spec}
+	bad.Spec.ECC = "bogus"
+	_, want := bad.Spec.ControllerConfig(o.Scale.Substrate(o.Seed))
+	if want == nil {
+		t.Fatal("the bad row builds")
+	}
+	set := LifetimeRuns{
+		Traces:          []LifetimeTrace{{Events: events}},
+		Rows:            []Row{row("baseline"), bad, row("comp+wf")},
+		Memory:          o.Scale.Substrate(o.Seed),
+		MaxDemandWrites: 4096,
+		Width:           1,
+	}
+	runs, err := set.Run(context.Background())
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("error %v, want %v", err, want)
+	}
+	if r := runs[0]; r[0].Err != nil || r[2].Err != nil || r[2].DemandWrites != 4096 {
+		t.Fatalf("the good rows: %+v, %+v", r[0], r[2])
+	}
+}
+
+// TestLifetimeRunsStopOnCancel pins cancellation: once the context is
+// canceled no further run starts, the cut run keeps its partial result,
+// and Run returns the context's error.
+func TestLifetimeRunsStopOnCancel(t *testing.T) {
+	o := LifetimeOptions{Scale: config.ScaleQuick, Seed: 1}
+	events, err := AppTrace("gcc", o.Scale, o.Seed).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started [3]atomic.Bool // rows that reported progress
+	set := LifetimeRuns{
+		Traces: []LifetimeTrace{{Events: events}},
+		Rows:   []Row{row("baseline"), row("comp"), row("comp+wf")},
+		Memory: o.Scale.Substrate(o.Seed),
+		Width:  1,
+		OnProgress: func(_, row int, dw uint64) {
+			if row == 2 && dw == 1024 {
+				cancel() // the first row after the reference to start
+			}
+			started[row].Store(true)
+		},
+	}
+	runs, err := set.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
+	}
+	r := runs[0]
+	if r[0].Err != nil || !r[0].Failed {
+		t.Fatalf("reference %+v, want a finished run", r[0])
+	}
+	if !errors.Is(r[2].Err, context.Canceled) || r[2].DemandWrites != 1024 {
+		t.Fatalf("cut row: %d demand writes, error %v; want 1024 and context.Canceled", r[2].DemandWrites, r[2].Err)
+	}
+	if !errors.Is(r[1].Err, context.Canceled) || r[1].Replays != 0 {
+		t.Fatalf("unstarted row: %+v, want a zero result and context.Canceled", r[1])
+	}
+	if started[1].Load() {
+		t.Fatal("a row started after the cancel")
 	}
 }

@@ -40,22 +40,8 @@ func generatorFor(name string, lines int, seed uint64) (*workload.Generator, err
 	return workload.NewGenerator(p, lines, seed)
 }
 
-// hottestAddr returns the most frequently written address of a trace.
-func hottestAddr(events []trace.Event) int {
-	counts := make(map[int]int)
-	for i := range events {
-		counts[events[i].Addr]++
-	}
-	best, bestN := 0, -1
-	for addr, n := range counts {
-		if n > bestN || (n == bestN && addr < best) {
-			best, bestN = addr, n
-		}
-	}
-	return best
-}
-
-// hottestAddrs returns the n most frequently written addresses, descending.
+// hottestAddrs returns the n most frequently written addresses, descending
+// (ties: the lowest address first).
 func hottestAddrs(events []trace.Event, n int) []int {
 	counts := make(map[int]int)
 	for i := range events {

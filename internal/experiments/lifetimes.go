@@ -1,16 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 
 	"pcmcomp/internal/config"
-	"pcmcomp/internal/core"
 	"pcmcomp/internal/lifetime"
-	"pcmcomp/internal/pcm"
 	"pcmcomp/internal/stats"
 	"pcmcomp/internal/trace"
-	"pcmcomp/internal/workload"
 )
 
 // LifetimeOptions parameterize the lifetime experiments (Figs 10/12/13,
@@ -36,189 +33,55 @@ type LifetimeOptions struct {
 // ~13x, so a 40x cap bounds runtime without censoring any realistic ratio.
 const baselineCapFactor = 40
 
-// appTrace builds the per-app replay trace at the option's scale.
-func (o LifetimeOptions) appTrace(app string) ([]trace.Event, workload.Profile, error) {
-	g, err := generatorFor(app, o.Scale.TraceLines, o.Seed)
-	if err != nil {
-		return nil, workload.Profile{}, err
+// AppTrace is app's trace at a scale and seed, generated by its reference
+// run: the trace of every lifetime table and of a pcmd lifetime job or a
+// cmd/lifetime run without a recorded trace.
+func AppTrace(app string, scale config.Scale, seed uint64) LifetimeTrace {
+	return LifetimeTrace{Generate: func() ([]trace.Event, error) {
+		g, err := generatorFor(app, scale.TraceLines, seed)
+		if err != nil {
+			return nil, err
+		}
+		return g.GenerateTrace(scale.TraceEvents), nil
+	}}
+}
+
+// runSet is the run set of a lifetime table: rows, after the Baseline,
+// on each app's trace, under the option cap and the tables' cap factor.
+// Its runs are runs[app][row], the Baseline first.
+func (o LifetimeOptions) runSet(apps []string, rows []Row) LifetimeRuns {
+	set := LifetimeRuns{
+		Rows:            append([]Row{row("baseline")}, rows...),
+		Memory:          o.Scale.Substrate(o.Seed),
+		MaxDemandWrites: o.MaxDemandWrites,
+		CapFactor:       baselineCapFactor,
+		Width:           o.Concurrency,
 	}
-	return g.GenerateTrace(o.Scale.TraceEvents), g.Profile(), nil
-}
-
-// variant is one configuration a lifetime table compares against the
-// Baseline: a paper system, optionally with its controller config tweaked.
-type variant struct {
-	sys   core.SystemKind
-	tweak func(*core.Config)
-}
-
-// compWF is the Comp+WF system with tweak applied.
-func compWF(tweak func(*core.Config)) variant { return variant{core.CompWF, tweak} }
-
-// runConfig builds the lifetime run of v, capped at maxWrites demand
-// writes (0 = none). Every lifetime run of this package is built here.
-func (o LifetimeOptions) runConfig(v variant, maxWrites uint64) lifetime.Config {
-	ctrl := core.DefaultConfig(v.sys, o.Scale.Substrate(o.Seed))
-	if v.tweak != nil {
-		v.tweak(&ctrl)
+	for _, app := range apps {
+		set.Traces = append(set.Traces, AppTrace(app, o.Scale, o.Seed))
 	}
-	cfg := lifetime.DefaultConfig(ctrl)
-	cfg.MaxDemandWrites = maxWrites
-	return cfg
+	return set
 }
 
-// appRuns are one application's lifetime runs: the Baseline and one
-// result per variant, in variant order.
-type appRuns struct {
-	app  string
-	prof workload.Profile
-	base lifetime.Result
-	runs []lifetime.Result
-}
-
-// normalized returns each variant's lifetime relative to the Baseline.
-func (r appRuns) normalized() []float64 {
-	out := make([]float64, len(r.runs))
-	for i, res := range r.runs {
-		out[i] = res.Normalized(r.base)
+// normalized returns each row's lifetime, after the Baseline's, relative
+// to the Baseline.
+func normalized(_ string, runs []LifetimeRun) []float64 {
+	out := make([]float64, len(runs)-1)
+	for i, r := range runs[1:] {
+		out[i] = r.Normalized(runs[0].Result)
 	}
 	return out
 }
 
-// lifetimeRuns is the runner behind every lifetime table. Each app's runs
-// are its Baseline, under the option cap alone, then each variant under
-// the cap rule below. It schedules single runs, not whole apps, with up to
-// o.Concurrency in flight, so a heavy app's variants spread over the
-// workers:
-//
-//   - an app's trace is generated once, by its Baseline run, and dropped
-//     after its last run, together with the lifetime.Memo through which
-//     its variants share the trace's compression;
-//   - a Baseline's success makes the app's variants ready, and a free
-//     slot takes a ready variant, the highest variant index first (the
-//     longest-lived system), before it starts the next app's Baseline.
-//
-// So about o.Concurrency+1 traces are live at once. Runs are independent
-// and internally seeded, so the results are deterministic regardless of
-// scheduling or worker count. Every run is attempted, except the variants
-// of an app whose Baseline failed; the error returned is the one of the
-// lowest (app, run) in table order, the Baseline first.
-func (o LifetimeOptions) lifetimeRuns(apps []string, variants []variant) ([]appRuns, error) {
-	out := make([]appRuns, len(apps))
-	perApp := 1 + len(variants)
-	errs := make([]error, len(apps)*perApp) // [app*perApp + run], run 0 the Baseline
-	events := make([][]trace.Event, len(apps))
-	memos := make([]*lifetime.Memo, len(apps))
-	left := make([]int, len(apps))         // variant runs of each app not yet finished
-	capWrites := make([]uint64, len(apps)) // each app's variant cap
-
-	type run struct{ app, v int } // v = -1 for the Baseline
-	var ready []run               // variant runs whose Baseline has finished
-	nextApp := 0                  // the next app whose Baseline has not started
-	// next returns the run to start now, if there is one.
-	next := func() (run, bool) {
-		if len(ready) > 0 {
-			best := 0
-			for i, r := range ready {
-				if r.v > ready[best].v || (r.v == ready[best].v && r.app < ready[best].app) {
-					best = i
-				}
-			}
-			r := ready[best]
-			ready = append(ready[:best], ready[best+1:]...)
-			return r, true
-		}
-		if nextApp < len(apps) {
-			nextApp++
-			return run{nextApp - 1, -1}, true
-		}
-		return run{}, false
-	}
-	// exec performs r on its own goroutine. What a Baseline stores for its
-	// variants reaches them through the finished channel.
-	exec := func(r run) error {
-		if r.v >= 0 {
-			cfg := o.runConfig(variants[r.v], capWrites[r.app])
-			cfg.Memo = memos[r.app]
-			res, err := lifetime.Run(cfg, events[r.app])
-			out[r.app].runs[r.v] = res
-			return err
-		}
-		ev, prof, err := o.appTrace(apps[r.app])
-		if err != nil {
-			return err
-		}
-		base, err := lifetime.Run(o.runConfig(variant{sys: core.Baseline}, o.MaxDemandWrites), ev)
-		if err != nil {
-			return err
-		}
-		// The cap rule: the option cap, tightened to baselineCapFactor
-		// times the Baseline's lifetime.
-		c := base.DemandWrites * baselineCapFactor
-		if c == 0 || (o.MaxDemandWrites > 0 && o.MaxDemandWrites < c) {
-			c = o.MaxDemandWrites
-		}
-		events[r.app], memos[r.app], capWrites[r.app] = ev, &lifetime.Memo{}, c
-		out[r.app] = appRuns{app: apps[r.app], prof: prof, base: base, runs: make([]lifetime.Result, len(variants))}
-		return nil
-	}
-
-	workers := o.Concurrency
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	type done struct {
-		r   run
-		err error
-	}
-	finished := make(chan done)
-	// This goroutine alone schedules: it keeps up to workers runs in
-	// flight and books each one as it finishes.
-	running := 0
-	for {
-		for running < workers {
-			r, ok := next()
-			if !ok {
-				break
-			}
-			running++
-			go func() { finished <- done{r, exec(r)} }()
-		}
-		if running == 0 {
-			break
-		}
-		d := <-finished
-		running--
-		errs[d.r.app*perApp+d.r.v+1] = d.err
-		if d.r.v >= 0 {
-			left[d.r.app]--
-		} else if d.err == nil {
-			left[d.r.app] = len(variants)
-			for v := range variants {
-				ready = append(ready, run{d.r.app, v})
-			}
-		}
-		if left[d.r.app] == 0 {
-			events[d.r.app], memos[d.r.app] = nil, nil // the app's last run is done
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// lifetimeTable describes a table of one row per application over
-// lifetimeRuns.
+// lifetimeTable describes a table of one row per application over the
+// run set of its rows.
 type lifetimeTable struct {
-	title    string
-	columns  []string
-	apps     []string
-	variants []variant
-	// row turns one app's runs into its cells.
-	row func(appRuns) []float64
+	title   string
+	columns []string
+	apps    []string
+	rows    []Row // the rows compared against the Baseline
+	// row turns one app's runs, the Baseline first, into its cells.
+	row func(app string, runs []LifetimeRun) []float64
 	// average appends an "Average" row: the column sums in app order
 	// divided by the app count.
 	average bool
@@ -226,15 +89,15 @@ type lifetimeTable struct {
 
 // table runs spec and renders its rows.
 func (o LifetimeOptions) table(spec lifetimeTable) (*stats.Table, error) {
-	all, err := o.lifetimeRuns(spec.apps, spec.variants)
+	all, err := o.runSet(spec.apps, spec.rows).Run(context.Background())
 	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{Title: spec.title, Columns: spec.columns}
 	sums := make([]float64, len(spec.columns))
-	for _, r := range all {
-		cells := spec.row(r)
-		t.AddRow(r.app, cells...)
+	for i, app := range spec.apps {
+		cells := spec.row(app, all[i])
+		t.AddRow(app, cells...)
 		for j, v := range cells {
 			sums[j] += v
 		}
@@ -249,18 +112,21 @@ func (o LifetimeOptions) table(spec lifetimeTable) (*stats.Table, error) {
 	return t, nil
 }
 
+// fig10Rows are the systems Figure 10 compares against the Baseline.
+var fig10Rows = []Row{row("comp"), row("comp+w"), row("comp+wf")}
+
 // Fig10Lifetimes reproduces Figure 10: per-application lifetime of Comp,
 // Comp+W and Comp+WF normalized to the Baseline system. The paper's
 // averages are ~1.35x (Comp, with regressions on low-CR apps), 3.2x
 // (Comp+W) and 4.3x (Comp+WF).
 func Fig10Lifetimes(o LifetimeOptions) (*stats.Table, error) {
 	return o.table(lifetimeTable{
-		title:    "Figure 10: lifetime normalized to Baseline (CoV " + fmt.Sprintf("%.2f", o.Scale.CoV) + ")",
-		columns:  []string{"Comp", "Comp+W", "Comp+WF"},
-		apps:     FigureOrder,
-		variants: []variant{{sys: core.Comp}, {sys: core.CompW}, {sys: core.CompWF}},
-		row:      appRuns.normalized,
-		average:  true,
+		title:   "Figure 10: lifetime normalized to Baseline (CoV " + fmt.Sprintf("%.2f", o.Scale.CoV) + ")",
+		columns: []string{"Comp", "Comp+W", "Comp+WF"},
+		apps:    FigureOrder,
+		rows:    fig10Rows,
+		row:     normalized,
+		average: true,
 	})
 }
 
@@ -270,12 +136,12 @@ func Fig10Lifetimes(o LifetimeOptions) (*stats.Table, error) {
 // compressible apps (sjeng, milc, cactusADM) reaching 25-35.
 func Fig12RecoveredCells(o LifetimeOptions) (*stats.Table, error) {
 	return o.table(lifetimeTable{
-		title:    "Figure 12: average faulty cells in a failed line (Comp+WF vs Baseline's ECP-6 limit)",
-		columns:  []string{"Baseline", "Comp+WF"},
-		apps:     FigureOrder,
-		variants: []variant{compWF(nil)},
-		row: func(r appRuns) []float64 {
-			return []float64{r.base.Stats.DeathFaultCells.Mean(), r.runs[0].Stats.DeathFaultCells.Mean()}
+		title:   "Figure 12: average faulty cells in a failed line (Comp+WF vs Baseline's ECP-6 limit)",
+		columns: []string{"Baseline", "Comp+WF"},
+		apps:    FigureOrder,
+		rows:    []Row{row("comp+wf")},
+		row: func(_ string, r []LifetimeRun) []float64 {
+			return []float64{r[0].Stats.DeathFaultCells.Mean(), r[1].Stats.DeathFaultCells.Mean()}
 		},
 		average: true,
 	})
@@ -286,12 +152,12 @@ func Fig12RecoveredCells(o LifetimeOptions) (*stats.Table, error) {
 func Fig13HighVariation(o LifetimeOptions) (*stats.Table, error) {
 	o.Scale.CoV = 0.25
 	return o.table(lifetimeTable{
-		title:    "Figure 13: Comp+WF lifetime normalized to Baseline (CoV 0.25)",
-		columns:  []string{"Comp+WF"},
-		apps:     FigureOrder,
-		variants: []variant{compWF(nil)},
-		row:      appRuns.normalized,
-		average:  true,
+		title:   "Figure 13: Comp+WF lifetime normalized to Baseline (CoV 0.25)",
+		columns: []string{"Comp+WF"},
+		apps:    FigureOrder,
+		rows:    []Row{row("comp+wf")},
+		row:     normalized,
+		average: true,
 	})
 }
 
@@ -300,35 +166,26 @@ func Fig13HighVariation(o LifetimeOptions) (*stats.Table, error) {
 // capacity through lifetime.TimeModel (paper averages: 22 vs 79 months).
 func Table4Months(o LifetimeOptions) (*stats.Table, error) {
 	return o.table(lifetimeTable{
-		title:    "Table IV: projected lifetime in months (rescaled to 4GB / 1e7-write cells)",
-		columns:  []string{"Baseline", "Comp+WF"},
-		apps:     FigureOrder,
-		variants: []variant{compWF(nil)},
-		row: func(r appRuns) []float64 {
-			tm := lifetime.DefaultTimeModel(r.prof.WPKI, o.Scale.EnduranceScale(), o.Scale.CapacityScale())
-			return []float64{tm.Months(r.base.DemandWrites), tm.Months(r.runs[0].DemandWrites)}
+		title:   "Table IV: projected lifetime in months (rescaled to 4GB / 1e7-write cells)",
+		columns: []string{"Baseline", "Comp+WF"},
+		apps:    FigureOrder,
+		rows:    []Row{row("comp+wf")},
+		row: func(app string, r []LifetimeRun) []float64 {
+			prof, _ := profileFor(app) // its trace was generated, so it exists
+			tm := lifetime.DefaultTimeModel(prof.WPKI, o.Scale.EnduranceScale(), o.Scale.CapacityScale())
+			return []float64{tm.Months(r[0].DemandWrites), tm.Months(r[1].DemandWrites)}
 		},
 		average: true,
 	})
 }
 
-// fixedBudget runs the Baseline and Comp+WF on app's trace for exactly
-// writes demand writes each: FailureFraction 1 keeps the runs going past
-// the lifetime criterion.
-func (o LifetimeOptions) fixedBudget(app string, writes uint64) (base, wf lifetime.Result, err error) {
-	events, _, err := o.appTrace(app)
-	if err != nil {
-		return base, wf, err
-	}
-	var res [2]lifetime.Result
-	for i, sys := range []core.SystemKind{core.Baseline, core.CompWF} {
-		cfg := o.runConfig(variant{sys: sys}, writes)
-		cfg.FailureFraction = 1
-		if res[i], err = lifetime.Run(cfg, events); err != nil {
-			return base, wf, err
-		}
-	}
-	return res[0], res[1], nil
+// fixedBudget runs the Baseline and Comp+WF on each app's trace for
+// exactly writes demand writes each: FailureFraction 1 keeps the runs
+// going past the lifetime criterion.
+func (o LifetimeOptions) fixedBudget(apps []string, writes uint64) ([][]LifetimeRun, error) {
+	set := o.runSet(apps, []Row{row("comp+wf")})
+	set.MaxDemandWrites, set.CapFactor, set.FailureFraction = writes, 0, 1
+	return set.Run(context.Background())
 }
 
 // writeEnergyPJ is a run's average write energy in pJ per write-back.
@@ -336,31 +193,33 @@ func writeEnergyPJ(r lifetime.Result) float64 {
 	if r.Stats.Writes == 0 {
 		return 0
 	}
-	return pcm.DefaultEnergyModel().WriteEnergyPJ(int(r.Stats.SetPulses), int(r.Stats.ResetPulses)) /
-		float64(r.Stats.Writes)
+	return r.Stats.WriteEnergyPJ() / float64(r.Stats.Writes)
 }
 
 // UncorrectableReduction computes the abstract's reliability claim: the
 // reduction in uncorrectable errors of Comp+WF relative to Baseline over an
 // equal write budget.
 func UncorrectableReduction(o LifetimeOptions, app string, writes uint64) (baseline, compWF uint64, err error) {
-	b, w, err := o.fixedBudget(app, writes)
-	return b.Stats.UncorrectableErrors, w.Stats.UncorrectableErrors, err
+	runs, err := o.fixedBudget([]string{app}, writes)
+	if err != nil {
+		return 0, 0, err
+	}
+	return runs[0][0].Stats.UncorrectableErrors, runs[0][1].Stats.UncorrectableErrors, nil
 }
 
 // EnergyComparison reports average write energy (pJ/write) for Baseline vs
 // Comp+WF over an equal write budget — the compression energy side-claim.
 func EnergyComparison(o LifetimeOptions, writes uint64) (*stats.Table, error) {
+	runs, err := o.fixedBudget(FigureOrder, writes)
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{
 		Title:   "Write energy (pJ per write-back, equal write budget)",
 		Columns: []string{"Baseline", "Comp+WF", "ratio"},
 	}
-	for _, app := range FigureOrder {
-		bRes, wRes, err := o.fixedBudget(app, writes)
-		if err != nil {
-			return nil, err
-		}
-		b, w := writeEnergyPJ(bRes), writeEnergyPJ(wRes)
+	for i, app := range FigureOrder {
+		b, w := writeEnergyPJ(runs[i][0].Result), writeEnergyPJ(runs[i][1].Result)
 		ratio := 0.0
 		if b > 0 {
 			ratio = w / b

@@ -747,77 +747,61 @@ func (p *LifetimeParams) run(ctx context.Context, pr *jobProgress) (any, error) 
 		}
 		wpki = prof.WPKI
 	}
-	// Every run of this job shares one compression memo: the trace
-	// store's for a stored digest, shared with every job on it, else this
-	// job's own.
-	var tr tracestore.Trace
+	// The job replays one trace: a stored digest's, with the trace store's
+	// compression memo shared by every job on it, or the app's.
+	tr := experiments.AppTrace(p.App, scale, p.Seed)
 	if p.Trace != "" {
 		// The resolver hands back the densified replay events, shared by
-		// every job on this digest; RunContext only reads them.
-		if tr, err = tracestore.ResolveFrom(ctx, p.Trace); err != nil {
-			return nil, err
-		}
-	} else {
-		prof, err := workload.ByName(p.App)
+		// every job on this digest; the runs only read them.
+		stored, err := tracestore.ResolveFrom(ctx, p.Trace)
 		if err != nil {
 			return nil, err
 		}
-		gen, err := workload.NewGenerator(prof, scale.TraceLines, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		tr.Events = gen.GenerateTrace(scale.TraceEvents)
+		tr = experiments.LifetimeTrace{Events: stored.Events, Memo: stored.Memo}
 	}
-	if tr.Memo == nil {
-		tr.Memo = &lifetime.Memo{}
-	}
-	tm := lifetime.DefaultTimeModel(wpki, scale.EnduranceScale(), scale.CapacityScale())
-
-	// Progress unit: demand writes across all requested systems. The total
-	// is only knowable when a write cap bounds each run.
 	specs := p.schemeLabels()
-	var progressTotal uint64
-	if p.MaxDemandWrites > 0 {
-		progressTotal = p.MaxDemandWrites * uint64(len(specs))
-	}
-
-	out := LifetimeResult{App: p.App, Trace: p.Trace, Scale: p.Scale, Seed: p.Seed}
-	var reference uint64
-	var writesDone uint64
+	rows := make([]experiments.Row, len(specs))
 	for i, spec := range specs {
 		sp, err := scheme.Parse(spec)
 		if err != nil {
 			return nil, err
 		}
-		ctrl, err := sp.ControllerConfig(scale.Substrate(p.Seed))
-		if err != nil {
-			return nil, err
-		}
-		cfg := lifetime.DefaultConfig(ctrl)
-		cfg.MaxDemandWrites = p.MaxDemandWrites
-		base := writesDone
-		cfg.OnProgress = func(dw uint64) { pr.set(base+dw, progressTotal) }
-		cfg.Memo = tr.Memo
-		res, err := lifetime.RunContext(ctx, cfg, tr.Events)
-		if err != nil {
-			return nil, err
-		}
-		writesDone += res.DemandWrites
-		if i == 0 {
-			reference = res.DemandWrites
-		}
-		norm := 0.0
-		if reference > 0 {
-			norm = float64(res.DemandWrites) / float64(reference)
-		}
+		rows[i] = experiments.Row{Spec: sp}
+	}
+
+	// Progress unit: demand writes across all requested systems. The total
+	// is only knowable (non-zero) when a write cap bounds each run.
+	progressTotal := p.MaxDemandWrites * uint64(len(specs))
+	var done uint64
+	writes := make([]uint64, len(rows)) // each row's demand writes so far
+	// The pool runs one job per worker, so a job's runs take one slot.
+	set := experiments.LifetimeRuns{
+		Traces:          []experiments.LifetimeTrace{tr},
+		Rows:            rows,
+		Memory:          scale.Substrate(p.Seed),
+		MaxDemandWrites: p.MaxDemandWrites,
+		Width:           1,
+		OnProgress: func(_, row int, dw uint64) {
+			done, writes[row] = done+dw-writes[row], dw
+			pr.set(done, progressTotal)
+		},
+	}
+	runs, err := set.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+
+	tm := lifetime.DefaultTimeModel(wpki, scale.EnduranceScale(), scale.CapacityScale())
+	out := LifetimeResult{App: p.App, Trace: p.Trace, Scale: p.Scale, Seed: p.Seed}
+	for i, res := range runs[0] {
 		s := res.Stats
 		out.Systems = append(out.Systems, LifetimeSystemResult{
-			System:               spec,
+			System:               specs[i],
 			DemandWrites:         res.DemandWrites,
 			Replays:              res.Replays,
 			Failed:               res.Failed,
 			ProjectedMonths:      tm.Months(res.DemandWrites),
-			Normalized:           norm,
+			Normalized:           res.Normalized(runs[0][0].Result),
 			BitFlips:             s.BitFlips,
 			SetPulses:            s.SetPulses,
 			ResetPulses:          s.ResetPulses,
