@@ -10,12 +10,11 @@
 //
 // Each system is a preset of the scheme registry (internal/scheme); -ecc
 // and -fnw override its hard-error scheme and write encoder. The systems
-// run as rows of one experiments.LifetimeRuns set, the runner behind the
-// lifetime tables and pcmd lifetime jobs, which builds each controller
-// with scheme.Spec.ControllerConfig. Here it takes one trace, the first
-// system as reference, no cap factor and one run per CPU, so the CLI and
-// a pcmd lifetime job report the same demand writes for the same app,
-// scale and seed. Rows are labeled with the preset name.
+// are the rows of one experiments.LifetimeRuns set (one trace, the first
+// system as reference, no cap factor, one run per CPU), the runner of the
+// lifetime tables and pcmd lifetime jobs, so the CLI and a job report the
+// same demand writes for the same app, scale and seed. The rows, labeled
+// with the preset name, print together once every run has ended.
 //
 // -trace replays a recorded trace instead of generating one. The encoding
 // is sniffed from its contents (binary .pcmt, gzip-wrapped .pcmt, or

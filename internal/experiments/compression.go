@@ -32,7 +32,7 @@ func Fig1BitFlips(app string, lines, traceEvents, samples int, seed uint64) (sta
 			first = false
 			continue
 		}
-		flips := dwFlips(&stored, &events[i].Data)
+		flips := block.HammingDistance(&stored, &events[i].Data)
 		stored = events[i].Data
 		s.Append(float64(len(s.X)+1), float64(flips))
 		if len(s.X) >= samples {
@@ -127,7 +127,7 @@ func Fig5FlipDelta(lines, eventsPerApp int, seed uint64) (*stats.Table, error) {
 				compStored[ev.Addr] = &cb
 				continue
 			}
-			rawFlips := dwFlips(rs, &ev.Data)
+			rawFlips := block.HammingDistance(rs, &ev.Data)
 			*rs = ev.Data
 			compFlips, _ := compressedFlips(&comp, compStored[ev.Addr], &ev.Data)
 			n++

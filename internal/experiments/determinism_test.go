@@ -11,6 +11,7 @@ import (
 	"pcmcomp/internal/config"
 	"pcmcomp/internal/core"
 	"pcmcomp/internal/stats"
+	"pcmcomp/internal/trace"
 )
 
 // TestLifetimeDeterministicAcrossParallelism proves the claim in
@@ -152,9 +153,31 @@ func TestLifetimeRunsJobShape(t *testing.T) {
 	}
 }
 
+// TestLifetimeRunsPanicReachesCaller pins the panic rule: a run's panic,
+// here a row's tweak, comes out of Run on the caller's goroutine, where a
+// recover can contain it (a pcmd worker fails only the job that panicked).
+// Were it raised on the run's own goroutine, it would end the test binary.
+func TestLifetimeRunsPanicReachesCaller(t *testing.T) {
+	o := LifetimeOptions{Scale: config.ScaleQuick, Seed: 1, MaxDemandWrites: 4096}
+	boom := Row{Spec: row("comp").Spec, tweak: func(*core.Config) { panic("boom") }}
+	for _, width := range []int{1, 2} {
+		o.Concurrency = width
+		func() {
+			defer func() {
+				if v := recover(); v != "boom" {
+					t.Fatalf("width %d: recovered %v, want the row's panic", width, v)
+				}
+			}()
+			o.runSet([]string{"milc", "gcc"}, []Row{row("comp+wf"), boom}).Run(context.Background())
+			t.Fatalf("width %d: Run returned", width)
+		}()
+	}
+}
+
 // TestLifetimeRunsStopOnCancel pins cancellation: once the context is
 // canceled no further run starts, the cut run keeps its partial result,
-// and Run returns the context's error.
+// a trace whose reference never started is never generated, and Run
+// returns the context's error.
 func TestLifetimeRunsStopOnCancel(t *testing.T) {
 	o := LifetimeOptions{Scale: config.ScaleQuick, Seed: 1}
 	events, err := AppTrace("gcc", o.Scale, o.Seed).Generate()
@@ -164,8 +187,12 @@ func TestLifetimeRunsStopOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started [3]atomic.Bool // rows that reported progress
+	unused := LifetimeTrace{Generate: func() ([]trace.Event, error) {
+		t.Error("a trace generated after the cancel")
+		return events, nil
+	}}
 	set := LifetimeRuns{
-		Traces: []LifetimeTrace{{Events: events}},
+		Traces: []LifetimeTrace{{Events: events}, unused},
 		Rows:   []Row{row("baseline"), row("comp"), row("comp+wf")},
 		Memory: o.Scale.Substrate(o.Seed),
 		Width:  1,
@@ -189,6 +216,11 @@ func TestLifetimeRunsStopOnCancel(t *testing.T) {
 	}
 	if !errors.Is(r[1].Err, context.Canceled) || r[1].Replays != 0 {
 		t.Fatalf("unstarted row: %+v, want a zero result and context.Canceled", r[1])
+	}
+	for i, r := range runs[1] {
+		if !errors.Is(r.Err, context.Canceled) || r.Replays != 0 {
+			t.Fatalf("row %d of the unstarted trace: %+v, want a zero result and context.Canceled", i, r)
+		}
 	}
 	if started[1].Load() {
 		t.Fatal("a row started after the cancel")

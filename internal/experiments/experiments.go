@@ -5,9 +5,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"pcmcomp/internal/block"
 	"pcmcomp/internal/compress"
@@ -51,21 +52,11 @@ func hottestAddrs(events []trace.Event, n int) []int {
 	for addr := range counts {
 		addrs = append(addrs, addr)
 	}
-	sort.Slice(addrs, func(i, j int) bool {
-		if counts[addrs[i]] != counts[addrs[j]] {
-			return counts[addrs[i]] > counts[addrs[j]]
-		}
-		return addrs[i] < addrs[j]
-	})
+	slices.SortFunc(addrs, func(a, b int) int { return cmp.Or(counts[b]-counts[a], a-b) })
 	if len(addrs) > n {
 		addrs = addrs[:n]
 	}
 	return addrs
-}
-
-// dwFlips returns the differential-write bit flips of storing cur over prev.
-func dwFlips(prev, cur *block.Block) int {
-	return block.HammingDistance(prev, cur)
 }
 
 // compressedFlips models the Comp write path without faults: the payload is
@@ -74,7 +65,6 @@ func dwFlips(prev, cur *block.Block) int {
 func compressedFlips(comp *compress.Compressor, prevStored *block.Block, data *block.Block) (flips, size int) {
 	res := comp.Compress(data)
 	size = res.Size()
-	flips = 0
 	for i, b := range res.Data {
 		flips += bits.OnesCount8(prevStored[i] ^ b)
 		prevStored[i] = b

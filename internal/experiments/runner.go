@@ -69,16 +69,19 @@ type LifetimeRuns struct {
 }
 
 // Run performs the set and returns runs[trace][row], with the error of
-// the lowest failed (trace, row) in that order. It schedules single runs,
-// up to Width at once, so a heavy trace's rows spread over the workers: a
-// free slot takes a ready row, the highest row index first (in the
-// tables, the longest-lived system), before it starts the next trace's
-// reference. A trace, with its Memo, is dropped after its last run, so
-// about Width+1 generated traces are live at once. Runs are internally
-// seeded, so the results are the same at any width. Every run is
-// attempted, except the rows of a trace whose reference failed; once ctx
-// is done no run starts.
+// the lowest failed (trace, row) in that order. Up to Width single runs
+// are in flight at once, so a heavy trace's rows spread over the workers:
+// a free slot takes a ready row, the highest row index first (in the
+// tables, the longest-lived system), before the next trace's reference.
+// A trace, with its Memo, is dropped after its last run, so about Width+1
+// generated traces are live at once. Runs are internally seeded, so the
+// results are the same at any width. Every run is attempted except the
+// rows of a trace whose reference failed, and none starts once ctx is
+// done. A run's panic cancels the others and, once they have returned,
+// is raised again on the caller's goroutine, where a recover contains it.
 func (s LifetimeRuns) Run(ctx context.Context) ([][]LifetimeRun, error) {
+	ctx, cancel := context.WithCancel(ctx) // canceled by a run's panic
+	defer cancel()
 	traces := slices.Clone(s.Traces) // the runner's hold on each trace
 	out := make([][]LifetimeRun, len(traces))
 	left := make([]int, len(traces))    // each trace's runs not yet finished
@@ -87,6 +90,7 @@ func (s LifetimeRuns) Run(ctx context.Context) ([][]LifetimeRun, error) {
 	var ready []run // the runs that may start: the highest row index first, then the lowest trace
 	for t := range out {
 		out[t], left[t], caps[t] = make([]LifetimeRun, len(s.Rows)), len(s.Rows), s.MaxDemandWrites
+		traces[t].Memo = cmp.Or(traces[t].Memo, &lifetime.Memo{})
 		if len(s.Rows) > 0 {
 			ready = append(ready, run{t, 0})
 		}
@@ -100,9 +104,6 @@ func (s LifetimeRuns) Run(ctx context.Context) ([][]LifetimeRun, error) {
 				return res, err
 			}
 		}
-		if tr.Memo == nil {
-			tr.Memo = &lifetime.Memo{}
-		}
 		ctrl, err := s.Rows[x.r].Spec.ControllerConfig(s.Memory)
 		if err != nil {
 			return res, err
@@ -112,24 +113,21 @@ func (s LifetimeRuns) Run(ctx context.Context) ([][]LifetimeRun, error) {
 		}
 		cfg := lifetime.DefaultConfig(ctrl)
 		cfg.MaxDemandWrites, cfg.Memo = caps[x.t], tr.Memo
-		if s.FailureFraction != 0 {
-			cfg.FailureFraction = s.FailureFraction
-		}
+		cfg.FailureFraction = cmp.Or(s.FailureFraction, cfg.FailureFraction)
 		if s.OnProgress != nil {
 			cfg.OnProgress = func(dw uint64) { s.OnProgress(x.t, x.r, dw) }
 		}
 		return lifetime.RunContext(ctx, cfg, tr.Events)
 	}
 
-	width := s.Width
-	if width <= 0 {
-		width = runtime.NumCPU()
-	}
+	width := cmp.Or(max(s.Width, 0), runtime.NumCPU())
 	type done struct {
 		run
 		LifetimeRun
+		panic any // what the run panicked with, if it did
 	}
 	finished := make(chan done)
+	var panicked any
 	// This goroutine alone schedules: it keeps up to width runs in flight
 	// and books each one as it finishes.
 	for running := 0; ; running-- {
@@ -137,14 +135,23 @@ func (s LifetimeRuns) Run(ctx context.Context) ([][]LifetimeRun, error) {
 			x := ready[0]
 			ready = ready[1:]
 			go func() {
-				res, err := exec(x)
-				finished <- done{x, LifetimeRun{res, err}}
+				d := done{run: x}
+				defer func() {
+					d.panic = recover()
+					finished <- d
+				}()
+				d.Result, d.Err = exec(x)
 			}()
 		}
 		if running == 0 {
 			break
 		}
 		d := <-finished
+		if d.panic != nil {
+			panicked = d.panic
+			cancel()
+			continue
+		}
 		t := d.t
 		out[t][d.r] = d.LifetimeRun
 		left[t]--
@@ -168,15 +175,20 @@ func (s LifetimeRuns) Run(ctx context.Context) ([][]LifetimeRun, error) {
 			traces[t] = LifetimeTrace{} // the trace's last run is done
 		}
 	}
+	if panicked != nil {
+		panic(panicked)
+	}
+	for _, x := range ready { // never started, nor, for a reference, its rows
+		for r := range out[x.t] {
+			if r == x.r || x.r == 0 {
+				out[x.t][r].Err = ctx.Err()
+			}
+		}
+	}
 	var first error
 	for t := range out {
-		for r := range out[t] {
-			if lr := &out[t][r]; lr.Err == nil && lr.Replays == 0 {
-				lr.Err = ctx.Err() // never started
-			}
-			if first == nil {
-				first = out[t][r].Err
-			}
+		for _, lr := range out[t] {
+			first = cmp.Or(first, lr.Err)
 		}
 	}
 	return out, first
