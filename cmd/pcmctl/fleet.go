@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -84,82 +83,17 @@ func runTop(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	return err
 }
 
-// runIncidents implements `pcmctl incidents -server URL [get <id>]`: the
-// captured SLO-breach incidents as a table, or one full bundle as JSON.
-func runIncidents(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("pcmctl incidents", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	serverURL := fs.String("server", "", "pcmd base URL (required)")
-	apiKey := fs.String("api-key", "", "tenant API key (X-Api-Key header)")
-	// Allow both `incidents get <id> -server URL` and flag-first orders:
-	// pull a leading "get <id>" off before flag parsing.
-	var getID string
-	if len(args) > 0 && args[0] == "get" {
-		if len(args) < 2 || strings.HasPrefix(args[1], "-") {
-			return fmt.Errorf("usage: pcmctl incidents get <id> -server URL")
-		}
-		getID, args = args[1], args[2:]
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *serverURL == "" {
-		return fmt.Errorf("-server is required")
-	}
-	c := pcmclient.New(*serverURL)
-	c.APIKey = *apiKey
-
-	if getID != "" {
-		inc, err := c.Incident(ctx, getID)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(inc)
-	}
-
-	list, err := c.Incidents(ctx)
-	if err != nil {
-		return err
-	}
-	if len(list.Incidents) == 0 {
-		fmt.Fprintf(stdout, "no incidents captured (%d total over the process lifetime)\n", list.Total)
-		return nil
-	}
-	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ID\tTIME\tOBJECTIVE\tCOMPLETE\tREASON")
-	for _, inc := range list.Incidents {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%v\t%s\n",
-			inc.ID, inc.Time.Format(time.RFC3339), inc.Objective, inc.Complete, inc.Reason)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if evicted := list.Total - uint64(len(list.Incidents)); evicted > 0 {
-		fmt.Fprintf(stdout, "(%d older incidents evicted from the ring)\n", evicted)
-	}
-	return nil
-}
-
 // snapshotLine is the one-line -watch summary of a snapshot.
 func snapshotLine(snap *fleetobs.FleetSnapshot) string {
-	breaching := 0
-	for _, slo := range snap.SLOs {
-		if slo.Breaching {
-			breaching++
-		}
-	}
-	return fmt.Sprintf("%s  up %d/%d  queued %.0f  running %.0f  jobs %.2f/s p95 %.1fms  http %.2f/s p99 %.1fms  slo-breaching %d  incidents %d",
+	return fmt.Sprintf("%s  up %d/%d  queued %.0f  running %.0f  jobs %.2f/s p95 %.1fms  http %.2f/s p99 %.1fms",
 		snap.Time.Format(time.RFC3339), snap.Fleet.Up, snap.Fleet.Backends,
 		snap.Fleet.Queued, snap.Fleet.Running,
 		snap.Fleet.Jobs.RatePerSec, snap.Fleet.Jobs.P95ms,
-		snap.Fleet.HTTP.RatePerSec, snap.Fleet.HTTP.P99ms,
-		breaching, snap.Incidents.Total)
+		snap.Fleet.HTTP.RatePerSec, snap.Fleet.HTTP.P99ms)
 }
 
-// renderSnapshot draws the full fleet view: totals, a backend table, the
-// SLO table, and the incident counters.
+// renderSnapshot draws the full fleet view: totals, a backend table, and
+// per-tenant rows when any backend reports tenant activity.
 func renderSnapshot(w io.Writer, snap *fleetobs.FleetSnapshot) error {
 	fmt.Fprintf(w, "fleet %s  window %s  scrape %s\n",
 		snap.Time.Format(time.RFC3339), snap.Window, snap.ScrapeInterval)
@@ -198,39 +132,6 @@ func renderSnapshot(w io.Writer, snap *fleetobs.FleetSnapshot) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-
-	if len(snap.SLOs) > 0 {
-		fmt.Fprintln(w)
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "SLO\tSTATE\tWINDOWS (value/target burn)")
-		for _, slo := range snap.SLOs {
-			state := "ok"
-			if slo.Breaching {
-				state = "BREACHING"
-				if slo.Since != nil {
-					state += " since " + slo.Since.Format(time.RFC3339)
-				}
-			}
-			parts := make([]string, 0, len(slo.Windows))
-			for _, win := range slo.Windows {
-				if win.Samples == 0 {
-					parts = append(parts, fmt.Sprintf("%s: no data", win.Window))
-					continue
-				}
-				parts = append(parts, fmt.Sprintf("%s: %.4g/%.4g %.1fx", win.Window, win.Value, win.Target, win.Burn))
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\n", slo.Name, state, strings.Join(parts, "  "))
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-	}
-
-	fmt.Fprintf(w, "\nincidents: %d stored / %d total", snap.Incidents.Stored, snap.Incidents.Total)
-	if snap.Incidents.LastID != "" {
-		fmt.Fprintf(w, " (last %s)", snap.Incidents.LastID)
-	}
-	fmt.Fprintln(w)
 
 	// Per-tenant rows only when any backend reports tenant activity.
 	tenants := map[string]fleetobs.TenantStats{}

@@ -18,7 +18,6 @@
 //	pcmctl trace -server http://b1:8080 [-id <trace-id>]
 //	pcmctl status -server http://coord:8080 [-json] [-watch]
 //	pcmctl top -server http://coord:8080
-//	pcmctl incidents -server http://coord:8080 [get inc-000001]
 //	pcmctl -version
 //
 // trace upload/ls/rm manage the server's content-addressed store of
@@ -45,12 +44,10 @@
 // an ASCII span tree — without -id it lists the retained traces.
 //
 // status renders the coordinator's fleet health snapshot (GET
-// /v1/fleet/status): per-backend health and breaker state, windowed
-// latency quantiles, SLO burn rates, and incident counts. top is the
-// live version — the terminal redraws on every scrape the ?watch=1 SSE
-// stream publishes. incidents lists the captured SLO-breach bundles;
-// `incidents get <id>` prints one full bundle (snapshot, traces,
-// goroutine dump, base64 CPU profile) as JSON.
+// /v1/fleet/status): per-backend health and breaker state, and latency
+// quantiles and error rates over the last minute. top is the live
+// version — the terminal redraws on every scrape the ?watch=1 SSE
+// stream publishes.
 package main
 
 import (
@@ -100,13 +97,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return runStatus(ctx, args[1:], stdout, stderr)
 	case "top":
 		return runTop(ctx, args[1:], stdout, stderr)
-	case "incidents":
-		return runIncidents(ctx, args[1:], stdout, stderr)
 	case "version", "-version", "--version":
 		fmt.Fprintln(stdout, "pcmctl", version.String())
 		return nil
 	default:
-		return fmt.Errorf("unknown subcommand %q (want sweep, jobs, events, cancel, trace, status, top, or incidents)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want sweep, jobs, events, cancel, trace, status, or top)", args[0])
 	}
 }
 

@@ -13,10 +13,8 @@
 //	     [-trace-dir dir] [-trace-max-bytes 1073741824]
 //	     [-trace-byte-rate 0] [-trace-byte-burst 0] [-advertise URL]
 //	     [-peers http://b1:8080,http://b2:8080] [-health-interval 15s]
-//	     [-slo 'jobs:p95<2s,err<1%;http:p99<500ms'] [-slo-windows 1m,5m]
-//	     [-scrape-interval 5s] [-incident-cpu-profile 5s]
-//	     [-log-sample 0] [-log-format text|json] [-log-level info]
-//	     [-pprof] [-version]
+//	     [-scrape-interval 5s] [-log-sample 0] [-log-format text|json]
+//	     [-log-level info] [-pprof] [-version]
 //
 // -api-keys turns on the multi-tenant front door: its value is either a
 // keys file (one "name:key[:rate[:burst[:weight]]]" spec per line,
@@ -40,12 +38,9 @@
 // The fleet health plane scrapes every backend's /metrics (its own
 // in-process) each -scrape-interval and serves the aggregated view on
 // GET /v1/fleet/status (?watch=1 streams it over SSE; see `pcmctl
-// status` and `pcmctl top`). -slo configures burn-rate-evaluated
-// objectives over -slo-windows; a breach captures an incident bundle
-// (fleet snapshot, recent traces, goroutine dump, -incident-cpu-profile
-// seconds of CPU profile) into a ring of the 8 most recent, served under
-// /debug/incidents. -log-sample rate-limits per-route access-log lines;
-// error responses always log.
+// status` and `pcmctl top`), with rates and quantiles over the last
+// minute. -log-sample rate-limits per-route access-log lines; error
+// responses always log.
 //
 // Logs are structured (log/slog) on stderr: text for terminals, -log-format
 // json for collectors. -pprof mounts net/http/pprof under /debug/pprof/
@@ -72,7 +67,6 @@ import (
 	"syscall"
 	"time"
 
-	"pcmcomp/internal/fleetobs"
 	"pcmcomp/internal/obs"
 	"pcmcomp/internal/server"
 	"pcmcomp/internal/tenant"
@@ -112,10 +106,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	advertise := fs.String("advertise", "", "this coordinator's own base URL, sent to backends so they can fetch trace digests")
 	peers := fs.String("peers", "", "comma-separated pcmd base URLs for coordinator mode (empty: sweeps run locally)")
 	healthInterval := fs.Duration("health-interval", 15*time.Second, "peer health-probe cadence")
-	sloSpec := fs.String("slo", "", "SLO spec, e.g. 'jobs:p95<2s,err<1%;http:p99<500ms' (empty: no SLO evaluation)")
-	sloWindows := fs.String("slo-windows", "1m,5m", "burn-rate evaluation windows, comma-separated durations")
 	scrapeInterval := fs.Duration("scrape-interval", 5*time.Second, "fleet health-plane scrape cadence (negative disables /v1/fleet/status)")
-	incidentCPU := fs.Duration("incident-cpu-profile", 5*time.Second, "per-incident CPU profile duration (negative disables)")
 	logSample := fs.Float64("log-sample", 0, "max access-log lines per second per route (0 logs everything; errors always log)")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")
@@ -145,15 +136,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		}
 	}
 
-	slos, err := fleetobs.ParseSLOs(*sloSpec)
-	if err != nil {
-		return err
-	}
-	windows, err := parseWindows(*sloWindows)
-	if err != nil {
-		return err
-	}
-
 	keyed, err := tenant.Load(*apiKeys)
 	if err != nil {
 		return err
@@ -164,28 +146,25 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	}
 
 	svc := server.New(server.Config{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		CacheEntries:       *cacheEntries,
-		JobTimeout:         *jobTimeout,
-		JobTTL:             *jobTTL,
-		MaxJobs:            *maxJobs,
-		SnapshotPath:       *snapshot,
-		Peers:              peerList,
-		HealthInterval:     *healthInterval,
-		Tenants:            tenants,
-		TraceDir:           *traceDir,
-		TraceMaxBytes:      *traceMaxBytes,
-		TraceByteRate:      *traceByteRate,
-		TraceByteBurst:     *traceByteBurst,
-		AdvertiseURL:       *advertise,
-		ScrapeInterval:     *scrapeInterval,
-		SLOs:               slos,
-		SLOWindows:         windows,
-		IncidentCPUProfile: *incidentCPU,
-		LogSampleQPS:       *logSample,
-		Logger:             logger,
-		EnablePprof:        *enablePprof,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheEntries:   *cacheEntries,
+		JobTimeout:     *jobTimeout,
+		JobTTL:         *jobTTL,
+		MaxJobs:        *maxJobs,
+		SnapshotPath:   *snapshot,
+		Peers:          peerList,
+		HealthInterval: *healthInterval,
+		Tenants:        tenants,
+		TraceDir:       *traceDir,
+		TraceMaxBytes:  *traceMaxBytes,
+		TraceByteRate:  *traceByteRate,
+		TraceByteBurst: *traceByteBurst,
+		AdvertiseURL:   *advertise,
+		ScrapeInterval: *scrapeInterval,
+		LogSampleQPS:   *logSample,
+		Logger:         logger,
+		EnablePprof:    *enablePprof,
 	})
 	if err := svc.RestoreError(); err != nil {
 		logger.Warn("starting with an empty store", "err", err)
@@ -226,22 +205,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	}
 	logger.Info("drained, exiting")
 	return nil
-}
-
-// parseWindows parses the comma-separated -slo-windows durations.
-func parseWindows(s string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part == "" {
-			continue
-		}
-		d, err := time.ParseDuration(part)
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("bad -slo-windows entry %q (want positive durations like 1m,5m)", part)
-		}
-		out = append(out, d)
-	}
-	return out, nil
 }
 
 // parseLevel maps the -log-level spelling onto a slog.Level.

@@ -3,10 +3,8 @@
 // included, via an in-process self-scrape), folds the samples into a
 // rolling fleet snapshot — per-backend health, queue depth, windowed
 // latency quantiles recovered from the cumulative histograms, error
-// rates per job kind and HTTP route — evaluates configured SLOs with
-// multi-window burn rates, and captures a bounded incident bundle
-// (snapshot + recent traces + goroutine and CPU profiles + the health
-// plane's own flight-recorder slice) the moment an objective burns.
+// rates per job kind and HTTP route — over a fixed one-minute window,
+// and publishes each snapshot on the plane's flight recorder.
 //
 // The package is dependency-free beyond the standard library and
 // internal/obs: the exposition parser below understands the Prometheus

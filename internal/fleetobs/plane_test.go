@@ -2,11 +2,9 @@ package fleetobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,12 +79,6 @@ func testPlane(t *testing.T, cfg Config) *Plane {
 	t.Helper()
 	if cfg.Interval == 0 {
 		cfg.Interval = 10 * time.Millisecond
-	}
-	if cfg.Windows == nil {
-		cfg.Windows = []time.Duration{100 * time.Millisecond, 300 * time.Millisecond}
-	}
-	if cfg.CPUProfileDuration == 0 {
-		cfg.CPUProfileDuration = -1 // keep unit tests fast; e2e covers profiles
 	}
 	p := New(cfg)
 	p.Start()
@@ -210,147 +202,86 @@ func TestPlaneScrapeFailureAndRecovery(t *testing.T) {
 	}
 }
 
-func TestPlaneSLOBreachTripsExactlyOneIncident(t *testing.T) {
-	slow := &fakeBackend{perScrape: 5, slow: true}
-	objs, err := ParseSLOs("jobs:p95<5ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := testPlane(t, Config{
-		Interval:           5 * time.Millisecond,
-		Windows:            []time.Duration{30 * time.Millisecond, 60 * time.Millisecond},
-		Objectives:         objs,
-		Targets:            []Target{{Name: "local", Self: true, Fetch: slow.Fetch}},
-		CPUProfileDuration: 20 * time.Millisecond,
-		CollectTraces: func(n int) json.RawMessage {
-			return json.RawMessage(`[{"summary":{"trace_id":"fake"}}]`)
-		},
-	})
-
-	waitFor(t, 10*time.Second, "incident captured", func() bool {
-		return len(p.Incidents()) == 1
-	})
-	waitFor(t, 10*time.Second, "incident capture complete", func() bool {
-		incs := p.Incidents()
-		return len(incs) == 1 && incs[0].Complete
-	})
-
-	// The episode keeps breaching; several more scrape rounds must not
-	// open a second incident.
-	time.Sleep(100 * time.Millisecond)
-	incs := p.Incidents()
-	if len(incs) != 1 {
-		t.Fatalf("got %d incidents, want exactly 1 per breach episode", len(incs))
-	}
-	inc, ok := p.Incident(incs[0].ID)
-	if !ok {
-		t.Fatalf("incident %s not fetchable", incs[0].ID)
-	}
-	if inc.Objective != "jobs:p95<5ms" || len(inc.Windows) != 2 {
-		t.Fatalf("incident evidence: %+v", inc.Windows)
-	}
-	if !strings.Contains(string(inc.Traces), "fake") {
-		t.Fatalf("incident traces missing: %s", inc.Traces)
-	}
-	if !strings.Contains(inc.GoroutineProfile, "goroutine") {
-		t.Fatalf("goroutine profile missing: %q", clip(inc.GoroutineProfile))
-	}
-	if len(inc.CPUProfile) == 0 && inc.CPUProfileError == "" {
-		t.Fatal("CPU profile neither captured nor errored")
-	}
-	if len(inc.Snapshot.Backends) != 1 || !inc.Snapshot.Backends[0].Up {
-		t.Fatalf("incident snapshot: %+v", inc.Snapshot.Backends)
-	}
-	for _, ev := range inc.Timeline {
-		if ev.Type == "snapshot" {
-			t.Fatal("incident timeline should exclude bulky snapshot events")
-		}
-	}
-
-	// Snapshot reflects the breach and the ring.
-	s := p.Snapshot()
-	if len(s.SLOs) != 1 || !s.SLOs[0].Breaching || s.SLOs[0].Since == nil {
-		t.Fatalf("snapshot SLOs: %+v", s.SLOs)
-	}
-	if s.Incidents.Total != 1 || s.Incidents.Stored != 1 || s.Incidents.LastID != incs[0].ID {
-		t.Fatalf("snapshot incident info: %+v", s.Incidents)
-	}
-}
-
-func TestPlaneBreachRecoveryAllowsNewIncident(t *testing.T) {
-	b := &fakeBackend{perScrape: 5, slow: true}
-	objs, err := ParseSLOs("jobs:p95<5ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := testPlane(t, Config{
-		Interval:   5 * time.Millisecond,
-		Windows:    []time.Duration{30 * time.Millisecond, 60 * time.Millisecond},
-		Objectives: objs,
-		Targets:    []Target{{Name: "local", Fetch: b.Fetch}},
-	})
-	waitFor(t, 10*time.Second, "first incident", func() bool { return len(p.Incidents()) == 1 })
-
-	// Traffic turns fast: the windows drain and the SLO recovers.
-	b.mu.Lock()
-	b.slow = false
-	b.mu.Unlock()
-	waitFor(t, 10*time.Second, "slo recovered", func() bool {
-		s := p.Snapshot()
-		return len(s.SLOs) == 1 && !s.SLOs[0].Breaching
-	})
-
-	// Slow again: a new episode, a second incident.
-	b.mu.Lock()
-	b.slow = true
-	b.mu.Unlock()
-	waitFor(t, 10*time.Second, "second incident", func() bool { return len(p.Incidents()) == 2 })
-}
-
+// TestPlaneCloseIsLeakFreeAndIdempotent pins that Close cancels a fetch
+// in flight instead of waiting out its timeout, publishes nothing from
+// the torn scrape, leaks no goroutine, and may be called twice.
 func TestPlaneCloseIsLeakFreeAndIdempotent(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	b := &fakeBackend{perScrape: 5, slow: true}
-	objs, _ := ParseSLOs("jobs:p95<5ms")
+	fetching := make(chan struct{}, 1)
 	p := New(Config{
-		Interval:           5 * time.Millisecond,
-		Windows:            []time.Duration{20 * time.Millisecond, 40 * time.Millisecond},
-		Objectives:         objs,
-		Targets:            []Target{{Name: "local", Fetch: b.Fetch}},
-		CPUProfileDuration: 10 * time.Second, // Close must cut this short
+		Interval: time.Hour, // the fetch timeout is then fetchTimeout
+		Targets: []Target{{Name: "stuck", Fetch: func(ctx context.Context) ([]byte, error) {
+			select {
+			case fetching <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}}},
 	})
 	p.Start()
-	waitFor(t, 10*time.Second, "incident open (CPU profile in flight)", func() bool {
-		return len(p.Incidents()) == 1
-	})
+	select {
+	case <-fetching:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first scrape never started its fetch")
+	}
 	start := time.Now()
 	p.Close()
 	p.Close() // idempotent
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Close took %v; should cut the 10s CPU profile short", elapsed)
+	if elapsed := time.Since(start); elapsed > fetchTimeout/2 {
+		t.Fatalf("Close took %v; it should cancel the fetch, not wait out its %v timeout", elapsed, fetchTimeout)
+	}
+	if st := p.Stats(); st.ScrapesOK+st.ScrapesFailed != 0 {
+		t.Fatalf("the scrape cut by Close was folded: %+v", st)
 	}
 	waitFor(t, 5*time.Second, "goroutines back to baseline", func() bool {
 		return runtime.NumGoroutine() <= baseline+2
 	})
-	if incs := p.Incidents(); len(incs) != 1 || !incs[0].Complete {
-		t.Fatalf("incident should complete on Close: %+v", incs)
-	}
 }
 
-func TestIncidentRingBound(t *testing.T) {
-	r := newIncidentRing(2)
-	for i := 0; i < 5; i++ {
-		r.add(&Incident{Time: time.Now()})
+// TestPlaneHistoryBoundedSoak folds hours of 1 s scrape rounds on a
+// synthetic clock, with scattered failed scrapes and one long outage:
+// however long the plane runs, each target keeps only the window's worth
+// of history and the flight recorder stays at its cap.
+func TestPlaneHistoryBoundedSoak(t *testing.T) {
+	const (
+		interval = time.Second
+		rounds   = 10_000
+	)
+	b := &fakeBackend{perScrape: 5}
+	targets := []Target{{Name: "self", Self: true}, {Name: "b1"}, {Name: "b2"}}
+	p := New(Config{Interval: interval, Targets: targets})
+	maxHistory := int(window/interval) + 3
+
+	now := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	for r := 0; r < rounds; r++ {
+		now = now.Add(interval)
+		body, _ := b.Fetch(context.Background())
+		samples, err := ParseExposition(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := digest(samples)
+		recs := make([]scrapeRec, len(targets))
+		for i := range recs {
+			recs[i] = scrapeRec{at: now, view: view}
+			failed := (r+i)%7 == 0 || (i == 2 && r >= 3000 && r < 3500)
+			if failed {
+				recs[i] = scrapeRec{at: now, err: "connection refused"}
+			}
+		}
+		p.fold(now, recs)
+		for _, tgt := range targets {
+			if n := len(p.history[tgt.Name]); n > maxHistory {
+				t.Fatalf("round %d: %s keeps %d scrapes, want <= %d", r, tgt.Name, n, maxHistory)
+			}
+		}
+		if n := len(p.Timeline().Events()); n > timelineCap {
+			t.Fatalf("round %d: timeline holds %d events, want <= %d", r, n, timelineCap)
+		}
 	}
-	if info := r.counts(); info.Total != 5 || info.Stored != 2 || info.LastID != "inc-000005" {
-		t.Fatalf("ring counts = %+v", info)
-	}
-	if _, ok := r.get("inc-000001"); ok {
-		t.Fatal("evicted incident still fetchable")
-	}
-	// complete on an evicted ID must not panic or resurrect it.
-	r.complete("inc-000001", "g", nil, 0, "")
-	list := r.list()
-	if len(list) != 2 || list[0].ID != "inc-000005" || list[1].ID != "inc-000004" {
-		t.Fatalf("list = %+v", list)
+	s := p.Snapshot()
+	if s.Fleet.Backends != 3 || s.Fleet.Jobs.Count <= 0 {
+		t.Fatalf("final snapshot lost the fleet: %+v", s.Fleet)
 	}
 }

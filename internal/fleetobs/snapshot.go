@@ -85,13 +85,6 @@ type FleetTotals struct {
 	HTTPErrorRate float64      `json:"http_error_rate"`
 }
 
-// IncidentInfo summarizes the incident ring inside a fleet snapshot.
-type IncidentInfo struct {
-	Total  uint64 `json:"total"`  // incidents ever tripped
-	Stored int    `json:"stored"` // currently retained in the ring
-	LastID string `json:"last_id,omitempty"`
-}
-
 // FleetSnapshot is the rolling fleet view served by /v1/fleet/status.
 type FleetSnapshot struct {
 	Time           time.Time         `json:"time"`
@@ -99,8 +92,6 @@ type FleetSnapshot struct {
 	ScrapeInterval string            `json:"scrape_interval"`
 	Backends       []BackendSnapshot `json:"backends"`
 	Fleet          FleetTotals       `json:"fleet"`
-	SLOs           []SLOStatus       `json:"slos,omitempty"`
-	Incidents      IncidentInfo      `json:"incidents"`
 }
 
 // metricsView is one scrape digested into the fields the plane folds:

@@ -142,36 +142,6 @@ func summarize(e *traceEntry) TraceSummary {
 	return s
 }
 
-// TraceBundle pairs a retained trace's summary with its assembled span
-// tree — the self-contained form incident bundles embed.
-type TraceBundle struct {
-	Summary TraceSummary `json:"summary"`
-	Tree    []*SpanNode  `json:"tree"`
-}
-
-// RecentTraces returns the newest n retained traces (all of them when
-// n <= 0) with their span trees assembled, newest first.
-func (r *Ring) RecentTraces(n int) []TraceBundle {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []TraceBundle
-	for i := len(r.order) - 1; i >= 0; i-- {
-		if n > 0 && len(out) >= n {
-			break
-		}
-		e, ok := r.traces[r.order[i]]
-		if !ok || len(e.spans) == 0 {
-			continue
-		}
-		spans := append([]SpanData(nil), e.spans...)
-		out = append(out, TraceBundle{Summary: summarize(e), Tree: BuildTree(spans)})
-	}
-	return out
-}
-
 // Trace returns one trace's spans (unordered) and whether it exists.
 func (r *Ring) Trace(id string) ([]SpanData, bool) {
 	r.mu.Lock()

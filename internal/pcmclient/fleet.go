@@ -3,15 +3,14 @@ package pcmclient
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"pcmcomp/internal/fleetobs"
 )
 
 // FleetStatus fetches the coordinator's rolling fleet health snapshot
-// (GET /v1/fleet/status): per-backend health, queue depths, windowed
-// latency quantiles, SLO burn state, and incident counts.
+// (GET /v1/fleet/status): per-backend health and breaker state, queue
+// depths, and latency quantiles and error rates over the last minute.
 func (c *Client) FleetStatus(ctx context.Context) (*fleetobs.FleetSnapshot, error) {
 	var snap fleetobs.FleetSnapshot
 	if err := c.do(ctx, http.MethodGet, "/v1/fleet/status", nil, &snap); err != nil {
@@ -23,9 +22,8 @@ func (c *Client) FleetStatus(ctx context.Context) (*fleetobs.FleetSnapshot, erro
 // WatchFleet follows the fleet snapshot stream (GET /v1/fleet/status?
 // watch=1 over SSE): onSnapshot receives each scrape's snapshot as it is
 // published, and onEvent (optional) sees every raw timeline frame —
-// including target_down/target_up, slo_breach/slo_recovered, and
-// incident transitions. The fleet stream has no terminal event, so
-// WatchFleet runs until the context is canceled (returned as ctx.Err())
+// including the target_down and target_up transitions. The fleet stream
+// has no terminal event, so WatchFleet runs until the context is canceled (returned as ctx.Err())
 // or the reconnect budget is exhausted.
 func (c *Client) WatchFleet(ctx context.Context, onSnapshot func(*fleetobs.FleetSnapshot), onEvent func(TimelineEvent)) error {
 	return c.watch(ctx, "/v1/fleet/status?watch=1", func(ev TimelineEvent) {
@@ -40,35 +38,4 @@ func (c *Client) WatchFleet(ctx context.Context, onSnapshot func(*fleetobs.Fleet
 			onSnapshot(&snap)
 		}
 	})
-}
-
-// IncidentList is the GET /debug/incidents document: the retained
-// summaries (newest first) and the lifetime capture count (evicted
-// incidents count toward Total but their bundles are gone).
-type IncidentList struct {
-	Incidents []fleetobs.IncidentSummary `json:"incidents"`
-	Total     uint64                     `json:"total"`
-}
-
-// Incidents lists the captured SLO-breach incidents.
-func (c *Client) Incidents(ctx context.Context) (*IncidentList, error) {
-	var list IncidentList
-	if err := c.do(ctx, http.MethodGet, "/debug/incidents", nil, &list); err != nil {
-		return nil, err
-	}
-	return &list, nil
-}
-
-// Incident fetches one full incident bundle: the fleet snapshot at
-// breach, recent completed traces, the goroutine dump, the CPU profile,
-// and the plane's event timeline.
-func (c *Client) Incident(ctx context.Context, id string) (*fleetobs.Incident, error) {
-	if id == "" {
-		return nil, fmt.Errorf("pcmclient: incident id is required")
-	}
-	var inc fleetobs.Incident
-	if err := c.do(ctx, http.MethodGet, "/debug/incidents/"+id, nil, &inc); err != nil {
-		return nil, err
-	}
-	return &inc, nil
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -49,10 +48,8 @@ func (s *Server) initFleet() {
 		})
 	}
 	s.fleet = fleetobs.New(fleetobs.Config{
-		Interval:   s.cfg.ScrapeInterval,
-		Windows:    s.cfg.SLOWindows,
-		Objectives: s.cfg.SLOs,
-		Targets:    targets,
+		Interval: s.cfg.ScrapeInterval,
+		Targets:  targets,
 		Cluster: func() []fleetobs.BackendHealth {
 			statuses := s.coord.Backends()
 			out := make([]fleetobs.BackendHealth, len(statuses))
@@ -66,15 +63,7 @@ func (s *Server) initFleet() {
 			}
 			return out
 		},
-		CollectTraces: func(n int) json.RawMessage {
-			data, err := json.Marshal(s.ring.RecentTraces(n))
-			if err != nil {
-				return nil
-			}
-			return data
-		},
-		CPUProfileDuration: s.cfg.IncidentCPUProfile,
-		Logger:             s.log,
+		Logger: s.log,
 	})
 	s.fleet.Start()
 }
@@ -104,8 +93,8 @@ func metricsFetcher(client *http.Client, base string) func(ctx context.Context) 
 // snapshot as JSON, or — with ?watch=1 or Accept: text/event-stream —
 // the plane's flight recorder streamed over SSE. Every scrape appends a
 // "snapshot" event whose msg is the compact snapshot JSON, so a watcher
-// re-renders on each frame; transition events (target_down, slo_breach,
-// incident...) interleave.
+// re-renders on each frame; target_down and target_up transition events
+// interleave.
 func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	if s.fleet == nil {
 		writeError(w, http.StatusNotFound, "fleet health plane is disabled (-scrape-interval < 0)")
@@ -118,48 +107,11 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.fleet.Snapshot())
 }
 
-// handleIncidents implements GET /debug/incidents: the ring's summaries,
-// newest first, plus the lifetime total (evicted bundles count, their
-// bodies are gone).
-func (s *Server) handleIncidents(w http.ResponseWriter, _ *http.Request) {
-	if s.fleet == nil {
-		writeError(w, http.StatusNotFound, "fleet health plane is disabled (-scrape-interval < 0)")
-		return
-	}
-	list := s.fleet.Incidents()
-	if list == nil {
-		list = []fleetobs.IncidentSummary{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"incidents": list,
-		"total":     s.fleet.Stats().IncidentsTotal,
-	})
-}
-
-// handleIncident implements GET /debug/incidents/{id}: one full bundle —
-// fleet snapshot at breach, recent traces, goroutine dump, CPU profile
-// (base64 in JSON), and the plane's timeline slice.
-func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
-	if s.fleet == nil {
-		writeError(w, http.StatusNotFound, "fleet health plane is disabled (-scrape-interval < 0)")
-		return
-	}
-	inc, ok := s.fleet.Incident(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such incident (evicted or never captured)")
-		return
-	}
-	writeJSON(w, http.StatusOK, inc)
-}
-
 // writeFleetMetrics renders the plane's own accounting into /metrics.
 func writeFleetMetrics(w io.Writer, st fleetobs.Stats) {
 	fmt.Fprintf(w, "# TYPE pcmd_fleetobs_scrapes_total counter\n")
 	fmt.Fprintf(w, "pcmd_fleetobs_scrapes_total{outcome=\"ok\"} %d\n", st.ScrapesOK)
 	fmt.Fprintf(w, "pcmd_fleetobs_scrapes_total{outcome=\"failed\"} %d\n", st.ScrapesFailed)
-	fmt.Fprintf(w, "# TYPE pcmd_fleetobs_incidents_total counter\npcmd_fleetobs_incidents_total %d\n", st.IncidentsTotal)
-	fmt.Fprintf(w, "# TYPE pcmd_fleetobs_incidents_stored gauge\npcmd_fleetobs_incidents_stored %d\n", st.IncidentsStored)
-	fmt.Fprintf(w, "# TYPE pcmd_fleetobs_slo_breaching gauge\npcmd_fleetobs_slo_breaching %d\n", st.Breaching)
 }
 
 // logSampler rate-limits per-route access logging: one tenant.Bucket per

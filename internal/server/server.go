@@ -23,7 +23,6 @@
 //	DELETE /v1/traces/{digest}           delete a stored trace
 //	GET    /v1/backends                  the coordinator's fleet view (health, load)
 //	GET    /v1/fleet/status              aggregated fleet health snapshot (?watch=1 streams SSE)
-//	GET    /debug/incidents              captured SLO-breach incident bundles (and /{id})
 //	GET    /v1/workloads                 list the Table III workload models
 //	GET    /v1/schemes                   list the hard-error schemes
 //	GET    /healthz                      liveness (503 while draining)
@@ -137,18 +136,6 @@ type Config struct {
 	// peer's, folding the samples into GET /v1/fleet/status (default 5s;
 	// negative disables the plane entirely).
 	ScrapeInterval time.Duration
-	// SLOs are the objectives the plane evaluates with multi-window burn
-	// rates; a breach captures an incident. Parse specs with
-	// fleetobs.ParseSLOs. Empty means no SLO evaluation (the snapshot
-	// still rolls).
-	SLOs []fleetobs.Objective
-	// SLOWindows are the burn-rate evaluation windows, ascending (empty
-	// selects the plane's default 1m and 5m). The shortest window is also
-	// the fleet snapshot's display window.
-	SLOWindows []time.Duration
-	// IncidentCPUProfile sizes the CPU profile captured per incident
-	// (default 5s; negative disables CPU profiling).
-	IncidentCPUProfile time.Duration
 	// LogSampleQPS rate-limits per-route access-log lines to this many
 	// per second (token bucket per route). 0 logs everything; error
 	// responses (status >= 400) always log regardless.
@@ -238,7 +225,7 @@ type Server struct {
 	stopHealth context.CancelFunc // stops the peer health-probe loop
 
 	// Fleet health plane (see internal/fleetobs): the scrape loop behind
-	// GET /v1/fleet/status and /debug/incidents. Nil when disabled.
+	// GET /v1/fleet/status. Nil when disabled.
 	fleet *fleetobs.Plane
 	// logSample throttles per-route access logging; nil logs everything.
 	logSample *logSampler
@@ -314,8 +301,6 @@ func New(cfg Config) *Server {
 	s.route(mux, "DELETE /v1/traces/{digest}", s.handleDeleteDataTrace)
 	s.route(mux, "GET /v1/backends", s.handleBackends)
 	s.route(mux, "GET /v1/fleet/status", s.handleFleetStatus)
-	s.route(mux, "GET /debug/incidents", s.handleIncidents)
-	s.route(mux, "GET /debug/incidents/{id}", s.handleIncident)
 	s.route(mux, "GET /v1/workloads", s.handleWorkloads)
 	s.route(mux, "GET /v1/schemes", s.handleSchemes)
 	s.route(mux, "GET /healthz", s.handleHealthz)
@@ -441,9 +426,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	close(s.hkStop)
 	s.stopHealth()
 	if s.fleet != nil {
-		// Stop scraping before the drain: the plane waits out its loop and
-		// any in-flight incident capture, so nothing touches the pool or
-		// coordinator after they unwind.
+		// Stop scraping before the drain: the plane waits out its loop,
+		// so no scrape touches the pool or coordinator after they unwind.
 		s.fleet.Close()
 	}
 	s.pool.Close()
